@@ -31,8 +31,6 @@ from .fileformat import (
     ComplexFileError,
     ParsedComplex,
     format_complex,
-    load_simplicial,
-    load_square,
     parse_complex,
     read_complex,
     write_complex,
@@ -40,22 +38,17 @@ from .fileformat import (
 from .generators import (
     Disk,
     DiskSpec,
-    cyclic_bs_development,
-    flat_plane_disk,
     non_systolic_counterexamples,
     triangulated_disk,
 )
 from .propa import (
-    DeficiencyMap,
     NonFlatIntervalError,
     PropertyAReport,
     PropertyARow,
     WeightFunction,
-    deficiency,
     difference_check,
     norm_check,
     property_a_report,
-    weight,
     weight_at,
 )
 from .quadric import (
@@ -70,13 +63,8 @@ from .quadric import (
     descending_reachable,
     interval,
 )
-from .reports import DEFAULT_CERT_CAP, Certificate, CheckReport, merge_reports
-from .squaring import (
-    SquaringResult,
-    check_quasi_isometry,
-    check_squaring_quadric,
-    squaring,
-)
+from .reports import DEFAULT_CERT_CAP, Certificate, CheckReport
+from .squaring import SquaringResult, check_quasi_isometry, squaring
 from .systolic import (
     check_ball_neighbours,
     check_spheres_triangle_free,
@@ -92,7 +80,6 @@ __all__ = [
     "CheckReport",
     "ComplexFileError",
     "DEFAULT_CERT_CAP",
-    "DeficiencyMap",
     "Disk",
     "DiskSpec",
     "Graph",
@@ -119,25 +106,18 @@ __all__ = [
     "check_replacement_rule_A",
     "check_replacement_rule_B",
     "check_spheres_triangle_free",
-    "check_squaring_quadric",
     "check_triangle_condition",
-    "cyclic_bs_development",
-    "deficiency",
     "descending_reachable",
     "difference_check",
     "distance",
     "enumerate_embedded_4cycles",
     "find_K23",
-    "flat_plane_disk",
     "format_complex",
     "girth",
     "h1_rank_mod2",
     "interval",
     "is_connected",
     "link",
-    "load_simplicial",
-    "load_square",
-    "merge_reports",
     "non_systolic_counterexamples",
     "norm_check",
     "parse_complex",
@@ -147,7 +127,6 @@ __all__ = [
     "squaring",
     "triangulated_disk",
     "verify_systolic",
-    "weight",
     "weight_at",
     "write_complex",
 ]

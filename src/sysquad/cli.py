@@ -15,12 +15,15 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-from .complexes import BasedComplex, Graph, SquareComplex
+import numpy as np
+
+from .complexes import BasedComplex, SimplicialComplex2, SquareComplex
 from .fileformat import ComplexFileError, format_complex, read_complex
 from .generators import DiskSpec, triangulated_disk
 from .metrics import all_pairs, vertex_order
-from .propa import NonFlatIntervalError, property_a_report
+from .propa import property_a_report
 from .quadric import (
     check_ball_isometry,
     check_flat_intervals,
@@ -38,142 +41,127 @@ from .systolic import (
     verify_systolic,
 )
 
-SIMPLICIAL_RULES = ("systolic", "spheres", "neighbours", "triangle")
-SQUARE_RULES = ("a", "b", "quad", "balls", "intervals", "flat")
-_BASE_NEEDING = {"spheres", "neighbours", "triangle", "quad", "flat"}
+
+class UsageError(Exception):
+    """Bad command line or input combination; exit status 2."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    degree: int | None = None
-    degrees: tuple[int, ...] | None = None
-    radius: int = 0
-    seed: int = 0
-    n_max: int = 12
-    rules: tuple[str, ...] | None = None
-    cert_cap: int = DEFAULT_CERT_CAP
-    jobs: int = 1
-    exhaustive: bool = False
+@dataclass(frozen=True)
+class Subject:
+    """What a check runs on: the complex, its based form, shared distances."""
+
+    complex: SimplicialComplex2 | SquareComplex
+    based: BasedComplex | None
+    dist: np.ndarray | None
+    args: argparse.Namespace
+
+    @property
+    def cap(self) -> int:
+        return self.args.cert_cap
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+@dataclass(frozen=True)
+class Check:
+    """One ``--rules`` name: the file kind it applies to and how to run it.
+
+    ``needs_base`` says, given the parsed flags, whether the check needs
+    the input's base record. ``uses_dist`` checks share one all-pairs
+    distance matrix, computed once before any of them runs.
+    """
+
+    name: str
+    kind: str
+    needs_base: Callable[[argparse.Namespace], bool]
+    run: Callable[[Subject], CheckReport]
+    uses_dist: bool = False
 
 
-def _first_certificate_line(reports: list[CheckReport]) -> str | None:
-    for rep in reports:
-        if rep.passed:
-            continue
-        if rep.counterexamples:
-            c = rep.counterexamples[0]
-            vs = " ".join(str(v) for v in c.vertices)
-            tail = f" :: {c.info}" if c.info else ""
-            return f"{rep.name}: {c.kind} {vs}{tail}"
-        return f"{rep.name}: failed with {rep.violations} violations"
-    return None
+def _always(args: argparse.Namespace) -> bool:
+    return True
 
 
-def _disk_spec(config: RunConfig) -> DiskSpec:
-    if (config.degree is None) == (config.degrees is None):
-        raise ValueError("exactly one of --degree and --degrees is required")
-    if config.degree is not None:
-        degrees: int | frozenset[int] = config.degree
-    else:
-        degrees = frozenset(config.degrees or ())
-    return DiskSpec(radius=config.radius, degrees=degrees, seed=config.seed)
+def _never(args: argparse.Namespace) -> bool:
+    return False
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-
-
-def _run_tasks(tasks, jobs: int) -> list[CheckReport]:
-    """Run report factories, preserving task order regardless of --jobs."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
-def _exhaustive_pairs(g: Graph) -> list[tuple[int, int]]:
-    verts = sorted(g.vertices)
+def _interval_pairs(s: Subject) -> list[tuple[int, int]] | None:
+    """Every vertex pair under --exhaustive, else None for the based sample."""
+    if not s.args.exhaustive:
+        return None
+    verts = sorted(s.complex.graph.vertices)
     return [(u, v) for i, u in enumerate(verts) for v in verts[i:]]
 
 
-def _square_tasks(sq: SquareComplex, base: int | None, config: RunConfig,
-                  selected: tuple[str, ...]):
-    """(name, factory) pairs for the quadric-side rules, in canonical order."""
-    cap = config.cert_cap
+# Canonical order: verify and all run the selected checks in this order.
+# Each entry resolves its function through this module's globals when it
+# runs, so wrapping a name on ``sysquad.cli`` wraps every call of it.
+CHECKS = (
+    Check("systolic", "simplicial", _never,
+          lambda s: verify_systolic(s.complex, s.cap)),
+    Check("spheres", "simplicial", _always,
+          lambda s: check_spheres_triangle_free(s.based, s.cap)),
+    Check("neighbours", "simplicial", _always,
+          lambda s: check_ball_neighbours(s.based, s.cap)),
+    Check("triangle", "simplicial", _always,
+          lambda s: check_triangle_condition(s.based, s.cap)),
+    Check("a", "square", _never,
+          lambda s: check_replacement_rule_A(s.complex, s.cap)),
+    Check("b", "square", _never,
+          lambda s: check_replacement_rule_B(s.complex, s.cap)),
+    Check("quad", "square", _always,
+          lambda s: check_quadrangle_condition(s.based, s.cap)),
+    Check("balls", "square", _never,
+          lambda s: check_ball_isometry(s.complex, s.cap, dist=s.dist),
+          uses_dist=True),
+    Check("intervals", "square", lambda args: not args.exhaustive,
+          lambda s: check_interval_isometry(
+              s.based or s.complex, pairs=_interval_pairs(s), cap=s.cap,
+              seed=s.args.seed, dist=s.dist),
+          uses_dist=True),
+    Check("flat", "square", _always,
+          lambda s: check_flat_intervals(s.based, s.cap)),
+)
+RULE_NAMES = ",".join(c.name for c in CHECKS)
+
+
+def _select(args: argparse.Namespace, kind: str | None = None,
+            kind_label: str | None = None) -> list[Check]:
+    """The checks ``--rules`` names, by default every check of ``kind``.
+
+    ``kind`` None accepts every check. The result keeps table order.
+    """
+    names = args.rules
+    if names is None:
+        names = [c.name for c in CHECKS if kind in (None, c.kind)]
+    by_name = {c.name: c for c in CHECKS}
+    for name in names:
+        if name not in by_name:
+            raise UsageError(f"unknown rule {name!r}; valid rules: {RULE_NAMES}")
+        if kind is not None and by_name[name].kind != kind:
+            raise UsageError(f"rule {name!r} does not apply to a {kind_label} complex")
+    return [c for c in CHECKS if c.name in names]
+
+
+def _run_checks(checks: list[Check], c, based: BasedComplex | None,
+                args: argparse.Namespace) -> list[CheckReport]:
+    """Run ``checks`` on one complex; reports keep table order whatever --jobs is."""
     dist = None
-    if "balls" in selected or "intervals" in selected:
-        dist = all_pairs(sq.graph, vertex_order(sq.graph))
-    tasks = []
-    for name in SQUARE_RULES:
-        if name not in selected:
-            continue
-        if name == "a":
-            tasks.append((name, lambda: check_replacement_rule_A(sq, cap)))
-        elif name == "b":
-            tasks.append((name, lambda: check_replacement_rule_B(sq, cap)))
-        elif name == "quad":
-            bb = BasedComplex(sq, base)
-            tasks.append((name, lambda bb=bb: check_quadrangle_condition(bb, cap)))
-        elif name == "balls":
-            tasks.append((name, lambda: check_ball_isometry(sq, cap, dist=dist)))
-        elif name == "intervals":
-            if config.exhaustive:
-                pairs = _exhaustive_pairs(sq.graph)
-                tasks.append((name, lambda pairs=pairs: check_interval_isometry(
-                    sq, pairs=pairs, cap=cap, seed=config.seed, dist=dist)))
-            else:
-                bb = BasedComplex(sq, base)
-                tasks.append((name, lambda bb=bb: check_interval_isometry(
-                    bb, cap=cap, seed=config.seed, dist=dist)))
-        elif name == "flat":
-            bb = BasedComplex(sq, base)
-            tasks.append((name, lambda bb=bb: check_flat_intervals(bb, cap)))
-    return tasks
+    if any(check.uses_dist for check in checks):
+        dist = all_pairs(c.graph, vertex_order(c.graph))
+    subject = Subject(c, based, dist, args)
+    if args.jobs == 1 or len(checks) <= 1:
+        return [check.run(subject) for check in checks]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        return list(pool.map(lambda check: check.run(subject), checks))
 
 
-def _validate_rules(selected: tuple[str, ...], allowed: tuple[str, ...],
-                    kind: str) -> str | None:
-    for name in selected:
-        if name not in SIMPLICIAL_RULES and name not in SQUARE_RULES:
-            return f"unknown rule {name!r}"
-        if name not in allowed:
-            return f"rule {name!r} does not apply to a {kind} complex"
-    return None
-
-
-def _needs_base(selected: tuple[str, ...], exhaustive: bool) -> set[str]:
-    need = {n for n in selected if n in _BASE_NEEDING}
-    if "intervals" in selected and not exhaustive:
-        need.add("intervals")
-    return need
-
-
-def _write_report_files(reports: list[CheckReport], output: str | None) -> None:
-    if output is None:
-        return
-    text = "\n".join(rep.to_text() for rep in reports)
-    Path(output).write_text(text, encoding="utf-8")
-    csv_path = Path(str(output) + ".csv")
-    csv_path.write_text(_certificates_csv(reports), encoding="utf-8")
-
-
-def _write_chain_files(reports: list[CheckReport], outdir: Path) -> None:
-    text = "\n".join(rep.to_text() for rep in reports)
-    (outdir / "reports.txt").write_text(text, encoding="utf-8")
-    (outdir / "certificates.csv").write_text(
-        _certificates_csv(reports), encoding="utf-8"
-    )
+def _certificate_line(rep: CheckReport) -> str:
+    if rep.counterexamples:
+        c = rep.counterexamples[0]
+        vs = " ".join(str(v) for v in c.vertices)
+        tail = f" :: {c.info}" if c.info else ""
+        return f"{rep.name}: {c.kind} {vs}{tail}"
+    return f"{rep.name}: failed with {rep.violations} violations"
 
 
 def _certificates_csv(reports: list[CheckReport]) -> str:
@@ -190,206 +178,131 @@ def _csv_field(value: str) -> str:
     return value
 
 
-def _finish(reports: list[CheckReport], output: str | None) -> int:
+def _finish(reports: list[CheckReport], files: tuple[Path, Path] | None,
+            brief: bool) -> int:
+    """Shared epilogue of verify and all.
+
+    Prints each report (one pass/FAIL line each when ``brief``), writes the
+    text reports and the certificate CSV to ``files``, and puts the first
+    failing report's first certificate on stderr.
+    """
     for rep in reports:
-        sys.stdout.write(rep.to_text())
-        sys.stdout.write("\n")
-    _write_report_files(reports, output)
-    if all(rep.passed for rep in reports):
-        return 0
-    line = _first_certificate_line(reports)
-    if line:
-        print(line, file=sys.stderr)
-    return 1
-
-
-def _cmd_generate(config: RunConfig) -> int:
-    disk = triangulated_disk(_disk_spec(config))
-    _emit(format_complex(disk.complex, disk.center), config.output)
+        print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}" if brief
+              else rep.to_text())
+    if files is not None:
+        text_path, csv_path = files
+        text_path.write_text("\n".join(rep.to_text() for rep in reports),
+                             encoding="utf-8")
+        csv_path.write_text(_certificates_csv(reports), encoding="utf-8")
+    for rep in reports:
+        if not rep.passed:
+            print(_certificate_line(rep), file=sys.stderr)
+            return 1
     return 0
 
 
-def _cmd_square(config: RunConfig) -> int:
-    if config.input is None:
-        return _usage_error("square needs --input")
-    parsed = read_complex(config.input)
+def _emit(text: str, output: str | None) -> None:
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        Path(output).write_text(text, encoding="utf-8")
+
+
+def _disk_spec(args: argparse.Namespace) -> DiskSpec:
+    degrees = args.degree if args.degree is not None else frozenset(args.degrees)
+    return DiskSpec(radius=args.radius, degrees=degrees, seed=args.seed)
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
+    disk = triangulated_disk(_disk_spec(args))
+    _emit(format_complex(disk.complex, disk.center), args.output)
+    return 0
+
+
+def _cmd_square(args: argparse.Namespace) -> int:
+    parsed = read_complex(args.input)
     if parsed.kind == "square":
-        return _usage_error("input already carries squares")
+        raise UsageError("input already carries squares")
     if parsed.basepoint is None:
-        return _usage_error("input file has no base record")
+        raise UsageError("input file has no base record")
     b = BasedComplex(parsed.to_simplicial(), parsed.basepoint)
     result = squaring(b)
     _emit(
         format_complex(result.squared.complex, result.squared.basepoint),
-        config.output,
+        args.output,
     )
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    if config.input is None:
-        return _usage_error("verify needs --input")
-    parsed = read_complex(config.input)
-    cap = config.cert_cap
-    if parsed.kind == "square":
-        allowed = SQUARE_RULES
-    else:
-        allowed = SIMPLICIAL_RULES
-    explicit = config.rules is not None
-    selected = config.rules if explicit else allowed
-    problem = _validate_rules(selected, allowed, parsed.kind)
-    if problem:
-        return _usage_error(problem)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    parsed = read_complex(args.input)
+    # a file with neither triangles nor squares gets the simplicial battery
+    kind = "square" if parsed.kind == "square" else "simplicial"
+    checks = _select(args, kind, parsed.kind)
     base = parsed.basepoint
-    need_base = _needs_base(selected, config.exhaustive)
     skipped: list[str] = []
-    if base is None and need_base:
-        if explicit:
-            return _usage_error(
-                f"rules {sorted(need_base)} need a base record in the input"
-            )
-        selected = tuple(n for n in selected if n not in need_base)
-        skipped = sorted(need_base)
-
-    if parsed.kind == "square":
-        sq = parsed.to_square()
-        tasks = _square_tasks(sq, base, config, selected)
-    else:
-        c = parsed.to_simplicial()
-        tasks = []
-        if "systolic" in selected:
-            tasks.append(("systolic", lambda: verify_systolic(c, cap)))
-        if base is not None:
-            bb = BasedComplex(c, base)
-            if "spheres" in selected:
-                tasks.append(("spheres", lambda: check_spheres_triangle_free(bb, cap)))
-            if "neighbours" in selected:
-                tasks.append(("neighbours", lambda: check_ball_neighbours(bb, cap)))
-            if "triangle" in selected:
-                tasks.append(("triangle", lambda: check_triangle_condition(bb, cap)))
-
-    reports = _run_tasks([t for _, t in tasks], config.jobs)
+    if base is None:
+        skipped = sorted(c.name for c in checks if c.needs_base(args))
+        if skipped and args.rules is not None:
+            raise UsageError(f"rules {skipped} need a base record in the input")
+        checks = [c for c in checks if c.name not in skipped]
+    c = parsed.to_square() if kind == "square" else parsed.to_simplicial()
+    based = BasedComplex(c, base) if base is not None else None
+    reports = _run_checks(checks, c, based, args)
     for name in skipped:
-        sys.stdout.write(f"skipped {name} (no basepoint in input)\n")
-    return _finish(reports, config.output)
+        print(f"skipped {name} (no basepoint in input)")
+    files = None
+    if args.output is not None:
+        files = (Path(args.output), Path(args.output + ".csv"))
+    return _finish(reports, files, brief=False)
 
 
-def _cmd_propa(config: RunConfig) -> int:
-    if config.input is None:
-        return _usage_error("propa needs --input")
-    parsed = read_complex(config.input)
+def _cmd_propa(args: argparse.Namespace) -> int:
+    parsed = read_complex(args.input)
     if parsed.kind == "simplicial":
-        return _usage_error("propa needs a square complex (run square first)")
+        raise UsageError("propa needs a square complex (run square first)")
     if parsed.basepoint is None:
-        return _usage_error("input file has no base record")
+        raise UsageError("input file has no base record")
     b = BasedComplex(parsed.to_square(), parsed.basepoint)
-    report = property_a_report(b, config.n_max, config.cert_cap)
-    _emit("\n".join(report.csv_lines()) + "\n", config.output)
+    report = property_a_report(b, args.n_max, args.cert_cap)
+    _emit("\n".join(report.csv_lines()) + "\n", args.output)
     if not report.passed:
-        line = _first_certificate_line([report.check])
-        if line:
-            print(line, file=sys.stderr)
+        print(_certificate_line(report.check), file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_all(config: RunConfig) -> int:
-    if config.output is None:
-        return _usage_error("all needs --output DIR")
-    outdir = Path(config.output)
+def _cmd_all(args: argparse.Namespace) -> int:
+    checks = _select(args)
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    cap = config.cert_cap
+    files = (outdir / "reports.txt", outdir / "certificates.csv")
 
-    disk = triangulated_disk(_disk_spec(config))
+    disk = triangulated_disk(_disk_spec(args))
     (outdir / "disk.complex").write_text(
         format_complex(disk.complex, disk.center), encoding="utf-8"
     )
     b = BasedComplex(disk.complex, disk.center)
-
-    selected = config.rules if config.rules is not None else (
-        SIMPLICIAL_RULES + SQUARE_RULES
-    )
-    problem = _validate_rules(selected, SIMPLICIAL_RULES + SQUARE_RULES, "any")
-    if problem:
-        return _usage_error(problem)
-
-    simp_tasks = []
-    if "systolic" in selected:
-        simp_tasks.append(lambda: verify_systolic(disk.complex, cap))
-    if "spheres" in selected:
-        simp_tasks.append(lambda: check_spheres_triangle_free(b, cap))
-    if "neighbours" in selected:
-        simp_tasks.append(lambda: check_ball_neighbours(b, cap))
-    if "triangle" in selected:
-        simp_tasks.append(lambda: check_triangle_condition(b, cap))
-    reports = _run_tasks(simp_tasks, config.jobs)
-
+    simplicial = [c for c in checks if c.kind == "simplicial"]
+    reports = _run_checks(simplicial, disk.complex, b, args)
     if not all(rep.passed for rep in reports):
-        _write_chain_files(reports, outdir)
-        for rep in reports:
-            print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}")
-        line = _first_certificate_line(reports)
-        if line:
-            print(line, file=sys.stderr)
-        return 1
+        return _finish(reports, files, brief=True)
 
     result = squaring(b, precheck=False)
     (outdir / "squared.complex").write_text(
         format_complex(result.squared.complex, result.squared.basepoint),
         encoding="utf-8",
     )
+    reports.append(check_quasi_isometry(result, args.cert_cap))
+    square = [c for c in checks if c.kind == "square"]
+    reports += _run_checks(square, result.squared.complex, result.squared, args)
 
-    reports.append(check_quasi_isometry(result, cap))
-    sq = result.squared.complex
-    assert isinstance(sq, SquareComplex)
-    square_selected = tuple(n for n in selected if n in SQUARE_RULES)
-    tasks = _square_tasks(sq, result.squared.basepoint, config, square_selected)
-    reports.extend(_run_tasks([t for _, t in tasks], config.jobs))
-
-    pa = property_a_report(result.squared, config.n_max, cap)
+    pa = property_a_report(result.squared, args.n_max, args.cert_cap)
     (outdir / "propa.csv").write_text(
         "\n".join(pa.csv_lines()) + "\n", encoding="utf-8"
     )
     reports.append(pa.check)
-
-    _write_chain_files(reports, outdir)
-    for rep in reports:
-        print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}")
-    if all(rep.passed for rep in reports):
-        return 0
-    line = _first_certificate_line(reports)
-    if line:
-        print(line, file=sys.stderr)
-    return 1
-
-
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "square": _cmd_square,
-    "verify": _cmd_verify,
-    "propa": _cmd_propa,
-    "all": _cmd_all,
-}
-
-
-def run(config: RunConfig) -> int:
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        return _usage_error(f"unknown command {config.command!r}")
-    try:
-        return handler(config)
-    except ComplexFileError as exc:
-        print(f"{config.input}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except NonFlatIntervalError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    return _finish(reports, files, brief=True)
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
@@ -402,6 +315,17 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return values
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_generation_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--degree", type=int, help="uniform interior degree")
@@ -409,7 +333,7 @@ def _add_generation_flags(p: argparse.ArgumentParser) -> None:
         "--degrees", type=_parse_degrees, metavar="LIST",
         help="comma separated degree set; each interior vertex draws from it",
     )
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -417,10 +341,10 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--rules", type=lambda s: tuple(x for x in s.replace(" ", "").split(",") if x),
         metavar="LIST", default=None,
-        help="subset of checks: " + ",".join(SIMPLICIAL_RULES + SQUARE_RULES),
+        help="subset of checks: " + RULE_NAMES,
     )
-    p.add_argument("--cert-cap", type=int, default=DEFAULT_CERT_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--cert-cap", type=_int_at_least(0), default=DEFAULT_CERT_CAP)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument(
         "--exhaustive", action="store_true",
         help="interval isometry over all vertex pairs instead of the default sample",
@@ -438,10 +362,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a triangulated disk")
     _add_generation_flags(p)
     p.add_argument("--output", help="destination file (default stdout)")
+    p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("square", help="square a based simplicial complex file")
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="destination file (default stdout)")
+    p.set_defaults(handler=_cmd_square)
 
     p = sub.add_parser("verify", help="run checks against a complex file")
     p.add_argument("--input", required=True)
@@ -451,43 +377,43 @@ def _build_parser() -> argparse.ArgumentParser:
         "--output",
         help="write the text report here and certificates to <PATH>.csv",
     )
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("propa", help="emit the Property A CSV for a squared file")
     p.add_argument("--input", required=True)
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--cert-cap", type=int, default=DEFAULT_CERT_CAP)
+    p.add_argument("--n-max", type=_int_at_least(0), default=12)
+    p.add_argument("--cert-cap", type=_int_at_least(0), default=DEFAULT_CERT_CAP)
     p.add_argument("--output", help="CSV destination (default stdout)")
+    p.set_defaults(handler=_cmd_propa)
 
     p = sub.add_parser(
         "all", help="generate, verify, square, verify again, report"
     )
     _add_generation_flags(p)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--n-max", type=_int_at_least(0), default=12)
     _add_check_flags(p)
     p.add_argument("--output", required=True, help="output directory")
+    p.set_defaults(handler=_cmd_all)
 
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        input=getattr(ns, "input", None),
-        output=getattr(ns, "output", None),
-        degree=getattr(ns, "degree", None),
-        degrees=getattr(ns, "degrees", None),
-        radius=getattr(ns, "radius", 0),
-        seed=getattr(ns, "seed", 0),
-        n_max=getattr(ns, "n_max", 12),
-        rules=getattr(ns, "rules", None),
-        cert_cap=getattr(ns, "cert_cap", DEFAULT_CERT_CAP),
-        jobs=getattr(ns, "jobs", 1),
-        exhaustive=getattr(ns, "exhaustive", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    return run(_config_from_namespace(_build_parser().parse_args(argv)))
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ComplexFileError as exc:
+        print(f"{args.input}: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a violated invariant, NonFlatIntervalError included
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

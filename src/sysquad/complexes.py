@@ -259,9 +259,8 @@ class BasedComplex:
 
 @dataclass(frozen=True)
 class VertexSubgraph:
-    """An induced subgraph remembering what it was carved out of."""
+    """An induced subgraph on a vertex set."""
 
-    parent: object
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
@@ -349,7 +348,7 @@ def ball(obj, v: int, r: int) -> VertexSubgraph:
     """Induced subgraph on all vertices at distance at most r from v."""
     g = _graph_of(obj)
     verts = frozenset(_truncated_levels(obj, v, r))
-    return VertexSubgraph(parent=obj, vertices=verts, edges=_induced_edges(g, verts))
+    return VertexSubgraph(vertices=verts, edges=_induced_edges(g, verts))
 
 
 def sphere(obj, v: int, r: int) -> VertexSubgraph:
@@ -357,7 +356,7 @@ def sphere(obj, v: int, r: int) -> VertexSubgraph:
     g = _graph_of(obj)
     lv = _truncated_levels(obj, v, r)
     verts = frozenset(w for w, d in lv.items() if d == r)
-    return VertexSubgraph(parent=obj, vertices=verts, edges=_induced_edges(g, verts))
+    return VertexSubgraph(vertices=verts, edges=_induced_edges(g, verts))
 
 
 def link(c: SimplicialComplex2, v: int) -> Graph:

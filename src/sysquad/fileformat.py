@@ -171,16 +171,6 @@ def read_complex(path) -> ParsedComplex:
         return parse_complex(fh.read())
 
 
-def load_simplicial(path) -> tuple[SimplicialComplex2, int | None]:
-    parsed = read_complex(path)
-    return parsed.to_simplicial(), parsed.basepoint
-
-
-def load_square(path) -> tuple[SquareComplex, int | None]:
-    parsed = read_complex(path)
-    return parsed.to_square(), parsed.basepoint
-
-
 def format_complex(
     complex: SimplicialComplex2 | SquareComplex, basepoint: int | None = None
 ) -> str:

@@ -176,16 +176,6 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
     )
 
 
-def flat_plane_disk(radius: int) -> Disk:
-    """Constant degree 6: the flat triangulated disk."""
-    return triangulated_disk(DiskSpec(radius=radius, degrees=6))
-
-
-def cyclic_bs_development(n: int, radius: int) -> Disk:
-    """Constant interior degree ``n`` disk (n >= 6)."""
-    return triangulated_disk(DiskSpec(radius=radius, degrees=n))
-
-
 def non_systolic_counterexamples() -> list[tuple[SimplicialComplex2, str]]:
     """Small complexes that must fail systolic verification, with the failing check."""
     out = []

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import BasedComplex, SquareComplex
-from .quadric import Interval, based_interval, descending_reachable, _restricted_bfs
+from .quadric import _restricted_bfs, descending_reachable
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 
@@ -38,47 +38,6 @@ class NonFlatIntervalError(ValueError):
             f"vertex {vertex} has downward degree {downward_degree}{where}; "
             f"flat intervals allow at most 2"
         )
-
-
-@dataclass(frozen=True)
-class DeficiencyMap:
-    """Downward degree (rho) and deficiency (delta = 2 - rho) per vertex."""
-
-    interval: Interval
-    rho: dict[int, int]
-    delta: dict[int, int]
-
-
-def deficiency(z: Interval) -> DeficiencyMap:
-    """Count, for each interval vertex, its neighbours one step closer to the base.
-
-    Every such neighbour lies on a geodesic to the basepoint and belongs to
-    the interval, so the level test is exact. Downward degree above 2 raises
-    NonFlatIntervalError.
-    """
-    g = z.graph
-    lv = z.dist_from_u
-    rho: dict[int, int] = {}
-    delta: dict[int, int] = {}
-    for w in sorted(z.vertices):
-        lw = lv[w]
-        r = sum(1 for x in g.neighbors(w) if lv[x] == lw - 1)
-        if r > 2:
-            raise NonFlatIntervalError(w, r, z.endpoints)
-        rho[w] = r
-        delta[w] = 2 - r
-    return DeficiencyMap(z, rho, delta)
-
-
-def _weight_value(n: int, d: int, delta: int) -> int:
-    if d > n:
-        return 0
-    m = n - d
-    if delta == 0:
-        return 1
-    if delta == 1:
-        return m + 1
-    return (m + 2) * (m + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -107,29 +66,17 @@ class WeightFunction:
         return sum(abs(self.value(k) - other.value(k)) for k in keys)
 
 
-def weight(z: Interval, dm: DeficiencyMap, n: int) -> WeightFunction:
-    """Apply the three-case formula pointwise on the interval.
-
-    Distances to the center are measured inside the interval; they dominate
-    ambient distances, so the support always sits inside the ambient radius-n
-    ball around the center (and they agree exactly when the interval embeds
-    isometrically, which the quadric checks verify separately).
-    """
+def weight_at(b: BasedComplex, v: int, n: int) -> WeightFunction:
+    """The weight function f_{n,v}: row n of the profile of center v, zeros dropped."""
+    if not isinstance(b.complex, SquareComplex):
+        raise ValueError("weight_at expects a square complex")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    center = z.endpoints[1]
-    values: dict[int, int] = {}
-    for w in z.vertices:
-        fv = _weight_value(n, z.dist_from_v[w], dm.delta[w])
-        if fv:
-            values[w] = fv
-    return WeightFunction(n, center, values)
-
-
-def weight_at(b: BasedComplex, v: int, n: int) -> WeightFunction:
-    """Interval extraction, deficiency and weight for one center in one call."""
-    z = based_interval(b, v)
-    return weight(z, deficiency(z), n)
+    verts = descending_reachable(b.graph, b.levels, v)
+    delta_of = _deficiencies(b, verts, (b.basepoint, v))
+    ids, w_rows = _profile(b, v, verts, delta_of, _weight_table(n))
+    values = {int(w): int(x) for w, x in zip(ids, w_rows[n]) if x}
+    return WeightFunction(n, v, values)
 
 
 def norm_check(wf: WeightFunction, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
@@ -203,33 +150,57 @@ class PropertyAReport:
         return lines
 
 
-def _interval_profiles(b: BasedComplex, delta_of: dict[int, int], n_max: int):
-    """Per center: sorted interval vertex ids and their weight rows for all n.
+def _deficiencies(b: BasedComplex, verts,
+                  endpoints: tuple[int, int] | None = None) -> dict[int, int]:
+    """Deficiency 2 - rho of each vertex in ``verts``, rho its downward degree.
 
-    Returns {v: (ids, W)} with ids a sorted int64 array and W of shape
-    (n_max + 1, len(ids)) holding the weight of ids[j] at parameter n = row.
+    Every neighbour one level closer to the base lies on a geodesic to the
+    basepoint, so it belongs to any basepoint interval through the vertex:
+    the count is the same on the whole complex and inside an interval.
+    Downward degree above 2 raises NonFlatIntervalError, naming
+    ``endpoints`` when given.
     """
     g = b.graph
     levels = b.levels
-    ns = np.arange(n_max + 1, dtype=np.int64)
-    m = ns
-    table = np.stack([
-        np.ones_like(m),
-        m + 1,
-        (m + 2) * (m + 1) // 2,
-    ])
-    profiles = {}
-    for v in sorted(g.vertices):
-        verts = descending_reachable(g, levels, v)
-        dist_v = _restricted_bfs(g, verts, v)
-        ids = np.array(sorted(verts), dtype=np.int64)
-        d = np.array([dist_v[w] for w in ids], dtype=np.int64)
-        dl = np.array([delta_of[w] for w in ids], dtype=np.int64)
-        mm = ns[:, None] - d[None, :]
-        valid = mm >= 0
-        w_rows = np.where(valid, table[dl[None, :], np.maximum(mm, 0)], 0)
-        profiles[v] = (ids, w_rows)
-    return profiles
+    delta_of: dict[int, int] = {}
+    for w in sorted(verts):
+        lw = levels[w]
+        r = sum(1 for x in g.neighbors(w) if levels[x] == lw - 1)
+        if r > 2:
+            raise NonFlatIntervalError(w, r, endpoints)
+        delta_of[w] = 2 - r
+    return delta_of
+
+
+def _weight_table(n_max: int) -> np.ndarray:
+    """T[delta, m] for m = 0..n_max: the weight of a vertex of deficiency delta.
+
+    With d its distance to the center and m = n - d >= 0, the weight is
+
+        1 (delta = 0),   m + 1 (delta = 1),   (m + 2)(m + 1)/2 (delta = 2),
+
+    and 0 when m < 0.
+    """
+    m = np.arange(n_max + 1, dtype=np.int64)
+    return np.stack([np.ones_like(m), m + 1, (m + 2) * (m + 1) // 2])
+
+
+def _profile(b: BasedComplex, v: int, verts: frozenset[int],
+             delta_of: dict[int, int], table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of center v on its interval ``verts`` for every n the table covers.
+
+    Returns (ids, W): ids the sorted interval vertices as an int64 array,
+    W[n, j] = f_{n,v}(ids[j]) by the table, with d measured inside the
+    interval. Interval distances dominate ambient ones, so the support sits
+    inside the ambient radius-n ball around v; they agree exactly when the
+    interval embeds isometrically, which the quadric checks verify.
+    """
+    dist_v = _restricted_bfs(b.graph, verts, v)
+    ids = np.array(sorted(verts), dtype=np.int64)
+    d = np.array([dist_v[w] for w in ids], dtype=np.int64)
+    dl = np.array([delta_of[w] for w in ids], dtype=np.int64)
+    mm = np.arange(table.shape[1])[:, None] - d[None, :]
+    return ids, np.where(mm >= 0, table[dl[None, :], np.maximum(mm, 0)], 0)
 
 
 def property_a_report(b: BasedComplex, n_max: int,
@@ -250,15 +221,12 @@ def property_a_report(b: BasedComplex, n_max: int,
         raise ValueError("n_max must be nonnegative")
     rb = ReportBuilder("property-a", cap)
     verts = sorted(g.vertices)
-    delta_of: dict[int, int] = {}
-    for v in verts:
-        lv = levels[v]
-        r = sum(1 for x in g.neighbors(v) if levels[x] == lv - 1)
-        if r > 2:
-            raise NonFlatIntervalError(v, r)
-        delta_of[v] = 2 - r
-
-    profiles = _interval_profiles(b, delta_of, n_max)
+    delta_of = _deficiencies(b, verts)
+    table = _weight_table(n_max)
+    profiles = {
+        v: _profile(b, v, descending_reachable(g, levels, v), delta_of, table)
+        for v in verts
+    }
     rb.set_stat("vertices", len(verts))
     rb.set_stat("edges", len(g.edges))
     rb.set_stat("n_max", n_max)

@@ -102,28 +102,3 @@ class ReportBuilder:
             violations=self._violations,
             cap=self.cap,
         )
-
-
-def merge_reports(name: str, reports: list[CheckReport], cap: int = DEFAULT_CERT_CAP) -> CheckReport:
-    """Combine several reports into one, deterministically."""
-    certs: list[Certificate] = []
-    violations = 0
-    stats: dict[str, int | str] = {}
-    for rep in reports:
-        violations += rep.violations
-        certs.extend(rep.counterexamples)
-        for key, val in rep.stats.items():
-            if isinstance(val, int):
-                cur = stats.get(key, 0)
-                stats[key] = (cur if isinstance(cur, int) else 0) + val
-            else:
-                stats[key] = val
-    certs.sort()
-    return CheckReport(
-        name=name,
-        passed=violations == 0,
-        counterexamples=tuple(certs[:cap]),
-        stats=stats,
-        violations=violations,
-        cap=cap,
-    )

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import quadric
 from .complexes import (
     BasedComplex,
     Graph,
@@ -23,7 +22,7 @@ from .complexes import (
     enumerate_embedded_4cycles,
 )
 from .metrics import distance_chunks, vertex_order
-from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder, merge_reports
+from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import verify_systolic
 
 
@@ -104,17 +103,3 @@ def check_quasi_isometry(
     ratio = Fraction(best_num, best_den) if best_den else Fraction(0)
     rb.set_stat("max_ratio", f"{ratio.numerator}/{ratio.denominator}")
     return rb.build()
-
-
-def check_squaring_quadric(result: SquaringResult, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
-    """Both replacement rules hold everywhere on the squared complex."""
-    sx = result.squared.complex
-    assert isinstance(sx, SquareComplex)
-    rep_a = quadric.check_replacement_rule_A(sx, cap)
-    rep_b = quadric.check_replacement_rule_B(sx, cap)
-    return merge_reports("squaring-quadric", [rep_a, rep_b], cap)
-
-
-def check_flat_intervals(result: SquaringResult, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
-    """Every basepoint interval of the squared complex is K_{2,3}-free."""
-    return quadric.check_flat_intervals(result.squared, cap)

@@ -17,7 +17,8 @@ from sysquad import (
     write_complex,
     DiskSpec,
 )
-from sysquad.cli import main
+import sysquad.cli
+from sysquad.cli import CHECKS, main
 
 
 def run_cli(*argv):
@@ -161,7 +162,9 @@ def test_verify_rules_filter(tmp_path, capsys):
 def test_verify_unknown_rule(tmp_path, capsys):
     src = gen(tmp_path)
     assert run_cli("verify", "--input", str(src), "--rules", "bogus") == 2
-    assert "bogus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert ",".join(c.name for c in CHECKS) in err
 
 
 def test_verify_rule_kind_mismatch(tmp_path, capsys):
@@ -178,6 +181,40 @@ def test_verify_base_needing_rule_without_base(tmp_path, capsys):
     assert run_cli("verify", "--input", str(p)) == 0
     out = capsys.readouterr().out
     assert "skipped" in out
+
+
+def squared_without_base(tmp_path):
+    d = triangulated_disk(DiskSpec(radius=2, degrees=6))
+    res = squaring(BasedComplex(d.complex, d.center))
+    p = tmp_path / "sq_nobase.complex"
+    write_complex(p, res.squared.complex)
+    return p
+
+
+def test_verify_square_file_without_base_skips_based_checks(tmp_path, capsys):
+    p = squared_without_base(tmp_path)
+    assert run_cli("verify", "--input", str(p)) == 0
+    out = capsys.readouterr().out
+    skipped = "".join(f"skipped {name} (no basepoint in input)\n"
+                      for name in ("flat", "intervals", "quad"))
+    assert out.startswith(skipped + "check rule-a\n")
+    checks = [line.split()[1] for line in out.splitlines() if line.startswith("check ")]
+    assert checks == ["rule-a", "rule-b", "ball-isometry"]
+
+
+def test_verify_square_file_without_base_exhaustive_runs_intervals(tmp_path, capsys):
+    p = squared_without_base(tmp_path)
+    assert run_cli("verify", "--input", str(p), "--exhaustive") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("skipped flat (no basepoint in input)\n"
+                          "skipped quad (no basepoint in input)\ncheck rule-a\n")
+    assert "check interval-isometry" in out
+
+
+def test_verify_square_file_without_base_rejects_based_rule(tmp_path, capsys):
+    p = squared_without_base(tmp_path)
+    assert run_cli("verify", "--input", str(p), "--rules", "quad") == 2
+    assert "need a base record" in capsys.readouterr().err
 
 
 def test_verify_parse_error_exit_2(tmp_path, capsys):
@@ -290,12 +327,65 @@ def test_all_chain_deterministic_across_jobs(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_all_checks_rules_before_generating(tmp_path, capsys):
+    outdir = tmp_path / "bundle"
+    code = run_cli(
+        "all", "--degree", "6", "--radius", "2", "--rules", "bogus",
+        "--output", str(outdir),
+    )
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown rule 'bogus'")
+    assert ",".join(c.name for c in CHECKS) in err
+
+
+def test_checks_resolve_cli_names_when_they_run(tmp_path, monkeypatch):
+    # wrapping a check's name on sysquad.cli must reach both verify and all
+    calls = []
+    real = sysquad.cli.check_replacement_rule_A
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sysquad.cli, "check_replacement_rule_A", counting)
+    src = gen(tmp_path)
+    mid = tmp_path / "sq.complex"
+    run_cli("square", "--input", str(src), "--output", str(mid))
+    assert run_cli("verify", "--input", str(mid), "--rules", "a") == 0
+    assert len(calls) == 1
+    assert run_cli(
+        "all", "--degree", "6", "--radius", "1", "--output", str(tmp_path / "run"),
+    ) == 0
+    assert len(calls) == 2
+
+
 def test_all_requires_output_directory():
     with pytest.raises(SystemExit):
         run_cli("all", "--degree", "6", "--radius", "1")
 
 
 # -------------------------------------------------------------------- plumbing
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--input", "x.complex", "--jobs", "0"], "--jobs"),
+    (["all", "--degree", "6", "--radius", "2", "--jobs", "-3"], "--jobs"),
+    (["verify", "--input", "x.complex", "--cert-cap", "-1"], "--cert-cap"),
+    (["propa", "--input", "x.complex", "--n-max", "-1"], "--n-max"),
+    (["all", "--degree", "6", "--radius", "2", "--n-max", "-1"], "--n-max"),
+    (["generate", "--degree", "6", "--radius", "-1"], "--radius"),
+    (["all", "--degree", "6", "--radius", "-1"], "--radius"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    if argv[0] == "all":
+        argv = argv + ["--output", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*argv)
+    assert ei.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_no_arguments_is_usage_error():

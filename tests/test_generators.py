@@ -4,8 +4,6 @@ import pytest
 
 from sysquad import (
     DiskSpec,
-    cyclic_bs_development,
-    flat_plane_disk,
     format_complex,
     girth,
     link,
@@ -42,16 +40,18 @@ def test_degree6_radius2_sizes():
 
 def test_flat_plane_counts_follow_hex_formula():
     for r in range(5):
-        d = flat_plane_disk(r)
+        d = triangulated_disk(DiskSpec(radius=r, degrees=6))
         assert len(d.complex.graph.vertices) == 3 * r * r + 3 * r + 1, f"r={r}"
 
 
 def test_flat_plane_radius3_has_37_vertices():
-    assert len(flat_plane_disk(3).complex.graph.vertices) == 37
+    d = triangulated_disk(DiskSpec(radius=3, degrees=6))
+    assert len(d.complex.graph.vertices) == 37
 
 
 def test_flat_plane_is_constant_degree_disk():
-    a = flat_plane_disk(2).complex
+    # the per-layer rule with degree 6 on every layer builds the same disk
+    a = triangulated_disk(DiskSpec(radius=2, degrees=(6, 6))).complex
     b = triangulated_disk(DiskSpec(radius=2, degrees=6)).complex
     assert format_complex(a) == format_complex(b)
 
@@ -132,7 +132,8 @@ def test_layer_sequence_must_cover_all_layers():
 
 
 def test_cyclic_bs_development_matches_constant_degree():
-    a = cyclic_bs_development(8, 2).complex
+    # a one-element degree set draws the constant degree at every vertex
+    a = triangulated_disk(DiskSpec(radius=2, degrees=frozenset({8}), seed=5)).complex
     b = triangulated_disk(DiskSpec(radius=2, degrees=8)).complex
     assert format_complex(a) == format_complex(b)
 

@@ -1,4 +1,4 @@
-"""Deficiencies, weight functions, and the exact mass identities."""
+"""Weight functions, the deficiencies behind them, and the exact mass identities."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from sysquad import (
     WeightFunction,
     ball,
     based_interval,
-    deficiency,
     difference_check,
     norm_check,
     property_a_report,
@@ -37,23 +36,23 @@ def path_based():
 
 
 def test_deficiency_cases_on_a_filled_square():
-    b = square_based()
-    dm = deficiency(based_interval(b, 2))
-    assert dm.rho == {0: 0, 1: 1, 3: 1, 2: 2}
-    assert dm.delta == {0: 2, 1: 1, 3: 1, 2: 0}
+    # at n = 4 the three deficiency cases give distinct values at each distance:
+    # distance 0 -> 1 / 5 / 15, distance 1 -> 1 / 4 / 10, distance 2 -> 1 / 3 / 6
+    wf = weight_at(square_based(), 2, 4)
+    assert wf.values == {2: 1, 1: 4, 3: 4, 0: 6}  # delta 0, 1, 1, 2
 
 
 def test_deficiency_of_basepoint_interval():
+    # the base has no downward neighbour: delta 2 at distance 0
     b = square_based()
-    dm = deficiency(based_interval(b, 0))
-    assert dm.rho == {0: 0}
-    assert dm.delta == {0: 2}
+    for n in range(4):
+        assert weight_at(b, 0, n).values == {0: (n + 2) * (n + 1) // 2}
 
 
 def test_deficiency_rejects_three_downward_neighbours():
     b = k23_complex_based()
     with pytest.raises(NonFlatIntervalError) as ei:
-        deficiency(based_interval(b, 1))
+        weight_at(b, 1, 0)
     err = ei.value
     assert err.vertex == 1
     assert err.downward_degree == 3

@@ -10,7 +10,8 @@ from sysquad import (
     SquaringResult,
     bfs_levels,
     check_quasi_isometry,
-    check_squaring_quadric,
+    check_replacement_rule_A,
+    check_replacement_rule_B,
     distance,
     enumerate_embedded_4cycles,
     format_complex,
@@ -105,8 +106,9 @@ def test_squaring_requires_reachable_vertices():
 
 
 def test_quadric_rules_hold_on_squaring(small_squaring):
-    rep = check_squaring_quadric(small_squaring)
-    assert rep.passed, rep.to_text()
+    sq = small_squaring.squared.complex
+    for rep in (check_replacement_rule_A(sq), check_replacement_rule_B(sq)):
+        assert rep.passed, rep.to_text()
 
 
 def test_quasi_isometry_flags_disconnection():
@@ -153,4 +155,5 @@ def test_lemma_disk_squarings_pass_everything(lemma_disks):
     for d in lemma_disks[:2]:
         res = squaring(BasedComplex(d.complex, d.center))
         assert check_quasi_isometry(res).passed
-        assert check_squaring_quadric(res).passed
+        assert check_replacement_rule_A(res.squared.complex).passed
+        assert check_replacement_rule_B(res.squared.complex).passed

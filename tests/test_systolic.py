@@ -9,7 +9,6 @@ from sysquad import (
     check_ball_neighbours,
     check_spheres_triangle_free,
     check_triangle_condition,
-    merge_reports,
     non_systolic_counterexamples,
     verify_systolic,
 )
@@ -170,14 +169,6 @@ def test_unreachable_basepoint_levels_are_partial():
     c = SimplicialComplex2(Graph(range(3), [(0, 1)]), [])
     b = BasedComplex(c, 0)
     assert 2 not in b.levels
-
-
-def test_merge_reports_aggregates():
-    reps = [verify_systolic(d[0]) for d in [(four_wheel(),), (c6_complex(),)]]
-    merged = merge_reports("combined", reps)
-    assert not merged.passed
-    kinds = {c.kind for c in merged.counterexamples}
-    assert "link-girth" in kinds and "h1" in kinds
 
 
 def test_counterexample_corpus_is_connected_and_small():
