@@ -179,21 +179,24 @@ def _csv_field(value: str) -> str:
 
 
 def _finish(reports: list[CheckReport], files: tuple[Path, Path] | None,
-            brief: bool) -> int:
+            brief: bool, notes: tuple[str, ...] = ()) -> int:
     """Shared epilogue of verify and all.
 
-    Prints each report (one pass/FAIL line each when ``brief``), writes the
-    text reports and the certificate CSV to ``files``, and puts the first
+    Writes the text reports and the certificate CSV to ``files`` first,
+    so a failed write prints nothing. Then prints ``notes`` and each
+    report (one pass/FAIL line each when ``brief``), and puts the first
     failing report's first certificate on stderr.
     """
-    for rep in reports:
-        print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}" if brief
-              else rep.to_text())
     if files is not None:
         text_path, csv_path = files
         text_path.write_text("\n".join(rep.to_text() for rep in reports),
                              encoding="utf-8")
         csv_path.write_text(_certificates_csv(reports), encoding="utf-8")
+    for line in notes:
+        print(line)
+    for rep in reports:
+        print(f"{rep.name}: {'pass' if rep.passed else 'FAIL'}" if brief
+              else rep.to_text())
     for rep in reports:
         if not rep.passed:
             print(_certificate_line(rep), file=sys.stderr)
@@ -249,12 +252,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     c = parsed.to_square() if kind == "square" else parsed.to_simplicial()
     based = BasedComplex(c, base) if base is not None else None
     reports = _run_checks(checks, c, based, args)
-    for name in skipped:
-        print(f"skipped {name} (no basepoint in input)")
     files = None
     if args.output is not None:
         files = (Path(args.output), Path(args.output + ".csv"))
-    return _finish(reports, files, brief=False)
+    notes = tuple(f"skipped {name} (no basepoint in input)" for name in skipped)
+    return _finish(reports, files, brief=False, notes=notes)
 
 
 def _cmd_propa(args: argparse.Namespace) -> int:
@@ -408,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except ComplexFileError as exc:
         print(f"{args.input}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing or unreadable input, unwritable output
         print(str(exc), file=sys.stderr)
         return 2
     except ValueError as exc:  # a violated invariant, NonFlatIntervalError included

@@ -27,21 +27,6 @@ def adjacency_csr(g: Graph, order: tuple[int, ...] | None = None) -> csr_matrix:
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def distance_chunks(g: Graph, order: tuple[int, ...] | None = None, chunk: int = 512):
-    """Yield (source_index_array, distance_block) over all sources.
-
-    Distances are float64 with inf for unreachable pairs; rows follow
-    ``order`` (sorted vertices by default).
-    """
-    order = order or vertex_order(g)
-    mat = adjacency_csr(g, order)
-    n = len(order)
-    for start in range(0, n, chunk):
-        sources = np.arange(start, min(start + chunk, n))
-        block = dijkstra(mat, directed=False, indices=sources, unweighted=True)
-        yield sources, block
-
-
 def all_pairs(g: Graph, order: tuple[int, ...] | None = None) -> np.ndarray:
     """Full distance matrix (float64, inf where disconnected)."""
     order = order or vertex_order(g)
@@ -49,3 +34,14 @@ def all_pairs(g: Graph, order: tuple[int, ...] | None = None) -> np.ndarray:
     if len(order) == 0:
         return np.zeros((0, 0))
     return dijkstra(mat, directed=False, unweighted=True)
+
+
+def induced_distances(dist: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Distances inside the subgraph induced on the index array ``sub``.
+
+    ``dist`` is a full distance matrix; its entries equal to 1 are the
+    edges. Rows and columns of the result follow ``sub``; float64 with
+    inf where the induced subgraph is disconnected.
+    """
+    adj = csr_matrix(dist[np.ix_(sub, sub)] == 1)
+    return dijkstra(adj, directed=False, unweighted=True)

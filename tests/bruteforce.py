@@ -183,6 +183,25 @@ def brute_interval_isometry_ok(g, u, v):
     return True
 
 
+def brute_quasi_isometry_ok(source, squared):
+    """d_source <= d_squared <= 2 * d_source over all ordered vertex pairs.
+
+    Fails on a pair infinitely far apart in the squared graph, on a pair
+    closer there than in the source, and on one stretched more than 2x.
+    """
+    adj_y = adjacency(source)
+    adj_x = adjacency(squared)
+    for u in sorted(source.vertices):
+        dy = bfs_dist(adj_y, u)
+        dx = bfs_dist(adj_x, u)
+        for v in sorted(source.vertices):
+            d_squared = dx.get(v, INF)
+            d_source = dy.get(v, INF)
+            if d_squared == INF or d_squared < d_source or d_squared > 2 * d_source:
+                return False
+    return True
+
+
 def _diagonal_splits(square):
     a, b, c, d = square
     return (

@@ -228,6 +228,37 @@ def test_verify_missing_file(tmp_path):
     assert run_cli("verify", "--input", str(tmp_path / "none.complex")) == 2
 
 
+def test_verify_directory_input_is_file_error(tmp_path, capsys):
+    assert run_cli("verify", "--input", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "Is a directory" in captured.err
+
+
+def test_all_output_on_existing_file_is_file_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    code = run_cli("all", "--degree", "6", "--radius", "1", "--output", str(target))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "File exists" in captured.err
+    assert target.read_text() == "keep\n"
+
+
+def test_verify_unwritable_output_prints_no_report(tmp_path, capsys):
+    src = gen(tmp_path)
+    capsys.readouterr()
+    report = tmp_path / "missing_dir" / "r.txt"
+    assert run_cli("verify", "--input", str(src), "--output", str(report)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not report.parent.exists()
+
+
 def test_verify_jobs_do_not_change_output(tmp_path):
     src = gen(tmp_path)
     mid = tmp_path / "sq.complex"

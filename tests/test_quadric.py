@@ -1,6 +1,7 @@
 """Intervals, replacement rules, and the local metric checks on squared complexes."""
 
-from itertools import combinations
+import math
+from itertools import combinations, cycle
 
 import pytest
 
@@ -20,7 +21,11 @@ from sysquad import (
     interval,
 )
 
-from bruteforce import brute_interval_vertices
+from bruteforce import (
+    brute_interval_isometry_ok,
+    brute_interval_vertices,
+    random_graph,
+)
 from conftest import k23_complex_based, rule_a_mutant, rule_b_mutant
 
 
@@ -118,7 +123,6 @@ def test_interval_endpoints_recorded(small_squaring):
     v = max(b.graph.vertices)
     iv = based_interval(b, v)
     assert iv.endpoints == (b.basepoint, v)
-    assert iv.parent is b.complex
 
 
 # ------------------------------------------------------------------ rule A
@@ -285,6 +289,24 @@ def test_interval_isometry_exhaustive_on_small_squaring(small_squaring):
     rep = check_interval_isometry(sq, pairs=pairs)
     assert rep.passed
     assert rep.stats["intervals"] == len(pairs)
+
+
+def test_interval_isometry_matches_bruteforce_on_every_pair():
+    # dense and sparse random graphs, bipartite or not, every connected pair:
+    # the failing intervals are exactly the ones the all-pairs oracle rejects
+    sizes = cycle(range(4, 12))
+    densities = cycle([0.25, 0.4, 0.55])
+    failing = 0
+    for seed in range(60):
+        g = random_graph(next(sizes), next(densities), seed)
+        pairs = [(u, v) for u, v in combinations(sorted(g.vertices), 2)
+                 if math.isfinite(distance(g, u, v))]
+        rep = check_interval_isometry(SquareComplex(g, []), pairs=pairs, cap=10**6)
+        got = {c.vertices[:2] for c in rep.counterexamples}
+        want = {(u, v) for u, v in pairs if not brute_interval_isometry_ok(g, u, v)}
+        assert got == want, f"seed={seed}"
+        failing += len(want)
+    assert failing > 0
 
 
 def test_interval_isometry_default_pairs_are_seeded(small_squaring):

@@ -1,5 +1,7 @@
 """The basepointed squaring transform and its metric guarantees."""
 
+import random
+
 import pytest
 
 from sysquad import (
@@ -16,8 +18,11 @@ from sysquad import (
     enumerate_embedded_4cycles,
     format_complex,
     h1_rank_mod2,
+    is_connected,
     squaring,
 )
+
+from bruteforce import brute_quasi_isometry_ok, random_graph
 
 
 def single_triangle_based():
@@ -142,6 +147,60 @@ def test_quasi_isometry_flags_overstretch():
     high = [c for c in rep.counterexamples if c.kind == "stretch-high"]
     assert high and set(high[0].vertices) == {0, 3}
     assert "d_source=1 d_squared=3" in high[0].info
+
+
+def test_quasi_isometry_flags_bridge_between_source_components():
+    # the squared graph joins two source components: a pair at d_source=inf
+    src_g = Graph(range(4), [(0, 1), (2, 3)])
+    src = BasedComplex(SimplicialComplex2(src_g, []), 0)
+    fake = BasedComplex(SquareComplex(Graph(range(4), [(0, 1), (1, 2), (2, 3)]), []), 0)
+    rep = check_quasi_isometry(SquaringResult(source=src, squared=fake))
+    assert not rep.passed
+    assert rep.counterexamples[0].kind == "stretch-low"
+    assert rep.counterexamples[0].vertices == (1, 2)
+    assert rep.counterexamples[0].info == "d_source=inf d_squared=1"
+
+
+def test_quasi_isometry_ratio_without_dropped_edges():
+    path = Graph(range(3), [(0, 1), (1, 2)])
+    src = BasedComplex(SimplicialComplex2(path, []), 0)
+    same = BasedComplex(SquareComplex(path, []), 0)
+    rep = check_quasi_isometry(SquaringResult(source=src, squared=same))
+    assert rep.passed
+    assert rep.stats == {"pairs": 9, "max_ratio": "1/1"}
+    point = Graph([0], [])
+    rep = check_quasi_isometry(SquaringResult(
+        source=BasedComplex(SimplicialComplex2(point, []), 0),
+        squared=BasedComplex(SquareComplex(point, []), 0)))
+    assert rep.passed
+    assert rep.stats == {"pairs": 1, "max_ratio": "0/1"}
+
+
+def test_quasi_isometry_agrees_with_bruteforce():
+    # random source graphs; squared graph = a random subset of the source
+    # edges, sometimes plus one edge the source lacks
+    verdicts = set()
+    disconnected = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        g = random_graph(n, rng.choice([0.2, 0.35, 0.5, 0.8]), seed)
+        keep = rng.choice([0.6, 0.9, 1.0])
+        edges = [e for e in sorted(g.edges) if rng.random() < keep]
+        missing = [(u, w) for u in range(n) for w in range(u + 1, n)
+                   if not g.has_edge(u, w)]
+        if missing and rng.random() < 0.3:
+            edges.append(rng.choice(missing))
+        sub = Graph(range(n), edges)
+        disconnected += not is_connected(g)
+        rep = check_quasi_isometry(SquaringResult(
+            source=BasedComplex(SimplicialComplex2(g, []), 0),
+            squared=BasedComplex(SquareComplex(sub, []), 0)))
+        assert rep.passed == brute_quasi_isometry_ok(g, sub), f"seed={seed}"
+        assert rep.stats["pairs"] == n * n
+        verdicts.add(rep.passed)
+    assert verdicts == {True, False}
+    assert disconnected > 0
 
 
 def test_vertex_set_must_match():
