@@ -14,8 +14,6 @@ from .complexes import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
-    VertexSubgraph,
-    ball,
     bfs_levels,
     canonical_cycle,
     distance,
@@ -25,34 +23,22 @@ from .complexes import (
     h1_rank_mod2,
     is_connected,
     link,
-    sphere,
 )
 from .fileformat import (
     ComplexFileError,
-    ParsedComplex,
     format_complex,
     parse_complex,
     read_complex,
     write_complex,
 )
-from .generators import (
-    Disk,
-    DiskSpec,
-    non_systolic_counterexamples,
-    triangulated_disk,
-)
+from .generators import DiskSpec, non_systolic_counterexamples, triangulated_disk
 from .propa import (
     NonFlatIntervalError,
-    PropertyAReport,
-    PropertyARow,
     WeightFunction,
-    difference_check,
-    norm_check,
     property_a_report,
     weight_at,
 )
 from .quadric import (
-    Interval,
     based_interval,
     check_ball_isometry,
     check_flat_intervals,
@@ -60,10 +46,8 @@ from .quadric import (
     check_quadrangle_condition,
     check_replacement_rule_A,
     check_replacement_rule_B,
-    descending_reachable,
-    interval,
 )
-from .reports import DEFAULT_CERT_CAP, Certificate, CheckReport
+from .reports import Certificate, CheckReport
 from .squaring import SquaringResult, check_quasi_isometry, squaring
 from .systolic import (
     check_ball_neighbours,
@@ -79,21 +63,13 @@ __all__ = [
     "Certificate",
     "CheckReport",
     "ComplexFileError",
-    "DEFAULT_CERT_CAP",
-    "Disk",
     "DiskSpec",
     "Graph",
-    "Interval",
     "NonFlatIntervalError",
-    "ParsedComplex",
-    "PropertyAReport",
-    "PropertyARow",
     "SimplicialComplex2",
     "SquareComplex",
     "SquaringResult",
-    "VertexSubgraph",
     "WeightFunction",
-    "ball",
     "based_interval",
     "bfs_levels",
     "canonical_cycle",
@@ -107,23 +83,18 @@ __all__ = [
     "check_replacement_rule_B",
     "check_spheres_triangle_free",
     "check_triangle_condition",
-    "descending_reachable",
-    "difference_check",
     "distance",
     "enumerate_embedded_4cycles",
     "find_K23",
     "format_complex",
     "girth",
     "h1_rank_mod2",
-    "interval",
     "is_connected",
     "link",
     "non_systolic_counterexamples",
-    "norm_check",
     "parse_complex",
     "property_a_report",
     "read_complex",
-    "sphere",
     "squaring",
     "triangulated_disk",
     "verify_systolic",

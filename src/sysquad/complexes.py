@@ -3,8 +3,8 @@
 Finite simple graphs on integer vertex ids, 2-dimensional triangle
 complexes, square complexes, and basepointed variants, together with
 the handful of graph-theoretic operations everything else is built on:
-BFS distances, balls and spheres, vertex links, girth, embedded 4-cycle
-enumeration, K_{2,3} pattern search, and mod-2 first-homology rank.
+BFS distances, vertex links, girth, embedded 4-cycle enumeration,
+K_{2,3} pattern search, and mod-2 first-homology rank.
 
 All containers are frozen after construction and every enumeration is
 returned in a canonical sorted order, so identical inputs always produce
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -253,19 +252,15 @@ class BasedComplex:
     def levels(self) -> dict[int, int]:
         return self._levels
 
+    @property
+    def unreached(self) -> tuple[int, ...]:
+        """The vertices the basepoint does not reach, sorted."""
+        if len(self._levels) == len(self.graph.vertices):
+            return ()
+        return tuple(sorted(self.graph.vertices.difference(self._levels)))
+
     def __repr__(self) -> str:
         return f"BasedComplex(basepoint={self._basepoint}, {self._complex!r})"
-
-
-@dataclass(frozen=True)
-class VertexSubgraph:
-    """An induced subgraph on a vertex set."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    def to_graph(self) -> Graph:
-        return Graph(self.vertices, self.edges)
 
 
 def _graph_of(obj) -> Graph:
@@ -313,28 +308,6 @@ def distance(obj, u: int, v: int) -> int | float:
     return INF
 
 
-def _truncated_levels(obj, v: int, r: int) -> dict[int, int]:
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    g = _graph_of(obj)
-    if isinstance(obj, BasedComplex) and v == obj.basepoint:
-        return {w: d for w, d in obj.levels.items() if d <= r}
-    if not g.has_vertex(v):
-        raise ValueError(f"unknown vertex {v}")
-    dist = {v: 0}
-    q = deque([v])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        if du == r:
-            continue
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = du + 1
-                q.append(w)
-    return dist
-
-
 def _induced_edges(g: Graph, verts: set[int] | frozenset[int]) -> frozenset[tuple[int, int]]:
     out = []
     for u in verts:
@@ -342,21 +315,6 @@ def _induced_edges(g: Graph, verts: set[int] | frozenset[int]) -> frozenset[tupl
             if u < w and w in verts:
                 out.append((u, w))
     return frozenset(out)
-
-
-def ball(obj, v: int, r: int) -> VertexSubgraph:
-    """Induced subgraph on all vertices at distance at most r from v."""
-    g = _graph_of(obj)
-    verts = frozenset(_truncated_levels(obj, v, r))
-    return VertexSubgraph(vertices=verts, edges=_induced_edges(g, verts))
-
-
-def sphere(obj, v: int, r: int) -> VertexSubgraph:
-    """Induced subgraph on all vertices at distance exactly r from v."""
-    g = _graph_of(obj)
-    lv = _truncated_levels(obj, v, r)
-    verts = frozenset(w for w, d in lv.items() if d == r)
-    return VertexSubgraph(vertices=verts, edges=_induced_edges(g, verts))
 
 
 def link(c: SimplicialComplex2, v: int) -> Graph:
@@ -406,7 +364,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def _common_neighbour_pairs(g: Graph) -> dict[tuple[int, int], list[int]]:
-    """Map each vertex pair to the sorted list of its common neighbours (when >= 2 ... any)."""
+    """Map each pair u < w with a common neighbour to their common neighbours, sorted."""
     commons: dict[tuple[int, int], list[int]] = {}
     for z in sorted(g.vertices):
         nbs = g.neighbors(z)

@@ -11,13 +11,14 @@ witnesses Property A.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import BasedComplex, SquareComplex
-from .quadric import _restricted_bfs, descending_reachable
+from .complexes import BasedComplex, Graph, SquareComplex
+from .quadric import based_interval
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 
@@ -72,51 +73,11 @@ def weight_at(b: BasedComplex, v: int, n: int) -> WeightFunction:
         raise ValueError("weight_at expects a square complex")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    verts = descending_reachable(b.graph, b.levels, v)
+    verts = based_interval(b, v)
     delta_of = _deficiencies(b, verts, (b.basepoint, v))
     ids, w_rows = _profile(b, v, verts, delta_of, _weight_table(n))
     values = {int(w): int(x) for w, x in zip(ids, w_rows[n]) if x}
     return WeightFunction(n, v, values)
-
-
-def norm_check(wf: WeightFunction, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
-    """Total mass must be (n+2)(n+1)/2 exactly."""
-    rb = ReportBuilder("weight-norm", cap)
-    expected = (wf.n + 2) * (wf.n + 1) // 2
-    actual = wf.norm()
-    rb.set_stat("n", wf.n)
-    rb.set_stat("expected", expected)
-    rb.set_stat("actual", actual)
-    if actual != expected:
-        rb.violation(
-            "weight-norm", (wf.center,),
-            f"n={wf.n} sum={actual} expected={expected}",
-        )
-    return rb.build()
-
-
-def difference_check(b: BasedComplex, edge: tuple[int, int], n: int,
-                     cap: int = DEFAULT_CERT_CAP) -> CheckReport:
-    """l1 difference across one edge must be 2(n+1) exactly.
-
-    Both weights are computed on their own intervals and compared after
-    zero extension.
-    """
-    v, w = edge
-    if not b.graph.has_edge(v, w):
-        raise ValueError(f"({v}, {w}) is not an edge")
-    rb = ReportBuilder("weight-difference", cap)
-    expected = 2 * (n + 1)
-    actual = weight_at(b, v, n).l1_distance(weight_at(b, w, n))
-    rb.set_stat("n", n)
-    rb.set_stat("expected", expected)
-    rb.set_stat("actual", actual)
-    if actual != expected:
-        rb.violation(
-            "weight-difference", (min(v, w), max(v, w)),
-            f"n={n} diff={actual} expected={expected}",
-        )
-    return rb.build()
 
 
 @dataclass(frozen=True)
@@ -185,6 +146,20 @@ def _weight_table(n_max: int) -> np.ndarray:
     return np.stack([np.ones_like(m), m + 1, (m + 2) * (m + 1) // 2])
 
 
+def _restricted_bfs(g: Graph, verts: frozenset[int], source: int) -> dict[int, int]:
+    """Distances from ``source`` inside the subgraph induced on ``verts``."""
+    dist = {source: 0}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        du = dist[u]
+        for w in g.neighbors(u):
+            if w in verts and w not in dist:
+                dist[w] = du + 1
+                q.append(w)
+    return dist
+
+
 def _profile(b: BasedComplex, v: int, verts: frozenset[int],
              delta_of: dict[int, int], table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights of center v on its interval ``verts`` for every n the table covers.
@@ -213,20 +188,16 @@ def property_a_report(b: BasedComplex, n_max: int,
     """
     if not isinstance(b.complex, SquareComplex):
         raise ValueError("property_a_report expects a square complex")
-    g = b.graph
-    levels = b.levels
-    if len(levels) != len(g.vertices):
+    if b.unreached:
         raise ValueError("basepoint does not reach every vertex")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    g = b.graph
     rb = ReportBuilder("property-a", cap)
     verts = sorted(g.vertices)
     delta_of = _deficiencies(b, verts)
     table = _weight_table(n_max)
-    profiles = {
-        v: _profile(b, v, descending_reachable(g, levels, v), delta_of, table)
-        for v in verts
-    }
+    profiles = {v: _profile(b, v, based_interval(b, v), delta_of, table) for v in verts}
     rb.set_stat("vertices", len(verts))
     rb.set_stat("edges", len(g.edges))
     rb.set_stat("n_max", n_max)

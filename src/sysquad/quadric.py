@@ -1,4 +1,4 @@
-"""Interval extraction and the quadric-complex verification checks.
+"""Basepoint intervals and the quadric-complex verification checks.
 
 A square complex is quadric when it is simply connected and both square
 replacement rules hold. The checks here verify the rules directly, the
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +19,7 @@ from .complexes import (
     BasedComplex,
     Graph,
     SquareComplex,
-    bfs_levels,
+    _induced_edges,
     canonical_cycle,
     find_K23,
 )
@@ -28,75 +27,17 @@ from .metrics import all_pairs, induced_distances, vertex_order
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Full subcomplex on the union of geodesics between two vertices."""
+def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
+    """Vertices of the interval from the basepoint to v.
 
-    endpoints: tuple[int, int]
-    complex: SquareComplex
-    dist_from_u: dict[int, int]
-    dist_from_v: dict[int, int]
-
-    @property
-    def graph(self) -> Graph:
-        return self.complex.graph
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return self.complex.graph.vertices
-
-
-def _full_subcomplex(c: SquareComplex, verts: set[int] | frozenset[int]) -> SquareComplex:
-    g = c.graph
-    edges = [
-        (u, w) for u in verts for w in g.neighbors(u) if u < w and w in verts
-    ]
-    squares = {
-        s
-        for w in verts
-        for s in c.squares_at(w)
-        if all(x in verts for x in s)
-    }
-    return SquareComplex(Graph(verts, edges), squares)
-
-
-def _restricted_bfs(g: Graph, verts: frozenset[int] | set[int], source: int) -> dict[int, int]:
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for w in g.neighbors(u):
-            if w in verts and w not in dist:
-                dist[w] = du + 1
-                q.append(w)
-    return dist
-
-
-def interval(c: SquareComplex, u: int, v: int) -> Interval:
-    """Interval between u and v: all vertices with d(u,w) + d(w,v) = d(u,v)."""
-    g = c.graph
-    du = bfs_levels(g, u)
-    if v not in du:
-        raise ValueError(f"vertices {u} and {v} lie in different components")
-    dv = bfs_levels(g, v)
-    total = du[v]
-    verts = frozenset(
-        w for w, d in du.items() if w in dv and d + dv[w] == total
-    )
-    sub = _full_subcomplex(c, verts)
-    return Interval(
-        endpoints=(u, v),
-        complex=sub,
-        dist_from_u={w: du[w] for w in verts},
-        dist_from_v={w: dv[w] for w in verts},
-    )
-
-
-def descending_reachable(g: Graph, levels: dict[int, int], v: int) -> frozenset[int]:
-    """Vertices reachable from v along edges that descend one level per step."""
+    A geodesic from v to the basepoint drops one level per step, so the
+    interval is exactly the set reachable from v along edges that descend
+    one level. Costs O(interval size), no BFS over the whole complex.
+    """
+    levels = b.levels
     if v not in levels:
-        raise ValueError(f"vertex {v} has no level")
+        raise ValueError(f"vertex {v} is unreachable from the basepoint")
+    g = b.graph
     verts = {v}
     q = deque([v])
     while q:
@@ -107,30 +48,6 @@ def descending_reachable(g: Graph, levels: dict[int, int], v: int) -> frozenset[
                 verts.add(x)
                 q.append(x)
     return frozenset(verts)
-
-
-def based_interval(b: BasedComplex, v: int) -> Interval:
-    """Interval from the basepoint to v, via descending-edge reachability.
-
-    A geodesic from v to the basepoint drops one level per step, so the
-    interval is exactly the set reachable from v along edges that descend
-    one level. Costs O(interval size), no BFS over the whole complex.
-    """
-    c = b.complex
-    if not isinstance(c, SquareComplex):
-        raise ValueError("based_interval expects a square complex")
-    levels = b.levels
-    if v not in levels:
-        raise ValueError(f"vertex {v} is unreachable from the basepoint")
-    g = b.graph
-    vset = descending_reachable(g, levels, v)
-    sub = _full_subcomplex(c, vset)
-    return Interval(
-        endpoints=(b.basepoint, v),
-        complex=sub,
-        dist_from_u={w: levels[w] for w in vset},
-        dist_from_v=_restricted_bfs(g, vset, v),
-    )
 
 
 def _diagonal_index(c: SquareComplex) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -234,11 +151,11 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
 
 def check_quadrangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Two downward neighbours of a vertex see a common vertex two levels down."""
-    levels = b.levels
-    if len(levels) != len(b.graph.vertices):
-        raise ValueError("basepoint does not reach every vertex")
-    g = b.graph
     rb = ReportBuilder("quadrangle", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    levels = b.levels
+    g = b.graph
     for x in sorted(g.vertices):
         lx = levels[x]
         if lx < 2:
@@ -259,11 +176,24 @@ def check_ball_isometry(
 ) -> CheckReport:
     """Every ball around every center embeds isometrically, all radii at once.
 
-    Equivalent local form: for each ordered pair (x, y) and center u, some
-    neighbour z of x with d(z,y) = d(x,y) - 1 satisfies
-    d(u,z) <= max(d(u,x), d(u,y)). A failing triple certifies that the
-    smallest ball around u containing x and y distorts d(x, y); the
-    certificate carries the recomputed in-ball distance.
+    Local form: a ball B(u, r) embeds isometrically exactly when, for all
+    x != y in it, some neighbour z of x with d(z,y) = d(x,y) - 1 stays in
+    it, so the family passes when for every center u and ordered pair
+    (x, y) in u's component such a first step z has
+    d(u,z) <= max(d(u,x), d(u,y)).
+
+    Reduced condition: when d(u,y) > d(u,x), every first step z has
+    d(u,z) <= d(u,x) + 1 <= d(u,y), so the condition can fail only when
+    d(u,y) <= d(u,x). The check therefore asks, for u, x, y in one
+    component with y != x and d(u,y) <= d(u,x), for a neighbour z of x
+    with d(z,y) < d(x,y) and d(u,z) <= d(u,x). Per x it keeps one n x n
+    boolean mask over (u, y) and clears it with one outer product per
+    neighbour of x. A failing triple certifies that the smallest ball
+    around u containing x and y distorts d(x, y); the certificate carries
+    the recomputed in-ball distance.
+
+    ``stat triples`` counts the (u, x, y) with y != x in one component:
+    the sum over u of s_u (s_u - 1), s_u the size of u's component.
     """
     g = c if isinstance(c, Graph) else c.graph
     order = vertex_order(g)
@@ -276,24 +206,17 @@ def check_ball_isometry(
         return rb.build()
     D = all_pairs(g, order) if dist is None else dist
     finite = np.isfinite(D)
-    arange = np.arange(n)
-    examined = 0
+    size = finite.sum(axis=1)
     for x in range(n):
-        nb = np.array([idx[w] for w in g.neighbors(order[x])], dtype=np.int64)
-        # eligible[u, y]: u sees both x and y, y != x
-        eligible = finite[:, x][:, None] & finite & finite[x][None, :]
-        eligible[:, x] = False
-        examined += int(eligible.sum())
-        if len(nb) == 0:
+        # bad[u, y]: u in x's component, y != x, d(u,y) <= d(u,x), no step yet
+        bad = D <= D[:, x][:, None]
+        bad &= finite[:, x][:, None]
+        bad[:, x] = False
+        for z in g.neighbors(order[x]):
+            k = idx[z]
+            bad &= ~np.logical_and.outer(D[:, k] <= D[:, x], D[k] == D[x] - 1.0)
+        if not bad.any():
             continue
-        # first_steps[k, y]: neighbour k of x starts a geodesic from x to y
-        first_steps = D[nb, :] == D[x, :] - 1.0
-        cand = np.full((n, n), np.inf)
-        for k in range(len(nb)):
-            step = np.where(first_steps[k][None, :], D[:, nb[k]][:, None], np.inf)
-            np.minimum(cand, step, out=cand)
-        thresh = np.maximum(D[:, x][:, None], D)
-        bad = eligible & (cand > thresh)
         for u, y in zip(*np.nonzero(bad)):
             info = ""
             if rb.violations < cap:  # past the cap a violation is only counted
@@ -304,7 +227,7 @@ def check_ball_isometry(
                 db = int(inner[np.searchsorted(ball, x), np.searchsorted(ball, y)])
                 info = f"r={r} d_ball={db} d={int(D[x, y])}"
             rb.violation("ball-isometry", (order[int(u)], order[x], order[int(y)]), info)
-    rb.set_stat("triples", examined)
+    rb.set_stat("triples", int((size * (size - 1)).sum()))
     return rb.build()
 
 
@@ -395,13 +318,14 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
     """No basepoint interval contains a K_{2,3}."""
     if not isinstance(b.complex, SquareComplex):
         raise ValueError("check_flat_intervals expects a square complex")
-    if len(b.levels) != len(b.graph.vertices):
-        raise ValueError("basepoint does not reach every vertex")
     rb = ReportBuilder("flat-intervals", cap)
-    for v in sorted(b.graph.vertices):
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    g = b.graph
+    for v in sorted(g.vertices):
         rb.count("intervals")
-        z = based_interval(b, v)
-        for (u0, u1), triple in find_K23(z.graph):
+        verts = based_interval(b, v)
+        for (u0, u1), triple in find_K23(Graph(verts, _induced_edges(g, verts))):
             rb.violation(
                 "k23-in-interval",
                 (u0, u1) + triple,

@@ -89,6 +89,16 @@ class ReportBuilder:
         if len(self._certs) < self.cap:
             self._certs.append(Certificate(kind, vertices, info))
 
+    def disconnected(self, source: int, unreached: tuple[int, ...]) -> bool:
+        """One ``disconnected (source, v) :: no-path`` violation per unreached v.
+
+        Returns whether there was any, so a check can stop before it reads
+        a distance that does not exist.
+        """
+        for v in unreached:
+            self.violation("disconnected", (source, v), "no-path")
+        return bool(unreached)
+
     @property
     def violations(self) -> int:
         return self._violations

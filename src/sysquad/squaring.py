@@ -47,10 +47,10 @@ def squaring(b: BasedComplex, precheck: bool = True) -> SquaringResult:
         if not rep.passed:
             first = rep.counterexamples[0] if rep.counterexamples else None
             raise ValueError(f"source complex is not systolic: {first}")
+    if b.unreached:
+        raise ValueError("basepoint does not reach every vertex")
     levels = b.levels
     g = b.graph
-    if len(levels) != len(g.vertices):
-        raise ValueError("basepoint does not reach every vertex")
     kept = [(u, w) for u, w in sorted(g.edges) if levels[u] != levels[w]]
     gx = Graph(g.vertices, kept)
     squares = enumerate_embedded_4cycles(gx)

@@ -19,18 +19,24 @@ from .complexes import (
     SimplicialComplex2,
     girth,
     h1_rank_mod2,
-    is_connected,
     link,
 )
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 
 def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
-    """Link girth, flagness, and the mod-2 simple-connectedness test."""
+    """Link girth, flagness, and the mod-2 simple-connectedness test.
+
+    A vertex the smallest vertex does not reach is a ``disconnected``
+    certificate, and the h1 test, which needs a connected complex, is
+    skipped.
+    """
     g = c.graph
-    if not is_connected(g):
-        raise ValueError("verify_systolic requires a connected complex")
     rb = ReportBuilder("systolic", cap)
+    connected = True
+    if g.vertices:
+        start = BasedComplex(c, min(g.vertices))
+        connected = not rb.disconnected(start.basepoint, start.unreached)
     rb.set_stat("vertices", len(g.vertices))
     rb.set_stat("edges", len(g.edges))
     rb.set_stat("triangles", len(c.triangles))
@@ -55,18 +61,13 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
                 if y > x:
                     rb.violation("flagness", (u, w, x, y), "4-clique")
 
-    rank = h1_rank_mod2(c)
-    rb.set_stat("h1_rank_mod2", rank)
-    if rank != 0:
-        rb.violation("h1", (), f"rank={rank}")
+    if connected:
+        rank = h1_rank_mod2(c)
+        rb.set_stat("h1_rank_mod2", rank)
+        if rank != 0:
+            rb.violation("h1", (), f"rank={rank}")
 
     return rb.build()
-
-
-def _require_levels(b: BasedComplex) -> dict[int, int]:
-    if len(b.levels) != len(b.graph.vertices):
-        raise ValueError("basepoint does not reach every vertex")
-    return b.levels
 
 
 def check_spheres_triangle_free(
@@ -75,8 +76,10 @@ def check_spheres_triangle_free(
     """No triangle has all three vertices on one sphere around the basepoint."""
     if not isinstance(b.complex, SimplicialComplex2):
         raise ValueError("check_spheres_triangle_free expects a simplicial complex")
-    levels = _require_levels(b)
     rb = ReportBuilder("spheres-triangle-free", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    levels = b.levels
     for t in sorted(b.complex.triangles):
         rb.count("triangles")
         la, lb, lc = (levels[v] for v in t)
@@ -87,9 +90,11 @@ def check_spheres_triangle_free(
 
 def check_ball_neighbours(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Two neighbours of v lying one step closer to the basepoint are adjacent."""
-    levels = _require_levels(b)
-    g = b.graph
     rb = ReportBuilder("ball-neighbours", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    levels = b.levels
+    g = b.graph
     for v in sorted(g.vertices):
         lv = levels[v]
         closer = [w for w in g.neighbors(v) if levels[w] == lv - 1]
@@ -102,9 +107,11 @@ def check_ball_neighbours(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Check
 
 def check_triangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Both ends of an equidistant edge share a neighbour one step closer."""
-    levels = _require_levels(b)
-    g = b.graph
     rb = ReportBuilder("triangle-condition", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    levels = b.levels
+    g = b.graph
     for v, w in sorted(g.edges):
         if levels[v] != levels[w]:
             continue

@@ -227,7 +227,7 @@ def test_criterion_7_oracle_equivalence(lemma_disks, center_squarings, disk6_r8,
         b = res.squared
         g = b.graph
         for v in sorted(g.vertices):
-            assert based_interval(b, v).vertices == brute_interval_vertices(
+            assert based_interval(b, v) == brute_interval_vertices(
                 g, b.basepoint, v
             )
         for v in sorted(g.vertices):

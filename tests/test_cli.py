@@ -217,6 +217,21 @@ def test_verify_square_file_without_base_rejects_based_rule(tmp_path, capsys):
     assert "need a base record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, stderr", [
+    ("v 0\nv 1\nv 2\nv 3\nv 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\nq 0 1 2 3\nbase 0\n",
+     "quadrangle: disconnected 0 4 :: no-path\n"),
+    ("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 0 2\nt 0 1 2\n",
+     "systolic: disconnected 0 3 :: no-path\n"),
+], ids=["square", "triangle"])
+def test_verify_disconnected_input_certifies(tmp_path, capsys, text, stderr):
+    p = tmp_path / "split.complex"
+    p.write_text(text)
+    assert run_cli("verify", "--input", str(p)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert "cert disconnected" in captured.out
+
+
 def test_verify_parse_error_exit_2(tmp_path, capsys):
     p = tmp_path / "broken.complex"
     p.write_text("v 0\nv 0\n")

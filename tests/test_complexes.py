@@ -8,7 +8,6 @@ from sysquad import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
-    ball,
     bfs_levels,
     canonical_cycle,
     distance,
@@ -18,7 +17,6 @@ from sysquad import (
     h1_rank_mod2,
     is_connected,
     link,
-    sphere,
 )
 
 from bruteforce import (
@@ -132,57 +130,6 @@ def test_disk_levels_equal_layer_index(small_disk):
     for r, layer in enumerate(small_disk.layers):
         for v in layer:
             assert distance(c, small_disk.center, v) == r
-
-
-# --------------------------------------------------------------- balls, spheres
-
-
-def test_sphere_zero_is_single_vertex(small_disk):
-    s = sphere(small_disk.complex, small_disk.center, 0)
-    assert s.vertices == frozenset({small_disk.center})
-    assert not s.edges
-
-
-def test_sphere_one_around_center_is_hexagon(small_disk):
-    # degree-6 disk: the link of the center is a 6-cycle, and so is S_1
-    s = sphere(small_disk.complex, small_disk.center, 1)
-    g = s.to_graph()
-    assert len(s.vertices) == 6
-    assert all(len(g.neighbors(v)) == 2 for v in s.vertices)
-    assert girth(g) == 6
-
-
-def test_balls_nest_and_spheres_partition(small_disk):
-    c = small_disk.complex
-    v = small_disk.center
-    prev = frozenset()
-    seen = set()
-    for r in range(4):
-        b = ball(c, v, r)
-        s = sphere(c, v, r)
-        assert prev <= b.vertices
-        assert s.vertices == b.vertices - prev
-        assert not (seen & set(s.vertices))
-        seen |= set(s.vertices)
-        prev = b.vertices
-    assert prev == frozenset(c.graph.vertices)  # radius covers the disk
-
-
-def test_ball_is_induced_subgraph(small_disk):
-    c = small_disk.complex
-    b = ball(c, small_disk.center, 1)
-    g = c.graph
-    expect = {
-        (u, w)
-        for u, w in g.edges
-        if u in b.vertices and w in b.vertices
-    }
-    assert set(b.edges) == expect
-
-
-def test_ball_negative_radius_rejected(small_disk):
-    with pytest.raises(ValueError, match="radius"):
-        ball(small_disk.complex, small_disk.center, -1)
 
 
 # ------------------------------------------------------------------------ links

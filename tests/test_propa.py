@@ -10,10 +10,8 @@ from sysquad import (
     NonFlatIntervalError,
     SquareComplex,
     WeightFunction,
-    ball,
     based_interval,
-    difference_check,
-    norm_check,
+    bfs_levels,
     property_a_report,
     weight_at,
 )
@@ -96,13 +94,13 @@ def test_weight_on_length_two_path():
 
 def test_weight_support_inside_ball_and_interval(small_squaring):
     b = small_squaring.squared
-    sq = b.complex
     for v in sorted(b.graph.vertices):
         iv = based_interval(b, v)
+        dist_v = bfs_levels(b.graph, v)
         for n in (0, 1, 3):
             wf = weight_at(b, v, n)
-            assert wf.support() <= iv.vertices
-            assert wf.support() <= ball(sq, v, n).vertices
+            assert wf.support() <= iv
+            assert wf.support() <= {w for w, d in dist_v.items() if d <= n}
 
 
 def test_weight_matches_bruteforce(small_squaring):
@@ -121,31 +119,13 @@ def test_weight_matches_bruteforce(small_squaring):
 def test_norm_check_passes_everywhere(small_squaring):
     b = small_squaring.squared
     for v in sorted(b.graph.vertices):
-        rep = norm_check(weight_at(b, v, 3))
-        assert rep.passed
-        assert rep.stats["expected"] == rep.stats["actual"] == 10
-
-
-def test_norm_check_flags_wrong_mass():
-    rep = norm_check(WeightFunction(3, 0, {0: 9}))
-    assert not rep.passed
-    cert = rep.counterexamples[0]
-    assert cert.kind == "weight-norm"
-    assert cert.vertices == (0,)
-    assert cert.info == "n=3 sum=9 expected=10"
+        assert weight_at(b, v, 3).norm() == 10
 
 
 def test_difference_identity_examples():
     b = square_based()
     for n, expected in ((0, 2), (3, 8), (4, 10)):
-        rep = difference_check(b, (0, 1), n)
-        assert rep.passed, rep.to_text()
-        assert rep.stats["actual"] == expected
-
-
-def test_difference_check_needs_an_edge():
-    with pytest.raises(ValueError, match="not an edge"):
-        difference_check(square_based(), (0, 2), 3)
+        assert weight_at(b, 0, n).l1_distance(weight_at(b, 1, n)) == expected
 
 
 def test_difference_matches_bruteforce(small_squaring):
@@ -216,6 +196,20 @@ def test_property_a_counts_cover_instance(small_squaring):
     assert rep.check.stats["vertices"] == len(b.graph.vertices)
     assert rep.check.stats["edges"] == len(b.graph.edges)
     assert rep.check.stats["n_max"] == 2
+
+
+def test_property_a_report_certifies_broken_identities():
+    # the bare hexagon is not quadric: its far vertex has deficiency 0, so
+    # the norm, difference and ratio identities all fail
+    g = Graph(range(6), [(i, (i + 1) % 6) for i in range(6)])
+    rep = property_a_report(BasedComplex(SquareComplex(g, []), 0), 4)
+    text = rep.check.to_text()
+    assert "passed false" in text
+    assert "violations 11" in text
+    first = rep.check.counterexamples[0]
+    assert (first.kind, first.vertices, first.info) == ("ratio", (3,), "ratio=5/6 expected=4/5")
+    assert "cert weight-norm 3 :: n=2 sum=7 expected=6" in text
+    assert "cert weight-difference 2 3 :: n=2 diff=7 expected=6" in text
 
 
 def test_property_a_rejects_non_flat_input():

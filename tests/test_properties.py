@@ -3,11 +3,14 @@
 import math
 import re
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from sysquad import (
+    BasedComplex,
+    SquareComplex,
+    based_interval,
     bfs_levels,
-    ball,
     canonical_cycle,
     check_ball_isometry,
     check_interval_isometry,
@@ -18,10 +21,9 @@ from sysquad import (
     find_K23,
     girth,
     h1_rank_mod2,
-    interval,
     is_connected,
-    sphere,
 )
+from sysquad.metrics import all_pairs, vertex_order
 
 from bruteforce import (
     adjacency,
@@ -77,6 +79,31 @@ def test_k23_agrees(params):
     assert find_K23(g) == brute_k23(g)
 
 
+def nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_params)
+def test_networkx_agrees_on_distances_girth_and_4_cycles(params):
+    # a third oracle, independent of both the library and bruteforce.py
+    g = random_graph(*params)
+    h = nx_graph(g)
+    order = vertex_order(g)
+    D = all_pairs(g, order)
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
+    for i, u in enumerate(order):
+        for j, v in enumerate(order):
+            assert D[i, j] == lengths[u].get(v, math.inf), (u, v)
+    assert girth(g) == nx.girth(h)
+    squares = [canonical_cycle(c) for c in nx.simple_cycles(h, length_bound=4)
+               if len(c) == 4]
+    assert enumerate_embedded_4cycles(g) == sorted(squares)
+
+
 @settings(max_examples=40, deadline=None)
 @given(graph_params, st.integers(min_value=0, max_value=11))
 def test_bfs_levels_agree(params, src):
@@ -101,22 +128,6 @@ def test_distance_is_a_metric(params):
             for w in verts:
                 if math.isfinite(d[u, w]) and math.isfinite(d[w, v]):
                     assert d[u, v] <= d[u, w] + d[w, v]
-
-
-@settings(max_examples=30, deadline=None)
-@given(graph_params, st.integers(min_value=0, max_value=11))
-def test_spheres_partition_balls(params, src):
-    g = random_graph(*params)
-    verts = sorted(g.vertices)
-    v = verts[src % len(verts)]
-    prev = frozenset()
-    for r in range(len(verts) + 1):
-        b = ball(g, v, r)
-        s = sphere(g, v, r)
-        assert prev <= b.vertices
-        assert s.vertices == b.vertices - prev
-        prev = b.vertices
-    assert prev == frozenset(u for u in verts if math.isfinite(distance(g, v, u)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,10 +159,8 @@ def test_interval_agrees_with_distance_sum(params, pick):
     v = verts[(pick * 7 + 1) % len(verts)]
     if not math.isfinite(distance(g, u, v)):
         return
-    from sysquad import SquareComplex
-
-    sq = SquareComplex(g, [])
-    assert interval(sq, u, v).vertices == brute_interval_vertices(g, u, v)
+    b = BasedComplex(SquareComplex(g, []), u)
+    assert based_interval(b, v) == brute_interval_vertices(g, u, v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,8 +199,6 @@ def test_rule_oracles_agree_on_the_mutants():
 @settings(max_examples=25, deadline=None)
 @given(graph_params)
 def test_ball_isometry_agrees(params):
-    from sysquad import SquareComplex
-
     g = random_graph(*params)
     c = SquareComplex(g, [])
     rep = check_ball_isometry(c, cap=10**6)
@@ -206,8 +213,6 @@ def test_ball_isometry_agrees(params):
 @settings(max_examples=30, deadline=None)
 @given(graph_params, st.integers(min_value=0, max_value=200))
 def test_interval_isometry_agrees(params, pick):
-    from sysquad import SquareComplex
-
     g = random_graph(*params)
     verts = sorted(g.vertices)
     u = verts[pick % len(verts)]

@@ -16,9 +16,7 @@ from sysquad import (
     check_quadrangle_condition,
     check_replacement_rule_A,
     check_replacement_rule_B,
-    descending_reachable,
     distance,
-    interval,
 )
 
 from bruteforce import (
@@ -42,53 +40,25 @@ def filled_square():
 
 
 def test_interval_of_equal_endpoints_is_a_point(small_squaring):
-    sq = small_squaring.squared.complex
-    v = small_squaring.squared.basepoint
-    iv = interval(sq, v, v)
-    assert iv.vertices == frozenset({v})
-    assert not iv.graph.edges
+    b = small_squaring.squared
+    assert based_interval(b, b.basepoint) == frozenset({b.basepoint})
 
 
 def test_interval_of_a_filled_square_is_the_square():
-    sq = filled_square()
-    iv = interval(sq, 0, 2)
-    assert iv.vertices == frozenset(range(4))
-    assert len(iv.complex.squares) == 1
-    assert iv.dist_from_u[2] == 2
-    assert iv.dist_from_v[0] == 2
+    assert based_interval(BasedComplex(filled_square(), 0), 2) == frozenset(range(4))
 
 
 def test_interval_rejects_separated_endpoints():
     g = SquareComplex(Graph(range(4), [(0, 1), (2, 3)]), [])
-    with pytest.raises(ValueError, match="different components"):
-        interval(g, 0, 3)
-
-
-def test_interval_matches_distance_sum_oracle(small_squaring):
-    sq = small_squaring.squared.complex
-    base = small_squaring.squared.basepoint
-    g = sq.graph
-    for v in sorted(g.vertices):
-        got = interval(sq, base, v).vertices
-        assert got == brute_interval_vertices(g, base, v), f"v={v}"
-
-
-def test_based_interval_agrees_with_generic_interval(small_squaring):
-    b = small_squaring.squared
-    sq = b.complex
-    for v in sorted(b.graph.vertices):
-        via_descent = based_interval(b, v)
-        via_distances = interval(sq, b.basepoint, v)
-        assert via_descent.vertices == via_distances.vertices, f"v={v}"
-        assert via_descent.dist_from_v == via_distances.dist_from_v
+    with pytest.raises(ValueError, match="unreachable from the basepoint"):
+        based_interval(BasedComplex(g, 0), 3)
 
 
 def test_descending_reachable_is_the_interval(small_squaring):
     b = small_squaring.squared
-    levels = b.levels
     for v in sorted(b.graph.vertices):
-        got = descending_reachable(b.graph, levels, v)
-        assert got == brute_interval_vertices(b.graph, b.basepoint, v)
+        got = based_interval(b, v)
+        assert got == brute_interval_vertices(b.graph, b.basepoint, v), f"v={v}"
 
 
 def test_level_two_interval_is_a_diamond(small_squaring):
@@ -100,10 +70,10 @@ def test_level_two_interval_is_a_diamond(small_squaring):
     assert two
     picked = 0
     for v in two:
-        iv = based_interval(b, v)
-        mids = iv.vertices - {base, v}
+        mids = based_interval(b, v) - {base, v}
         if len(mids) == 2:
-            assert len(iv.complex.squares) == 1
+            m0, m1 = sorted(mids)
+            assert b.complex.has_square((base, m0, v, m1))
             assert all(levels[m] == 1 for m in mids)
             picked += 1
     assert picked > 0
@@ -112,17 +82,10 @@ def test_level_two_interval_is_a_diamond(small_squaring):
 def test_interval_monotone_along_descending_edges(small_squaring):
     b = small_squaring.squared
     levels = b.levels
-    cache = {v: based_interval(b, v).vertices for v in b.graph.vertices}
+    cache = {v: based_interval(b, v) for v in b.graph.vertices}
     for u, w in b.graph.edges:
         hi, lo = (u, w) if levels[u] > levels[w] else (w, u)
         assert cache[lo] <= cache[hi], f"edge {(u, w)}"
-
-
-def test_interval_endpoints_recorded(small_squaring):
-    b = small_squaring.squared
-    v = max(b.graph.vertices)
-    iv = based_interval(b, v)
-    assert iv.endpoints == (b.basepoint, v)
 
 
 # ------------------------------------------------------------------ rule A
@@ -224,9 +187,15 @@ def test_quadrangle_fails_on_bare_hexagon():
 
 
 def test_quadrangle_requires_full_reachability():
-    g = SquareComplex(Graph(range(3), [(0, 1)]), [])
-    with pytest.raises(ValueError, match="reach"):
-        check_quadrangle_condition(BasedComplex(g, 0))
+    # each vertex the base misses is a certificate, for quad and flat alike
+    b = BasedComplex(SquareComplex(Graph(range(4), [(0, 1), (2, 3)]), []), 0)
+    for rep in (check_quadrangle_condition(b), check_flat_intervals(b)):
+        assert not rep.passed
+        assert rep.violations == 2
+        assert [(c.kind, c.vertices, c.info) for c in rep.counterexamples] == [
+            ("disconnected", (0, 2), "no-path"),
+            ("disconnected", (0, 3), "no-path"),
+        ]
 
 
 def test_quadrangle_passes_on_squaring(small_squaring):
@@ -248,6 +217,15 @@ def test_ball_isometry_passes_on_filled_square_and_path():
     assert check_ball_isometry(filled_square()).passed
     path = SquareComplex(Graph(range(4), [(0, 1), (1, 2), (2, 3)]), [])
     assert check_ball_isometry(path).passed
+
+
+def test_ball_isometry_stays_inside_components():
+    # a path, an edge and an isolated vertex: no ball crosses components,
+    # and triples counts sum_u s_u (s_u - 1) over component sizes s_u
+    g = Graph(range(6), [(0, 1), (1, 2), (3, 4)])
+    rep = check_ball_isometry(SquareComplex(g, []))
+    assert rep.passed
+    assert rep.stats["triples"] == 3 * 3 * 2 + 2 * 2 * 1 + 0
 
 
 def test_ball_isometry_passes_on_squaring(small_squaring):
@@ -322,8 +300,12 @@ def test_interval_isometry_default_pairs_are_seeded(small_squaring):
 
 def test_intervals_of_squarings_satisfy_both_rules(small_squaring):
     b = small_squaring.squared
-    for v in sorted(b.graph.vertices):
-        sub = based_interval(b, v).complex
+    g = b.graph
+    for v in sorted(g.vertices):
+        verts = based_interval(b, v)
+        edges = [e for e in g.edges if set(e) <= verts]
+        squares = [s for s in b.complex.squares if set(s) <= verts]
+        sub = SquareComplex(Graph(verts, edges), squares)
         assert check_replacement_rule_A(sub).passed, f"v={v}"
         assert check_replacement_rule_B(sub).passed, f"v={v}"
 
@@ -342,13 +324,3 @@ def test_flat_intervals_reject_k23():
     assert cert.kind == "k23-in-interval"
     assert cert.vertices == (0, 1, 2, 3, 4)
     assert cert.info == "interval=0->1"
-
-
-def test_interval_distances_respect_ambient(small_squaring):
-    # induced interval distance can only exceed the ambient distance
-    b = small_squaring.squared
-    sq = b.complex
-    for v in sorted(b.graph.vertices):
-        iv = based_interval(b, v)
-        for w, d_in in iv.dist_from_v.items():
-            assert d_in >= distance(sq, v, w)

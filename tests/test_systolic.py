@@ -1,7 +1,5 @@
 """Verification of the triangle-complex conditions and their level lemmas."""
 
-import pytest
-
 from sysquad import (
     BasedComplex,
     Graph,
@@ -74,9 +72,21 @@ def test_bare_cycle_fails_h1():
 
 
 def test_disconnected_input_rejected():
+    # a vertex the smallest vertex (or the base) misses is a certificate;
+    # verify_systolic skips h1, the level checks stop there
     c = SimplicialComplex2(Graph(range(4), [(0, 1), (2, 3)]), [])
-    with pytest.raises(ValueError, match="connected"):
-        verify_systolic(c)
+    want = [("disconnected", (0, 2), "no-path"), ("disconnected", (0, 3), "no-path")]
+    systolic = verify_systolic(c)
+    assert "h1_rank_mod2" not in systolic.stats
+    b = BasedComplex(c, 0)
+    for rep in (
+        systolic,
+        check_spheres_triangle_free(b),
+        check_ball_neighbours(b),
+        check_triangle_condition(b),
+    ):
+        assert not rep.passed
+        assert [(x.kind, x.vertices, x.info) for x in rep.counterexamples] == want
 
 
 def test_verify_report_idempotent(small_disk):
