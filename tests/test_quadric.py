@@ -61,6 +61,17 @@ def test_descending_reachable_is_the_interval(small_squaring):
         assert got == brute_interval_vertices(b.graph, b.basepoint, v), f"v={v}"
 
 
+def test_interval_matches_distance_sum_oracle(small_squaring):
+    # any vertex may serve as the base: the interval is symmetric in its endpoints
+    sq = small_squaring.squared.complex
+    g = sq.graph
+    for u in sorted(g.vertices):
+        rebased = BasedComplex(sq, u)
+        for v in sorted(g.vertices):
+            got = based_interval(rebased, v)
+            assert got == brute_interval_vertices(g, u, v), f"u={u} v={v}"
+
+
 def test_level_two_interval_is_a_diamond(small_squaring):
     # any level-2 vertex of a squared disk spans exactly one square with the base
     b = small_squaring.squared
