@@ -157,10 +157,7 @@ def _run_checks(checks: list[Check], c, based: BasedComplex | None,
 
 def _certificate_line(rep: CheckReport) -> str:
     if rep.counterexamples:
-        c = rep.counterexamples[0]
-        vs = " ".join(str(v) for v in c.vertices)
-        tail = f" :: {c.info}" if c.info else ""
-        return f"{rep.name}: {c.kind} {vs}{tail}"
+        return f"{rep.name}: {rep.counterexamples[0]}"
     return f"{rep.name}: failed with {rep.violations} violations"
 
 
@@ -317,6 +314,13 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_rules(text: str) -> tuple[str, ...]:
+    names = tuple(x for x in text.replace(" ", "").split(",") if x)
+    if not names:
+        raise argparse.ArgumentTypeError("empty rule list")
+    return names
+
+
 def _int_at_least(low: int):
     """argparse type: an int no smaller than ``low``."""
     def parse(text: str) -> int:
@@ -341,8 +345,7 @@ def _add_generation_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_check_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--rules", type=lambda s: tuple(x for x in s.replace(" ", "").split(",") if x),
-        metavar="LIST", default=None,
+        "--rules", type=_parse_rules, metavar="LIST", default=None,
         help="subset of checks: " + RULE_NAMES,
     )
     p.add_argument("--cert-cap", type=_int_at_least(0), default=DEFAULT_CERT_CAP)

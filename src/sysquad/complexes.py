@@ -224,17 +224,24 @@ class BasedComplex:
     """A complex with a distinguished basepoint and cached BFS levels.
 
     ``levels[v]`` is the graph distance from the basepoint to v; vertices
-    unreachable from the basepoint carry no level entry.
+    unreachable from the basepoint carry no level entry. ``down(v)`` holds
+    the neighbours of a reached v one level closer to the basepoint.
     """
 
-    __slots__ = ("_complex", "_basepoint", "_levels")
+    __slots__ = ("_complex", "_basepoint", "_levels", "_down")
 
     def __init__(self, complex: SimplicialComplex2 | SquareComplex, basepoint: int):
-        if not complex.graph.has_vertex(basepoint):
+        g = complex.graph
+        if not g.has_vertex(basepoint):
             raise ValueError(f"basepoint {basepoint} is not a vertex")
         self._complex = complex
         self._basepoint = basepoint
-        self._levels = bfs_levels(complex.graph, basepoint)
+        levels = self._levels = bfs_levels(g, basepoint)
+        # a reached vertex has only reached neighbours
+        self._down = {
+            v: tuple(x for x in g.neighbors(v) if levels[x] == lv - 1)
+            for v, lv in levels.items()
+        }
 
     @property
     def complex(self) -> SimplicialComplex2 | SquareComplex:
@@ -251,6 +258,16 @@ class BasedComplex:
     @property
     def levels(self) -> dict[int, int]:
         return self._levels
+
+    def down(self, v: int) -> tuple[int, ...]:
+        """The neighbours of v one level closer to the basepoint, sorted.
+
+        Every step of a geodesic from v to the basepoint goes to one of them.
+        """
+        try:
+            return self._down[v]
+        except KeyError:
+            raise ValueError(f"vertex {v} is unreachable from the basepoint") from None
 
     @property
     def unreached(self) -> tuple[int, ...]:
@@ -288,24 +305,10 @@ def bfs_levels(g: Graph, source: int) -> dict[int, int]:
 def distance(obj, u: int, v: int) -> int | float:
     """Graph distance between u and v, INF when disconnected."""
     g = _graph_of(obj)
-    if not g.has_vertex(u):
-        raise ValueError(f"unknown vertex {u}")
+    dist = bfs_levels(g, u)
     if not g.has_vertex(v):
         raise ValueError(f"unknown vertex {v}")
-    if u == v:
-        return 0
-    dist = {u: 0}
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        dx = dist[x]
-        for w in g.neighbors(x):
-            if w == v:
-                return dx + 1
-            if w not in dist:
-                dist[w] = dx + 1
-                q.append(w)
-    return INF
+    return dist.get(v, INF)
 
 
 def _induced_edges(g: Graph, verts: set[int] | frozenset[int]) -> frozenset[tuple[int, int]]:

@@ -11,13 +11,12 @@ witnesses Property A.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import BasedComplex, Graph, SquareComplex
+from .complexes import BasedComplex, SquareComplex
 from .quadric import based_interval
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
@@ -113,7 +112,7 @@ class PropertyAReport:
 
 def _deficiencies(b: BasedComplex, verts,
                   endpoints: tuple[int, int] | None = None) -> dict[int, int]:
-    """Deficiency 2 - rho of each vertex in ``verts``, rho its downward degree.
+    """Deficiency 2 - rho of each vertex in ``verts``, rho = len(b.down(w)).
 
     Every neighbour one level closer to the base lies on a geodesic to the
     basepoint, so it belongs to any basepoint interval through the vertex:
@@ -121,12 +120,9 @@ def _deficiencies(b: BasedComplex, verts,
     Downward degree above 2 raises NonFlatIntervalError, naming
     ``endpoints`` when given.
     """
-    g = b.graph
-    levels = b.levels
     delta_of: dict[int, int] = {}
     for w in sorted(verts):
-        lw = levels[w]
-        r = sum(1 for x in g.neighbors(w) if levels[x] == lw - 1)
+        r = len(b.down(w))
         if r > 2:
             raise NonFlatIntervalError(w, r, endpoints)
         delta_of[w] = 2 - r
@@ -146,33 +142,21 @@ def _weight_table(n_max: int) -> np.ndarray:
     return np.stack([np.ones_like(m), m + 1, (m + 2) * (m + 1) // 2])
 
 
-def _restricted_bfs(g: Graph, verts: frozenset[int], source: int) -> dict[int, int]:
-    """Distances from ``source`` inside the subgraph induced on ``verts``."""
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for w in g.neighbors(u):
-            if w in verts and w not in dist:
-                dist[w] = du + 1
-                q.append(w)
-    return dist
-
-
 def _profile(b: BasedComplex, v: int, verts: frozenset[int],
              delta_of: dict[int, int], table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights of center v on its interval ``verts`` for every n the table covers.
 
     Returns (ids, W): ids the sorted interval vertices as an int64 array,
     W[n, j] = f_{n,v}(ids[j]) by the table, with d measured inside the
-    interval. Interval distances dominate ambient ones, so the support sits
-    inside the ambient radius-n ball around v; they agree exactly when the
-    interval embeds isometrically, which the quadric checks verify.
+    interval. That distance is d = levels[v] - levels[w], in any graph: the
+    descending path from v to w lies in the interval and has that length,
+    and the in-interval distance is at least the ambient one, which is at
+    least the level difference. So the support sits inside the ambient
+    radius-n ball around v.
     """
-    dist_v = _restricted_bfs(b.graph, verts, v)
+    levels = b.levels
     ids = np.array(sorted(verts), dtype=np.int64)
-    d = np.array([dist_v[w] for w in ids], dtype=np.int64)
+    d = np.array([levels[v] - levels[w] for w in ids], dtype=np.int64)
     dl = np.array([delta_of[w] for w in ids], dtype=np.int64)
     mm = np.arange(table.shape[1])[:, None] - d[None, :]
     return ids, np.where(mm >= 0, table[dl[None, :], np.maximum(mm, 0)], 0)
@@ -185,15 +169,17 @@ def property_a_report(b: BasedComplex, n_max: int,
     For each n the report row carries the (common) norm, the maximum edge
     difference, and their exact ratio, which must equal 4/(n+2) and decrease
     strictly in n. Any vertex or edge breaking an identity is a certificate.
+    A vertex the basepoint does not reach is a ``disconnected`` certificate,
+    and the report then has no rows.
     """
     if not isinstance(b.complex, SquareComplex):
         raise ValueError("property_a_report expects a square complex")
-    if b.unreached:
-        raise ValueError("basepoint does not reach every vertex")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    g = b.graph
     rb = ReportBuilder("property-a", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return PropertyAReport(rows=(), check=rb.build())
+    g = b.graph
     verts = sorted(g.vertices)
     delta_of = _deficiencies(b, verts)
     table = _weight_table(n_max)

@@ -10,7 +10,6 @@ embed isometrically, and that every basepoint interval is K_{2,3}-free
 from __future__ import annotations
 
 import random
-from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -31,22 +30,15 @@ def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
     """Vertices of the interval from the basepoint to v.
 
     A geodesic from v to the basepoint drops one level per step, so the
-    interval is exactly the set reachable from v along edges that descend
-    one level. Costs O(interval size), no BFS over the whole complex.
+    interval is exactly the set reachable from v along ``b.down``, and
+    each vertex w in it lies levels[v] - levels[w] steps from v inside it.
+    Costs O(interval size), no BFS over the whole complex.
     """
-    levels = b.levels
-    if v not in levels:
-        raise ValueError(f"vertex {v} is unreachable from the basepoint")
-    g = b.graph
-    verts = {v}
-    q = deque([v])
-    while q:
-        w = q.popleft()
-        lw = levels[w]
-        for x in g.neighbors(w):
-            if levels.get(x) == lw - 1 and x not in verts:
-                verts.add(x)
-                q.append(x)
+    verts: set[int] = set()
+    frontier = {v}
+    while frontier:  # one level per round, so the rounds are disjoint
+        verts |= frontier
+        frontier = {x for w in frontier for x in b.down(w)}
     return frozenset(verts)
 
 
@@ -154,18 +146,11 @@ def check_quadrangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> 
     rb = ReportBuilder("quadrangle", cap)
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
-    levels = b.levels
-    g = b.graph
-    for x in sorted(g.vertices):
-        lx = levels[x]
-        if lx < 2:
-            continue
-        down = [w for w in g.neighbors(x) if levels[w] == lx - 1]
-        for v, w in combinations(down, 2):
+    for x in sorted(b.graph.vertices):
+        for v, w in combinations(b.down(x), 2):
             rb.count("pairs")
-            common = g.neighbor_set(v) & g.neighbor_set(w)
-            if not any(levels[y] == lx - 2 for y in common):
-                rb.violation("quadrangle", (x, v, w), f"level={lx}")
+            if set(b.down(v)).isdisjoint(b.down(w)):
+                rb.violation("quadrangle", (x, v, w), f"level={b.levels[x]}")
     return rb.build()
 
 

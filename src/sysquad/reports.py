@@ -20,6 +20,12 @@ class Certificate:
     vertices: tuple[int, ...]
     info: str = ""
 
+    def __str__(self) -> str:
+        """``kind v1 v2 ... :: info``, the suffix dropped when info is empty."""
+        vs = " ".join(str(v) for v in self.vertices)
+        suffix = f" :: {self.info}" if self.info else ""
+        return f"{self.kind} {vs}{suffix}"
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -40,9 +46,7 @@ class CheckReport:
             lines.append(f"stat {key} {self.stats[key]}")
         lines.append(f"violations {self.violations}")
         for cert in self.counterexamples:
-            vs = " ".join(str(v) for v in cert.vertices)
-            suffix = f" :: {cert.info}" if cert.info else ""
-            lines.append(f"cert {cert.kind} {vs}{suffix}")
+            lines.append(f"cert {cert}")
         if self.truncated:
             lines.append(f"truncated at cap {self.cap}")
         return "\n".join(lines) + "\n"

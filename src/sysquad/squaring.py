@@ -44,9 +44,9 @@ def squaring(b: BasedComplex, precheck: bool = True) -> SquaringResult:
         raise ValueError("squaring expects a simplicial complex")
     if precheck:
         rep = verify_systolic(b.complex)
-        if not rep.passed:
-            first = rep.counterexamples[0] if rep.counterexamples else None
-            raise ValueError(f"source complex is not systolic: {first}")
+        if not rep.passed:  # the default cap keeps the first certificate
+            raise ValueError(
+                f"source complex is not systolic: {rep.counterexamples[0]}")
     if b.unreached:
         raise ValueError("basepoint does not reach every vertex")
     levels = b.levels

@@ -93,15 +93,12 @@ def check_ball_neighbours(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Check
     rb = ReportBuilder("ball-neighbours", cap)
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
-    levels = b.levels
     g = b.graph
     for v in sorted(g.vertices):
-        lv = levels[v]
-        closer = [w for w in g.neighbors(v) if levels[w] == lv - 1]
-        for w, x in combinations(closer, 2):
+        for w, x in combinations(b.down(v), 2):
             rb.count("pairs")
             if not g.has_edge(w, x):
-                rb.violation("ball-neighbours", (v, w, x), f"level={lv}")
+                rb.violation("ball-neighbours", (v, w, x), f"level={b.levels[v]}")
     return rb.build()
 
 
@@ -111,13 +108,10 @@ def check_triangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Ch
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     levels = b.levels
-    g = b.graph
-    for v, w in sorted(g.edges):
+    for v, w in sorted(b.graph.edges):
         if levels[v] != levels[w]:
             continue
         rb.count("equidistant_edges")
-        lv = levels[v]
-        nbs = g.neighbor_set(v) & g.neighbor_set(w)
-        if not any(levels[x] == lv - 1 for x in nbs):
-            rb.violation("triangle-condition", (v, w), f"level={lv}")
+        if set(b.down(v)).isdisjoint(b.down(w)):
+            rb.violation("triangle-condition", (v, w), f"level={levels[v]}")
     return rb.build()

@@ -108,6 +108,16 @@ def test_square_rejects_non_systolic(tmp_path, capsys):
     assert "systolic" in capsys.readouterr().err
 
 
+def test_square_non_systolic_prints_certificate(tmp_path, capsys):
+    # a triangle plus an isolated vertex: the certificate, not a dataclass repr
+    p = tmp_path / "split.complex"
+    p.write_text("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 0 2\nt 0 1 2\nbase 0\n")
+    assert run_cli("square", "--input", str(p)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "source complex is not systolic: disconnected 0 3 :: no-path\n"
+
+
 # ---------------------------------------------------------------------- verify
 
 
@@ -337,6 +347,17 @@ def test_propa_requires_basepoint(tmp_path):
     assert run_cli("propa", "--input", str(p)) == 2
 
 
+def test_propa_unreached_vertex_certifies(tmp_path, capsys):
+    # filled square plus an isolated vertex: header-only CSV, exit 1
+    p = tmp_path / "split.complex"
+    p.write_text("v 0\nv 1\nv 2\nv 3\nv 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n"
+                 "q 0 1 2 3\nbase 0\n")
+    out = tmp_path / "propa.csv"
+    assert run_cli("propa", "--input", str(p), "--output", str(out)) == 1
+    assert out.read_text() == "n,norm,max_diff,ratio_num,ratio_den,edges_checked\n"
+    assert capsys.readouterr().err == "property-a: disconnected 0 4 :: no-path\n"
+
+
 # ------------------------------------------------------------------------- all
 
 
@@ -431,6 +452,20 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
         run_cli(*argv)
     assert ei.value.code == 2
     assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input", "x.complex", "--rules", ","],
+    ["all", "--degree", "6", "--radius", "2", "--rules", ","],
+], ids=["verify", "all"])
+def test_empty_rules_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "all":
+        argv = argv + ["--output", str(tmp_path / "run")]
+    with pytest.raises(SystemExit) as ei:
+        run_cli(*argv)
+    assert ei.value.code == 2
+    assert "argument --rules: empty rule list" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -212,6 +212,17 @@ def test_property_a_report_certifies_broken_identities():
     assert "cert weight-difference 2 3 :: n=2 diff=7 expected=6" in text
 
 
+def test_property_a_report_certifies_unreached_vertex():
+    # filled square plus an isolated vertex: one certificate, no rows
+    g = Graph(range(5), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    rep = property_a_report(BasedComplex(SquareComplex(g, [(0, 1, 2, 3)]), 0), 3)
+    assert not rep.passed
+    assert rep.rows == ()
+    assert rep.check.violations == 1
+    assert [str(c) for c in rep.check.counterexamples] == ["disconnected 0 4 :: no-path"]
+    assert rep.csv_lines() == ["n,norm,max_diff,ratio_num,ratio_den,edges_checked"]
+
+
 def test_property_a_rejects_non_flat_input():
     with pytest.raises(NonFlatIntervalError):
         property_a_report(k23_complex_based(), 3)

@@ -4,6 +4,7 @@ import math
 import re
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sysquad import (
@@ -161,6 +162,38 @@ def test_interval_agrees_with_distance_sum(params, pick):
         return
     b = BasedComplex(SquareComplex(g, []), u)
     assert based_interval(b, v) == brute_interval_vertices(g, u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_params, st.integers(min_value=0, max_value=11))
+def test_down_is_the_neighbours_one_level_closer(params, src):
+    g = random_graph(*params)
+    verts = sorted(g.vertices)
+    b = BasedComplex(SquareComplex(g, []), verts[src % len(verts)])
+    adj = adjacency(g)
+    oracle = bfs_dist(adj, b.basepoint)
+    for v in verts:
+        if v in oracle:
+            want = tuple(x for x in adj[v] if oracle[x] == oracle[v] - 1)
+            assert b.down(v) == want, v
+        else:
+            with pytest.raises(ValueError, match="unreachable"):
+                b.down(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_params, st.integers(min_value=0, max_value=11))
+def test_interval_distance_is_level_difference(params, src):
+    # the identity propa's weight profile relies on
+    g = random_graph(*params)
+    verts = sorted(g.vertices)
+    b = BasedComplex(SquareComplex(g, []), verts[src % len(verts)])
+    levels = b.levels
+    for v in sorted(levels):
+        interval = based_interval(b, v)
+        sub = {w: [x for x in g.neighbors(w) if x in interval] for w in interval}
+        inner = bfs_dist(sub, v)
+        assert inner == {w: levels[v] - levels[w] for w in interval}, v
 
 
 @settings(max_examples=40, deadline=None)
