@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .complexes import Graph, SimplicialComplex2
 
@@ -27,46 +26,31 @@ class DiskSpec:
 
     degrees is one of:
       - an int: every interior vertex gets this degree;
-      - a sequence of ints: entry k is the degree of layer-k vertices
-        (must cover layers 0 .. radius-1);
       - a set/frozenset of ints: each interior vertex draws uniformly
         from the set, seeded by ``seed``.
     All degrees must be >= 6; anything less cannot be systolic.
     """
 
     radius: int
-    degrees: int | tuple[int, ...] | frozenset[int]
+    degrees: int | frozenset[int]
     seed: int = 0
 
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         degs = self.degrees
-        if isinstance(degs, list):
-            degs = tuple(degs)
-            object.__setattr__(self, "degrees", degs)
-        elif isinstance(degs, set):
+        if isinstance(degs, set):
             degs = frozenset(degs)
             object.__setattr__(self, "degrees", degs)
         if isinstance(degs, int):
-            if degs < 6:
-                raise ValueError(f"interior degree {degs} < 6 cannot be systolic")
-        elif isinstance(degs, tuple):
-            if self.radius > 0 and len(degs) < self.radius:
-                raise ValueError(
-                    f"per-layer degrees cover {len(degs)} layers, radius {self.radius} needs {self.radius}"
-                )
-            for d in degs:
-                if d < 6:
-                    raise ValueError(f"interior degree {d} < 6 cannot be systolic")
-        elif isinstance(degs, frozenset):
-            if not degs:
-                raise ValueError("empty degree set")
-            for d in degs:
-                if d < 6:
-                    raise ValueError(f"interior degree {d} < 6 cannot be systolic")
-        else:
+            degs = frozenset({degs})
+        elif not isinstance(degs, frozenset):
             raise ValueError(f"unsupported degree rule {degs!r}")
+        if not degs:
+            raise ValueError("empty degree set")
+        for d in degs:
+            if d < 6:
+                raise ValueError(f"interior degree {d} < 6 cannot be systolic")
 
 
 @dataclass(frozen=True)
@@ -78,28 +62,11 @@ class Disk:
     layers: tuple[tuple[int, ...], ...]
 
 
-class _DegreeRule:
-    def __init__(self, spec: DiskSpec):
-        self._spec = spec
-        self._rng = random.Random(spec.seed)
-        if isinstance(spec.degrees, frozenset):
-            self._choices = sorted(spec.degrees)
-        else:
-            self._choices = None
-
-    def draw(self, layer: int) -> int:
-        degs = self._spec.degrees
-        if isinstance(degs, int):
-            return degs
-        if isinstance(degs, tuple):
-            return degs[layer]
-        assert self._choices is not None
-        return self._rng.choice(self._choices)
-
-
 def triangulated_disk(spec: DiskSpec) -> Disk:
     """Build the disk described by ``spec``; deterministic for a fixed spec."""
-    rule = _DegreeRule(spec)
+    degs = spec.degrees
+    choices = [degs] if isinstance(degs, int) else sorted(degs)
+    rng = random.Random(spec.seed)
     if spec.radius == 0:
         c = SimplicialComplex2(Graph([0]), [])
         return Disk(complex=c, center=0, layers=((0,),))
@@ -108,7 +75,7 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
     edges: list[tuple[int, int]] = []
     triangles: list[tuple[int, int, int]] = []
 
-    d0 = rule.draw(0)
+    d0 = rng.choice(choices)
     first_layer = list(range(1, d0 + 1))
     vertices.extend(first_layer)
     for i, v in enumerate(first_layer):
@@ -126,7 +93,7 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
         m = len(layer)
         fan = []
         for v in layer:
-            target = rule.draw(k)
+            target = rng.choice(choices)
             used = 2 + parents[v]
             c = target - used
             # degree >= 6 with at most 2 ring and 2 parent edges forces c >= 2

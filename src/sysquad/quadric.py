@@ -190,7 +190,7 @@ def check_ball_isometry(
         rb.set_stat("triples", 0)
         return rb.build()
     D = all_pairs(g, order) if dist is None else dist
-    finite = np.isfinite(D)
+    finite = D < n
     size = finite.sum(axis=1)
     for x in range(n):
         # bad[u, y]: u in x's component, y != x, d(u,y) <= d(u,x), no step yet
@@ -199,18 +199,18 @@ def check_ball_isometry(
         bad[:, x] = False
         for z in g.neighbors(order[x]):
             k = idx[z]
-            bad &= ~np.logical_and.outer(D[:, k] <= D[:, x], D[k] == D[x] - 1.0)
+            bad &= ~np.logical_and.outer(D[:, k] <= D[:, x], D[k] + 1 == D[x])
         if not bad.any():
             continue
         for u, y in zip(*np.nonzero(bad)):
             info = ""
             if rb.violations < cap:  # past the cap a violation is only counted
-                r = int(max(D[u, x], D[u, y]))
+                r = max(D[u, x], D[u, y])
                 ball = np.flatnonzero(D[u] <= r)
-                # a ball is connected, so its distances are finite
+                # a ball is connected, so its distances are below the sentinel
                 inner = induced_distances(D, ball)
-                db = int(inner[np.searchsorted(ball, x), np.searchsorted(ball, y)])
-                info = f"r={r} d_ball={db} d={int(D[x, y])}"
+                db = inner[np.searchsorted(ball, x), np.searchsorted(ball, y)]
+                info = f"r={r} d_ball={db} d={D[x, y]}"
             rb.violation("ball-isometry", (order[int(u)], order[x], order[int(y)]), info)
     rb.set_stat("triples", int((size * (size - 1)).sum()))
     return rb.build()
@@ -271,13 +271,14 @@ def check_interval_isometry(
         rb.count("intervals")
         iu = idx[u]
         iv = idx[v]
-        if not np.isfinite(D[iu, iv]):
+        if D[iu, iv] == len(order):
             rb.violation("disconnected", (u, v), "no-path")
             continue
         sub = np.flatnonzero(D[iu] + D[iv] == D[iu, iv])
         S = D[np.ix_(sub, sub)]
         # nbr[x, j]: the j-th neighbour of x in the interval, padded with x,
-        # which never meets S[x, y] - 1; one j at a time keeps memory O(|S|^2)
+        # which never has S[x, y] + 1 == S[x, y]; one j at a time keeps
+        # memory O(|S|^2)
         adj = S == 1
         deg = adj.sum(axis=1)
         rows, cols = np.nonzero(adj)
@@ -285,16 +286,16 @@ def check_interval_isometry(
         nbr[rows, np.arange(len(rows)) - (np.cumsum(deg) - deg)[rows]] = cols
         down = np.eye(len(sub), dtype=bool)
         for column in nbr.T:
-            down |= S[column] == S - 1
+            down |= S[column] + 1 == S
         if down.all():
             continue
-        # an interval is connected (geodesics from u), so these are finite
+        # an interval is connected (geodesics from u), so no entry is the sentinel
         inner = induced_distances(D, sub)
         for i, j in zip(*np.nonzero(np.triu(inner != S, 1))):
             rb.violation(
                 "interval-isometry",
                 (u, v, order[sub[i]], order[sub[j]]),
-                f"d_interval={int(inner[i, j])} d={int(S[i, j])}",
+                f"d_interval={inner[i, j]} d={S[i, j]}",
             )
     return rb.build()
 

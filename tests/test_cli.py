@@ -487,6 +487,16 @@ def test_console_script_entrypoint(tmp_path):
     assert read_complex(out).kind == "simplicial"
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter sees what
+    # the import itself loads
+    code = ("import sys, sysquad.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_generated_file_matches_library_serialization(tmp_path):
     out = gen(tmp_path, radius=1)
     d = triangulated_disk(DiskSpec(radius=1, degrees=6))

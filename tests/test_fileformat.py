@@ -1,15 +1,20 @@
 """Text serialization: roundtrips, validation errors, determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sysquad import (
+    BasedComplex,
     ComplexFileError,
+    DiskSpec,
     Graph,
     SimplicialComplex2,
     SquareComplex,
     format_complex,
     parse_complex,
     read_complex,
+    squaring,
+    triangulated_disk,
     write_complex,
 )
 
@@ -76,6 +81,21 @@ def test_write_read_file_roundtrip_bytes(tmp_path):
     write_complex(p1, c, basepoint=3)
     write_complex(p2, c, basepoint=3)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.frozensets(st.integers(min_value=6, max_value=8), min_size=1),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_generated_disk_and_squaring_roundtrip(radius, degrees, seed):
+    d = triangulated_disk(DiskSpec(radius=radius, degrees=degrees, seed=seed))
+    sq = squaring(BasedComplex(d.complex, d.center)).squared
+    parsed = parse_complex(format_complex(d.complex, d.center))
+    assert (parsed.to_simplicial(), parsed.basepoint) == (d.complex, d.center)
+    parsed = parse_complex(format_complex(sq.complex, sq.basepoint))
+    assert (parsed.to_square(), parsed.basepoint) == (sq.complex, sq.basepoint)
 
 
 # ---------------------------------------------------------------- parse errors
@@ -187,3 +207,34 @@ def test_kind_conversion_guards():
     )
     with pytest.raises(ValueError, match="triangles"):
         parsed.to_square()
+
+
+# --------------------------------------------------------------------- fuzzing
+
+_id = st.integers(min_value=0, max_value=4).map(str)
+_records = st.one_of(*(
+    st.lists(_id, min_size=arity, max_size=arity).map(lambda ids, kind=kind: " ".join((kind, *ids)))
+    for kind, arity in (("v", 1), ("e", 2), ("t", 3), ("q", 4), ("base", 1))
+))
+_noise = st.lists(st.one_of(_id, st.sampled_from(["v", "e", "x", "-1", "1.5", "#", ""])), max_size=5)
+# mostly well-formed records over five ids, often after declaring all five,
+# mixed with comments, malformed token lists and arbitrary text
+_texts = st.tuples(
+    st.sampled_from(["", "v 0\nv 1\nv 2\nv 3\nv 4\n"]),
+    st.lists(st.one_of(
+        _records, _records.map(lambda r: r + "  # note"),
+        _noise.map(" ".join), st.text(max_size=12),
+    ), max_size=12),
+).map(lambda t: t[0] + "\n".join(t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts)
+def test_fuzzed_text_parses_or_names_its_line(text):
+    try:
+        parsed = parse_complex(text)
+    except ComplexFileError as exc:
+        assert 1 <= exc.lineno <= len(text.splitlines())
+        return
+    typed = parsed.to_square() if parsed.kind == "square" else parsed.to_simplicial()
+    assert parse_complex(format_complex(typed, parsed.basepoint)) == parsed

@@ -49,13 +49,6 @@ def test_flat_plane_radius3_has_37_vertices():
     assert len(d.complex.graph.vertices) == 37
 
 
-def test_flat_plane_is_constant_degree_disk():
-    # the per-layer rule with degree 6 on every layer builds the same disk
-    a = triangulated_disk(DiskSpec(radius=2, degrees=(6, 6))).complex
-    b = triangulated_disk(DiskSpec(radius=2, degrees=6)).complex
-    assert format_complex(a) == format_complex(b)
-
-
 def test_euler_characteristic_is_one():
     for spec in LEMMA_SPECS:
         c = triangulated_disk(spec).complex
@@ -116,19 +109,6 @@ def test_degree_below_six_rejected():
 def test_negative_radius_rejected():
     with pytest.raises(ValueError, match="radius"):
         triangulated_disk(DiskSpec(radius=-1, degrees=6))
-
-
-def test_layer_sequence_rule():
-    d = triangulated_disk(DiskSpec(radius=2, degrees=(6, 8)))
-    for v in d.layers[0]:
-        assert len(d.complex.graph.neighbors(v)) == 6
-    for v in d.layers[1]:
-        assert len(d.complex.graph.neighbors(v)) == 8
-
-
-def test_layer_sequence_must_cover_all_layers():
-    with pytest.raises(ValueError):
-        triangulated_disk(DiskSpec(radius=3, degrees=(6, 7)))
 
 
 def test_cyclic_bs_development_matches_constant_degree():

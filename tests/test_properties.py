@@ -4,11 +4,13 @@ import math
 import re
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sysquad import (
     BasedComplex,
+    Graph,
     SquareComplex,
     based_interval,
     bfs_levels,
@@ -24,7 +26,7 @@ from sysquad import (
     h1_rank_mod2,
     is_connected,
 )
-from sysquad.metrics import all_pairs, vertex_order
+from sysquad.metrics import all_pairs, induced_distances, vertex_order
 
 from bruteforce import (
     adjacency,
@@ -98,11 +100,40 @@ def test_networkx_agrees_on_distances_girth_and_4_cycles(params):
     lengths = dict(nx.all_pairs_shortest_path_length(h))
     for i, u in enumerate(order):
         for j, v in enumerate(order):
-            assert D[i, j] == lengths[u].get(v, math.inf), (u, v)
+            assert D[i, j] == lengths[u].get(v, len(order)), (u, v)
     assert girth(g) == nx.girth(h)
     squares = [canonical_cycle(c) for c in nx.simple_cycles(h, length_bound=4)
                if len(c) == 4]
     assert enumerate_embedded_4cycles(g) == sorted(squares)
+
+
+def test_all_pairs_long_path_matches_bfs_levels():
+    # 302 vertices need a dtype wider than uint8: distances reach 299 and
+    # the two isolated vertices hold the sentinel 302
+    g = Graph(range(302), [(v, v + 1) for v in range(299)])
+    order = vertex_order(g)
+    D = all_pairs(g, order)
+    assert D.dtype == np.min_scalar_type(2 * 302)
+    assert D.max() == 302 and D[0, 299] == 299
+    for i, u in enumerate(order):
+        levels = bfs_levels(g, u)
+        assert D[i].tolist() == [levels.get(v, 302) for v in order], u
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_params, st.integers(min_value=0, max_value=10**6))
+def test_induced_distances_agree_with_networkx(params, seed):
+    g = random_graph(*params)
+    order = vertex_order(g)
+    rng = np.random.default_rng(seed)
+    sub = np.flatnonzero(rng.random(len(order)) < 0.6)
+    inner = induced_distances(all_pairs(g, order), sub)
+    assert inner.dtype == np.min_scalar_type(2 * len(sub))
+    h = nx_graph(g).subgraph([order[i] for i in sub])
+    lengths = dict(nx.all_pairs_shortest_path_length(h))
+    for i, a in enumerate(sub):
+        for j, b in enumerate(sub):
+            assert inner[i, j] == lengths[order[a]].get(order[b], len(sub))
 
 
 @settings(max_examples=40, deadline=None)
