@@ -154,6 +154,95 @@ def check_quadrangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> 
     return rb.build()
 
 
+# pairs per block in is_modular: its temporaries stay about 64 x n entries,
+# small enough for the ball and interval checks to run side by side
+_PAIR_BLOCK = 64
+
+
+def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
+    """Whether every connected component of ``g`` is a modular graph.
+
+    ``D`` is ``all_pairs(g, order)``. I(a, b) is the set of vertices on
+    geodesics from a to b. A connected graph is modular when every triple
+    u, x, y has a median: a vertex in I(u,x), I(u,y) and I(x,y). Per
+    component the test checks two conditions:
+
+    (B) Bipartite. The ends of each edge lie at different distances from
+        the component's first vertex, so every edge changes the distance
+        to any vertex by exactly one.
+    (Q) The quadrangle condition from every base. Take v != w with common
+        neighbours C, so d(v,w) = 2. Then every u with d(u,v) = d(u,w) = k
+        has some c in C with d(u,c) = k - 1.
+
+    Both are necessary. An edge xy with d(u,x) = d(u,y) leaves no median
+    of (u, x, y) in I(x,y) = {x, y}. The median of (u, v, w) in (Q) is a
+    common neighbour of v and w at distance k - 1 from u. So the test
+    passes exactly on modular graphs.
+
+    Step 1: (B) and (Q) imply modular (Bandelt, van de Vel and Verheul,
+    "Modular interval spaces", Math. Nachr. 1993; Bandelt and Chepoi,
+    "Metric graph theory and geometry: a survey", 2008). Take u, x, y in
+    one component and m in I(u,x) and I(u,y), farthest from u. A vertex
+    in both I(m,x) and I(m,y) lies in I(u,x) and I(u,y), farther from u
+    unless it is m. Among the geodesics m = a_0, ..., a_p = x take one
+    with least sum of f(i) = d(y, a_i). By (B) each step changes f by one.
+    If f(1) = f(0) - 1, then a_1 is in I(m,x) and I(m,y), so f(1) = f(0) + 1.
+    A peak f(i-1) = f(i+1) = f(i) - 1 inside the walk cannot occur: (Q)
+    from base y gives a common neighbour of a_(i-1) and a_(i+1) at
+    f(i) - 2, and putting it in place of a_i lowers the sum. So f rises
+    at every step, d(y,x) = d(y,m) + d(m,x), and m is a median.
+
+    Step 2: modular implies the reduced ball condition of
+    ``check_ball_isometry``. Take u, x, y with y != x and
+    d(u,y) <= d(u,x), and a median m. If m = x then
+    d(u,y) = d(u,x) + d(x,y) > d(u,x). So m != x, and the first step z
+    from x towards m lies in I(x,u) and I(x,y): d(z,y) = d(x,y) - 1 and
+    d(u,z) = d(u,x) - 1.
+
+    Step 3: modular implies the interval condition of
+    ``check_interval_isometry``. Take x, y in I(a,b) and the median m of
+    (x, y, a). A geodesic from x through m to y has length d(x,y). Its
+    part from x to m lies in I(a,x), and its part from m to y lies in
+    I(a,y). Both are inside I(a,b), because I(a,x) is inside I(a,b) for
+    every x in I(a,b).
+
+    Work: one gather per edge, then one row test per pair (v, w) with a
+    common neighbour, in blocks of ``_PAIR_BLOCK`` pairs. The minimum over
+    C is one ``np.minimum.reduceat`` over rows of ``D``.
+    """
+    n = len(order)
+    idx = {v: i for i, v in enumerate(order)}
+    nbrs = [[idx[w] for w in g.neighbors(v)] for v in order]
+    root = np.full(n, -1, dtype=np.intp)
+    for i in range(n):
+        if root[i] < 0:
+            root[D[i] < n] = i
+    ends = np.array([(v, w) for v, ns in enumerate(nbrs) for w in ns], dtype=np.intp)
+    ends = ends.reshape(-1, 2)
+    r = root[ends[:, 0]]
+    if (D[r, ends[:, 0]] == D[r, ends[:, 1]]).any():
+        return False
+    # (v, w, c) for each common neighbour c of v < w, grouped by (v, w)
+    triples = np.array(
+        [(v * n + w, c) for c, ns in enumerate(nbrs) for v, w in combinations(ns, 2)],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    triples = triples[np.argsort(triples[:, 0], kind="stable")]
+    keys, common = triples[:, 0], triples[:, 1]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    bounds = np.append(starts, len(keys))
+    vs, ws = np.divmod(keys[starts], n)
+    for p in range(0, len(starts), _PAIR_BLOCK):
+        q = min(p + _PAIR_BLOCK, len(starts))
+        lo, hi = bounds[p], bounds[q]
+        nearest = np.minimum.reduceat(D[common[lo:hi]], starts[p:q] - lo, axis=0)
+        dv = D[vs[p:q]]
+        # d(u,v) < n keeps u in the component; nearest + 1 cannot wrap
+        if not ((dv != D[ws[p:q]]) | (dv >= n) | (nearest + 1 == dv)).all():
+            return False
+    return True
+
+
 def check_ball_isometry(
     c: SquareComplex | BasedComplex | Graph,
     cap: int = DEFAULT_CERT_CAP,
@@ -179,6 +268,10 @@ def check_ball_isometry(
 
     ``stat triples`` counts the (u, x, y) with y != x in one component:
     the sum over u of s_u (s_u - 1), s_u the size of u's component.
+
+    A modular graph satisfies the reduced condition (``is_modular``, step
+    2), so the scan runs only when that certificate fails, and only the
+    scan produces certificates.
     """
     g = c if isinstance(c, Graph) else c.graph
     order = vertex_order(g)
@@ -192,6 +285,9 @@ def check_ball_isometry(
     D = all_pairs(g, order) if dist is None else dist
     finite = D < n
     size = finite.sum(axis=1)
+    rb.set_stat("triples", int((size * (size - 1)).sum()))
+    if is_modular(g, order, D):
+        return rb.build()
     for x in range(n):
         # bad[u, y]: u in x's component, y != x, d(u,y) <= d(u,x), no step yet
         bad = D <= D[:, x][:, None]
@@ -212,7 +308,6 @@ def check_ball_isometry(
                 db = inner[np.searchsorted(ball, x), np.searchsorted(ball, y)]
                 info = f"r={r} d_ball={db} d={D[x, y]}"
             rb.violation("ball-isometry", (order[int(u)], order[x], order[int(y)]), info)
-    rb.set_stat("triples", int((size * (size - 1)).sum()))
     return rb.build()
 
 
@@ -236,7 +331,7 @@ def _default_pairs(b: BasedComplex, seed: int = 0) -> list[tuple[int, int]]:
 
 
 def check_interval_isometry(
-    c: SquareComplex | BasedComplex,
+    c: SquareComplex | BasedComplex | Graph,
     pairs: list[tuple[int, int]] | None = None,
     cap: int = DEFAULT_CERT_CAP,
     seed: int = 0,
@@ -256,16 +351,20 @@ def check_interval_isometry(
     steps, so x does in S[x, y], and induced distances are never below
     ambient ones. Only a failing interval has its induced distances
     computed; every pair x < y where they differ is certified.
+
+    In a modular graph every interval satisfies the local form
+    (``is_modular``, step 3). When that certificate passes, each pair
+    costs only its ``disconnected`` test.
     """
     if pairs is None:
         if not isinstance(c, BasedComplex):
             raise ValueError("default sampling needs a based complex")
         pairs = _default_pairs(c, seed)
-    sq = c.complex if isinstance(c, BasedComplex) else c
-    g = sq.graph
+    g = c if isinstance(c, Graph) else c.graph
     order = vertex_order(g)
     idx = {v: i for i, v in enumerate(order)}
     D = all_pairs(g, order) if dist is None else dist
+    modular = is_modular(g, order, D)
     rb = ReportBuilder("interval-isometry", cap)
     for u, v in pairs:
         rb.count("intervals")
@@ -273,6 +372,8 @@ def check_interval_isometry(
         iv = idx[v]
         if D[iu, iv] == len(order):
             rb.violation("disconnected", (u, v), "no-path")
+            continue
+        if modular:
             continue
         sub = np.flatnonzero(D[iu] + D[iv] == D[iu, iv])
         S = D[np.ix_(sub, sub)]

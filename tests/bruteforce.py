@@ -183,6 +183,22 @@ def brute_interval_isometry_ok(g, u, v):
     return True
 
 
+def brute_is_modular(g):
+    """Every triple inside one component has a median, by definition."""
+    adj = adjacency(g)
+    d = {u: bfs_dist(adj, u) for u in g.vertices}
+    for u in g.vertices:
+        for x, y in combinations(sorted(d[u]), 2):
+            if not any(
+                d[u][m] + d[m][x] == d[u][x]
+                and d[u][m] + d[m][y] == d[u][y]
+                and d[x][m] + d[m][y] == d[x][y]
+                for m in d[u]
+            ):
+                return False
+    return True
+
+
 def brute_quasi_isometry_ok(source, squared):
     """d_source <= d_squared <= 2 * d_source over all ordered vertex pairs.
 
@@ -349,6 +365,19 @@ def random_graph(n, p, seed):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     from sysquad import Graph
 
+    return Graph(range(n), edges)
+
+
+def random_bipartite_graph(n, p, seed):
+    """Random graph with edges only between two seeded sides of 0..n-1."""
+    import random as _random
+
+    from sysquad import Graph
+
+    rng = _random.Random(seed)
+    side = [rng.random() < 0.5 for _ in range(n)]
+    edges = [(u, v) for u, v in combinations(range(n), 2)
+             if side[u] != side[v] and rng.random() < p]
     return Graph(range(n), edges)
 
 

@@ -27,6 +27,7 @@ from sysquad import (
     is_connected,
 )
 from sysquad.metrics import all_pairs, induced_distances, vertex_order
+from sysquad.quadric import is_modular
 
 from bruteforce import (
     adjacency,
@@ -36,11 +37,13 @@ from bruteforce import (
     brute_h1_rank_mod2,
     brute_interval_isometry_ok,
     brute_interval_vertices,
+    brute_is_modular,
     brute_k23,
     brute_rule_a_violations,
     brute_rule_b_violations,
     cycle_edges,
     four_cycles_by_subsets,
+    random_bipartite_graph,
     random_graph,
     random_square_complex,
 )
@@ -286,3 +289,29 @@ def test_interval_isometry_agrees(params, pick):
     c = SquareComplex(g, [])
     rep = check_interval_isometry(c, pairs=[(u, v)])
     assert rep.passed == brute_interval_isometry_ok(g, u, v)
+
+
+# two bipartite draws per general one; sparse draws leave graphs disconnected
+modular_params = st.tuples(
+    st.sampled_from([random_bipartite_graph, random_bipartite_graph, random_graph]),
+    st.integers(min_value=1, max_value=11),
+    st.sampled_from([0.15, 0.3, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(modular_params)
+def test_modularity_certificate_is_sound_and_exact(params):
+    make, *args = params
+    g = make(*args)
+    order = vertex_order(g)
+    passed = is_modular(g, order, all_pairs(g, order))
+    assert passed == brute_is_modular(g)
+    if passed:
+        assert brute_ball_isometry_violations(g) == []
+        verts = sorted(g.vertices)
+        for i, u in enumerate(verts):
+            for v in verts[i:]:
+                if math.isfinite(distance(g, u, v)):
+                    assert brute_interval_isometry_ok(g, u, v), (u, v)

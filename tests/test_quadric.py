@@ -17,7 +17,10 @@ from sysquad import (
     check_replacement_rule_A,
     check_replacement_rule_B,
     distance,
+    squaring,
 )
+from sysquad.metrics import all_pairs, vertex_order
+from sysquad.quadric import is_modular
 
 from bruteforce import (
     brute_interval_isometry_ok,
@@ -34,6 +37,11 @@ def c6_square_complex():
 def filled_square():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     return SquareComplex(g, [(0, 1, 2, 3)])
+
+
+def modular(g):
+    order = vertex_order(g)
+    return is_modular(g, order, all_pairs(g, order))
 
 
 # -------------------------------------------------------------------- intervals
@@ -264,6 +272,22 @@ def test_interval_isometry_detects_outside_shortcut():
     assert cert.info == "d_interval=4 d=2"
 
 
+def test_interval_isometry_accepts_plain_graph():
+    # a bare Graph works as it does for check_ball_isometry: the shortcut
+    # through 8 lies outside I(0, 4), and 9 is in another component
+    edges = [
+        (0, 1), (1, 2), (2, 3), (3, 4),
+        (0, 5), (5, 6), (6, 7), (7, 4),
+        (2, 8), (6, 8),
+    ]
+    rep = check_interval_isometry(Graph(range(10), edges), pairs=[(0, 4), (0, 9), (1, 3)])
+    assert rep.stats == {"intervals": 3}
+    assert [str(c) for c in rep.counterexamples] == [
+        "disconnected 0 9 :: no-path",
+        "interval-isometry 0 4 2 6 :: d_interval=4 d=2",
+    ]
+
+
 def test_interval_isometry_reports_disconnected_pairs():
     g = SquareComplex(Graph(range(4), [(0, 1), (2, 3)]), [])
     rep = check_interval_isometry(g, pairs=[(0, 2)])
@@ -335,3 +359,59 @@ def test_flat_intervals_reject_k23():
     assert cert.kind == "k23-in-interval"
     assert cert.vertices == (0, 1, 2, 3, 4)
     assert cert.info == "interval=0->1"
+
+
+# ------------------------------------------------------ modularity certificate
+
+
+def test_lemma_squarings_are_modular(lemma_disks):
+    for d in lemma_disks:
+        b = BasedComplex(d.complex, d.center)
+        assert modular(squaring(b).squared.graph), d
+
+
+def test_certificate_reads_every_pair_block():
+    # a 2 x 40 grid is modular and gives over 64 pairs with a common
+    # neighbour; the hexagon after it sorts last and fails the quadrangle test
+    grid = [(i, i + 1) for i in range(39)] + [(i + 40, i + 41) for i in range(39)]
+    grid += [(i, i + 40) for i in range(40)]
+    hexagon = [(80 + i, 80 + (i + 1) % 6) for i in range(6)]
+    assert modular(Graph(range(80), grid))
+    g = Graph(range(86), grid + hexagon)
+    assert not modular(g)
+    rep = check_ball_isometry(g)
+    assert str(rep.counterexamples[0]) == "ball-isometry 80 82 84 :: r=2 d_ball=4 d=2"
+
+
+def test_odd_cycle_takes_the_exact_fallback():
+    # C5 is not bipartite, so the certificate fails; its balls and intervals
+    # still embed isometrically, which only the exact scans can tell
+    c5 = Graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    assert not modular(c5)
+    assert check_ball_isometry(c5).to_text() == (
+        "check ball-isometry\npassed true\nstat centers 5\nstat triples 100\n"
+        "violations 0\n"
+    )
+    pairs = list(combinations(range(5), 2))
+    assert check_interval_isometry(c5, pairs=pairs).to_text() == (
+        "check interval-isometry\npassed true\nstat intervals 10\nviolations 0\n"
+    )
+
+
+def test_certificate_keeps_mutant_reports():
+    # rule-A and K23 mutants are modular (K_{2,3}) and pass on the certificate;
+    # the rule-B mutant is not, and its ball certificates come from the scan
+    a, bmut, k = rule_a_mutant(), rule_b_mutant(), k23_complex_based().complex
+    assert [modular(c.graph) for c in (a, bmut, k)] == [True, False, True]
+    for c in (a, k):
+        pairs = list(combinations(range(5), 2))
+        assert check_ball_isometry(c).passed
+        assert check_interval_isometry(c, pairs=pairs).stats == {"intervals": 10}
+    rep = check_ball_isometry(bmut)
+    assert rep.violations == 6
+    assert [str(c) for c in rep.counterexamples[:2]] == [
+        "ball-isometry 2 4 6 :: r=2 d_ball=4 d=2",
+        "ball-isometry 2 6 4 :: r=2 d_ball=4 d=2",
+    ]
+    pairs = list(combinations(range(7), 2))
+    assert check_interval_isometry(bmut, pairs=pairs).passed
