@@ -32,12 +32,7 @@ from .fileformat import (
     write_complex,
 )
 from .generators import DiskSpec, non_systolic_counterexamples, triangulated_disk
-from .propa import (
-    NonFlatIntervalError,
-    WeightFunction,
-    property_a_report,
-    weight_at,
-)
+from .propa import property_a_report
 from .quadric import (
     based_interval,
     check_ball_isometry,
@@ -65,11 +60,9 @@ __all__ = [
     "ComplexFileError",
     "DiskSpec",
     "Graph",
-    "NonFlatIntervalError",
     "SimplicialComplex2",
     "SquareComplex",
     "SquaringResult",
-    "WeightFunction",
     "based_interval",
     "bfs_levels",
     "canonical_cycle",
@@ -98,6 +91,5 @@ __all__ = [
     "squaring",
     "triangulated_disk",
     "verify_systolic",
-    "weight_at",
     "write_complex",
 ]

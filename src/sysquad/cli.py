@@ -14,8 +14,9 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -84,12 +85,11 @@ def _never(args: argparse.Namespace) -> bool:
     return False
 
 
-def _interval_pairs(s: Subject) -> list[tuple[int, int]] | None:
-    """Every vertex pair under --exhaustive, else None for the based sample."""
+def _interval_pairs(s: Subject) -> Iterator[tuple[int, int]] | None:
+    """Every vertex pair under --exhaustive, lazily, else None for the based sample."""
     if not s.args.exhaustive:
         return None
-    verts = sorted(s.complex.graph.vertices)
-    return [(u, v) for i, u in enumerate(verts) for v in verts[i:]]
+    return combinations_with_replacement(sorted(s.complex.graph.vertices), 2)
 
 
 # Canonical order: verify and all run the selected checks in this order.
@@ -416,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # missing or unreadable input, unwritable output
         print(str(exc), file=sys.stderr)
         return 2
-    except ValueError as exc:  # a violated invariant, NonFlatIntervalError included
+    except ValueError as exc:  # a violated invariant of the input
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -21,64 +21,6 @@ from .quadric import based_interval
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 
-class NonFlatIntervalError(ValueError):
-    """More than two downward neighbours at a vertex: the interval is not flat.
-
-    The weight formula table only covers deficiencies 0, 1 and 2, so this
-    is raised instead of clamping; the offending vertex is the certificate.
-    """
-
-    def __init__(self, vertex: int, downward_degree: int,
-                 endpoints: tuple[int, int] | None = None):
-        self.vertex = vertex
-        self.downward_degree = downward_degree
-        self.endpoints = endpoints
-        where = f" in interval {endpoints[0]}->{endpoints[1]}" if endpoints else ""
-        super().__init__(
-            f"vertex {vertex} has downward degree {downward_degree}{where}; "
-            f"flat intervals allow at most 2"
-        )
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Sparse nonnegative weights around a center, zero outside the stored map.
-
-    Support is contained in the interval from the basepoint to the center and
-    in the radius-n ball around the center.
-    """
-
-    n: int
-    center: int
-    values: dict[int, int]
-
-    def value(self, w: int) -> int:
-        return self.values.get(w, 0)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.values)
-
-    def norm(self) -> int:
-        return sum(self.values.values())
-
-    def l1_distance(self, other: "WeightFunction") -> int:
-        keys = self.values.keys() | other.values.keys()
-        return sum(abs(self.value(k) - other.value(k)) for k in keys)
-
-
-def weight_at(b: BasedComplex, v: int, n: int) -> WeightFunction:
-    """The weight function f_{n,v}: row n of the profile of center v, zeros dropped."""
-    if not isinstance(b.complex, SquareComplex):
-        raise ValueError("weight_at expects a square complex")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    verts = based_interval(b, v)
-    delta_of = _deficiencies(b, verts, (b.basepoint, v))
-    ids, w_rows = _profile(b, v, verts, delta_of, _weight_table(n))
-    values = {int(w): int(x) for w, x in zip(ids, w_rows[n]) if x}
-    return WeightFunction(n, v, values)
-
-
 @dataclass(frozen=True)
 class PropertyARow:
     """Exact per-n summary: common norm, worst edge difference, their ratio."""
@@ -87,7 +29,6 @@ class PropertyARow:
     norm: int
     max_diff: int
     ratio: Fraction
-    vertices_checked: int
     edges_checked: int
 
 
@@ -110,25 +51,6 @@ class PropertyAReport:
         return lines
 
 
-def _deficiencies(b: BasedComplex, verts,
-                  endpoints: tuple[int, int] | None = None) -> dict[int, int]:
-    """Deficiency 2 - rho of each vertex in ``verts``, rho = len(b.down(w)).
-
-    Every neighbour one level closer to the base lies on a geodesic to the
-    basepoint, so it belongs to any basepoint interval through the vertex:
-    the count is the same on the whole complex and inside an interval.
-    Downward degree above 2 raises NonFlatIntervalError, naming
-    ``endpoints`` when given.
-    """
-    delta_of: dict[int, int] = {}
-    for w in sorted(verts):
-        r = len(b.down(w))
-        if r > 2:
-            raise NonFlatIntervalError(w, r, endpoints)
-        delta_of[w] = 2 - r
-    return delta_of
-
-
 def _weight_table(n_max: int) -> np.ndarray:
     """T[delta, m] for m = 0..n_max: the weight of a vertex of deficiency delta.
 
@@ -142,9 +64,8 @@ def _weight_table(n_max: int) -> np.ndarray:
     return np.stack([np.ones_like(m), m + 1, (m + 2) * (m + 1) // 2])
 
 
-def _profile(b: BasedComplex, v: int, verts: frozenset[int],
-             delta_of: dict[int, int], table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of center v on its interval ``verts`` for every n the table covers.
+def _profile(b: BasedComplex, v: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of center v on its basepoint interval for every n the table covers.
 
     Returns (ids, W): ids the sorted interval vertices as an int64 array,
     W[n, j] = f_{n,v}(ids[j]) by the table, with d measured inside the
@@ -153,11 +74,17 @@ def _profile(b: BasedComplex, v: int, verts: frozenset[int],
     and the in-interval distance is at least the ambient one, which is at
     least the level difference. So the support sits inside the ambient
     radius-n ball around v.
+
+    The deficiency of w is 2 - len(b.down(w)). Every neighbour one level
+    closer to the base lies on a geodesic to the basepoint, so it belongs
+    to any basepoint interval through w: the downward degree is the same
+    in the whole complex and in the interval. The caller has checked that
+    it is at most 2.
     """
     levels = b.levels
-    ids = np.array(sorted(verts), dtype=np.int64)
+    ids = np.array(sorted(based_interval(b, v)), dtype=np.int64)
     d = np.array([levels[v] - levels[w] for w in ids], dtype=np.int64)
-    dl = np.array([delta_of[w] for w in ids], dtype=np.int64)
+    dl = np.array([2 - len(b.down(w)) for w in ids], dtype=np.int64)
     mm = np.arange(table.shape[1])[:, None] - d[None, :]
     return ids, np.where(mm >= 0, table[dl[None, :], np.maximum(mm, 0)], 0)
 
@@ -170,7 +97,9 @@ def property_a_report(b: BasedComplex, n_max: int,
     difference, and their exact ratio, which must equal 4/(n+2) and decrease
     strictly in n. Any vertex or edge breaking an identity is a certificate.
     A vertex the basepoint does not reach is a ``disconnected`` certificate,
-    and the report then has no rows.
+    and a vertex with more than two downward neighbours, outside the flat
+    case the weight table covers, is a ``non-flat`` certificate; either way
+    the report then has no rows.
     """
     if not isinstance(b.complex, SquareComplex):
         raise ValueError("property_a_report expects a square complex")
@@ -181,9 +110,15 @@ def property_a_report(b: BasedComplex, n_max: int,
         return PropertyAReport(rows=(), check=rb.build())
     g = b.graph
     verts = sorted(g.vertices)
-    delta_of = _deficiencies(b, verts)
+    for w in verts:
+        r = len(b.down(w))
+        if r > 2:
+            rb.violation("non-flat", (w,), f"downward-degree={r}")
+    # stop before any profile: deficiency -1 would read row 2 of the table
+    if rb.violations:
+        return PropertyAReport(rows=(), check=rb.build())
     table = _weight_table(n_max)
-    profiles = {v: _profile(b, v, based_interval(b, v), delta_of, table) for v in verts}
+    profiles = {v: _profile(b, v, table) for v in verts}
     rb.set_stat("vertices", len(verts))
     rb.set_stat("edges", len(g.edges))
     rb.set_stat("n_max", n_max)
@@ -247,7 +182,6 @@ def property_a_report(b: BasedComplex, n_max: int,
             norm=norm,
             max_diff=md,
             ratio=ratio,
-            vertices_checked=len(verts),
             edges_checked=len(edges),
         ))
     return PropertyAReport(rows=tuple(rows), check=rb.build())

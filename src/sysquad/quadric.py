@@ -10,6 +10,7 @@ embed isometrically, and that every basepoint interval is K_{2,3}-free
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from itertools import combinations
 
 import numpy as np
@@ -332,7 +333,7 @@ def _default_pairs(b: BasedComplex, seed: int = 0) -> list[tuple[int, int]]:
 
 def check_interval_isometry(
     c: SquareComplex | BasedComplex | Graph,
-    pairs: list[tuple[int, int]] | None = None,
+    pairs: Iterable[tuple[int, int]] | None = None,
     cap: int = DEFAULT_CERT_CAP,
     seed: int = 0,
     dist: np.ndarray | None = None,

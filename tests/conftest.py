@@ -1,8 +1,12 @@
-"""Shared instances: lemma-scale disks, the two radius-8 suites, mutants."""
+"""Shared instances: lemma-scale disks, the two radius-8 suites, mutants.
+
+Also the per-vertex view of the weights that ``property_a_report`` uses.
+"""
 
 import pytest
 
 import sysquad as sq
+from sysquad import propa
 
 # five lemma-scale disks: two uniform degree-6, one degree-7, two mixed random
 LEMMA_SPECS = (
@@ -78,3 +82,14 @@ def k23_complex_based():
 @pytest.fixture
 def mutants():
     return rule_a_mutant(), rule_b_mutant(), k23_complex_based()
+
+
+def weights(b, v, n):
+    """f_{n,v} as {vertex: weight}, zeros dropped: row n of the report's profile of v."""
+    ids, rows = propa._profile(b, v, propa._weight_table(n))
+    return {int(w): int(x) for w, x in zip(ids, rows[n]) if x}
+
+
+def l1(f, g):
+    """The l1 distance between two weight maps."""
+    return sum(abs(f.get(w, 0) - g.get(w, 0)) for w in f.keys() | g.keys())

@@ -32,7 +32,6 @@ from sysquad import (
     property_a_report,
     squaring,
     verify_systolic,
-    weight_at,
     write_complex,
 )
 from sysquad.metrics import all_pairs, vertex_order
@@ -52,7 +51,7 @@ from bruteforce import (
     four_cycles_by_subsets,
     random_graph,
 )
-from conftest import k23_complex_based, rule_a_mutant, rule_b_mutant
+from conftest import k23_complex_based, l1, rule_a_mutant, rule_b_mutant, weights
 
 N_MAX = 12
 
@@ -232,12 +231,12 @@ def test_criterion_7_oracle_equivalence(lemma_disks, center_squarings, disk6_r8,
             )
         for v in sorted(g.vertices):
             for n in (0, 5, 12):
-                assert weight_at(b, v, n).norm() == brute_weight_norm(
+                assert sum(weights(b, v, n).values()) == brute_weight_norm(
                     g, b.basepoint, v, n
                 )
         for v, w in sorted(g.edges)[::5]:
             for n in (0, 7):
-                got = weight_at(b, v, n).l1_distance(weight_at(b, w, n))
+                got = l1(weights(b, v, n), weights(b, w, n))
                 assert got == brute_weight_diff(g, b.basepoint, v, w, n)
 
     sizes = cycle(range(6, 13))

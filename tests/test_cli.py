@@ -358,6 +358,17 @@ def test_propa_unreached_vertex_certifies(tmp_path, capsys):
     assert capsys.readouterr().err == "property-a: disconnected 0 4 :: no-path\n"
 
 
+def test_propa_non_flat_input_certifies(tmp_path, capsys):
+    # bare K_{2,3} based at 0: vertex 1 has three downward neighbours
+    p = tmp_path / "k23.complex"
+    p.write_text("v 0\nv 1\nv 2\nv 3\nv 4\n"
+                 "e 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\nbase 0\n")
+    out = tmp_path / "propa.csv"
+    assert run_cli("propa", "--input", str(p), "--output", str(out)) == 1
+    assert out.read_text() == "n,norm,max_diff,ratio_num,ratio_den,edges_checked\n"
+    assert capsys.readouterr().err == "property-a: non-flat 1 :: downward-degree=3\n"
+
+
 # ------------------------------------------------------------------------- all
 
 

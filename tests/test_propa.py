@@ -1,4 +1,8 @@
-"""Weight functions, the deficiencies behind them, and the exact mass identities."""
+"""Weight functions, the deficiencies behind them, and the exact mass identities.
+
+Per-vertex weights come from ``conftest.weights``, a view of the profiles
+that ``property_a_report`` computes.
+"""
 
 from fractions import Fraction
 
@@ -7,17 +11,14 @@ import pytest
 from sysquad import (
     BasedComplex,
     Graph,
-    NonFlatIntervalError,
     SquareComplex,
-    WeightFunction,
     based_interval,
     bfs_levels,
     property_a_report,
-    weight_at,
 )
 
 from bruteforce import brute_weight_diff, brute_weight_map, brute_weight_norm
-from conftest import k23_complex_based
+from conftest import k23_complex_based, l1, weights
 
 
 def square_based():
@@ -36,25 +37,30 @@ def path_based():
 def test_deficiency_cases_on_a_filled_square():
     # at n = 4 the three deficiency cases give distinct values at each distance:
     # distance 0 -> 1 / 5 / 15, distance 1 -> 1 / 4 / 10, distance 2 -> 1 / 3 / 6
-    wf = weight_at(square_based(), 2, 4)
-    assert wf.values == {2: 1, 1: 4, 3: 4, 0: 6}  # delta 0, 1, 1, 2
+    assert weights(square_based(), 2, 4) == {2: 1, 1: 4, 3: 4, 0: 6}  # delta 0, 1, 1, 2
 
 
 def test_deficiency_of_basepoint_interval():
     # the base has no downward neighbour: delta 2 at distance 0
     b = square_based()
     for n in range(4):
-        assert weight_at(b, 0, n).values == {0: (n + 2) * (n + 1) // 2}
+        assert weights(b, 0, n) == {0: (n + 2) * (n + 1) // 2}
 
 
 def test_deficiency_rejects_three_downward_neighbours():
-    b = k23_complex_based()
-    with pytest.raises(NonFlatIntervalError) as ei:
-        weight_at(b, 1, 0)
-    err = ei.value
-    assert err.vertex == 1
-    assert err.downward_degree == 3
-    assert err.endpoints == (0, 1)
+    # base 0 below 2, 3, 4, 5; vertex 1 sits over three of them, vertex 6
+    # over all four: one certificate each, in vertex order
+    edges = [(0, m) for m in (2, 3, 4, 5)]
+    edges += [(1, m) for m in (2, 3, 4)] + [(6, m) for m in (2, 3, 4, 5)]
+    g = Graph(range(7), edges)
+    rep = property_a_report(BasedComplex(SquareComplex(g, []), 0), 2)
+    assert not rep.passed
+    assert rep.rows == ()
+    assert rep.check.violations == 2
+    assert [str(c) for c in rep.check.counterexamples] == [
+        "non-flat 1 :: downward-degree=3",
+        "non-flat 6 :: downward-degree=4",
+    ]
 
 
 # --------------------------------------------------------------------- weights
@@ -62,34 +68,29 @@ def test_deficiency_rejects_three_downward_neighbours():
 
 def test_weight_values_on_diamond():
     b = square_based()
-    wf = weight_at(b, 2, 3)
-    assert wf.value(2) == 1  # the center, no deficit
-    assert wf.value(1) == 3 and wf.value(3) == 3  # distance 1, deficit 1
-    assert wf.value(0) == 3  # distance 2, deficit 2: triangular count
-    assert wf.norm() == 10
+    wf = weights(b, 2, 3)
+    assert wf[2] == 1  # the center, no deficit
+    assert wf[1] == 3 and wf[3] == 3  # distance 1, deficit 1
+    assert wf[0] == 3  # distance 2, deficit 2: triangular count
+    assert sum(wf.values()) == 10
 
 
 def test_weight_truncates_outside_radius():
     b = square_based()
-    wf = weight_at(b, 2, 1)
-    assert wf.value(0) == 0
-    assert 0 not in wf.support()
-    assert wf.norm() == 3
+    wf = weights(b, 2, 1)
+    assert 0 not in wf
+    assert sum(wf.values()) == 3
 
 
 def test_weight_at_basepoint_is_one_atom():
     b = square_based()
-    wf = weight_at(b, 0, 4)
-    assert wf.values == {0: 15}
-    assert wf.norm() == 15
+    assert weights(b, 0, 4) == {0: 15}
 
 
 def test_weight_on_length_two_path():
-    wf = weight_at(path_based(), 2, 5)
-    assert wf.value(2) == 6
-    assert wf.value(1) == 5
-    assert wf.value(0) == 10
-    assert wf.norm() == 21
+    wf = weights(path_based(), 2, 5)
+    assert wf == {2: 6, 1: 5, 0: 10}
+    assert sum(wf.values()) == 21
 
 
 def test_weight_support_inside_ball_and_interval(small_squaring):
@@ -98,9 +99,9 @@ def test_weight_support_inside_ball_and_interval(small_squaring):
         iv = based_interval(b, v)
         dist_v = bfs_levels(b.graph, v)
         for n in (0, 1, 3):
-            wf = weight_at(b, v, n)
-            assert wf.support() <= iv
-            assert wf.support() <= {w for w, d in dist_v.items() if d <= n}
+            support = weights(b, v, n).keys()
+            assert support <= iv
+            assert support <= {w for w, d in dist_v.items() if d <= n}
 
 
 def test_weight_matches_bruteforce(small_squaring):
@@ -108,9 +109,9 @@ def test_weight_matches_bruteforce(small_squaring):
     g = b.graph
     for v in sorted(g.vertices):
         for n in (0, 2, 5):
-            got = weight_at(b, v, n)
+            got = weights(b, v, n)
             want = brute_weight_map(g, b.basepoint, v, n)
-            assert got.values == want, f"v={v} n={n}"
+            assert got == want, f"v={v} n={n}"
 
 
 # ------------------------------------------------------------------ identities
@@ -119,13 +120,13 @@ def test_weight_matches_bruteforce(small_squaring):
 def test_norm_check_passes_everywhere(small_squaring):
     b = small_squaring.squared
     for v in sorted(b.graph.vertices):
-        assert weight_at(b, v, 3).norm() == 10
+        assert sum(weights(b, v, 3).values()) == 10
 
 
 def test_difference_identity_examples():
     b = square_based()
     for n, expected in ((0, 2), (3, 8), (4, 10)):
-        assert weight_at(b, 0, n).l1_distance(weight_at(b, 1, n)) == expected
+        assert l1(weights(b, 0, n), weights(b, 1, n)) == expected
 
 
 def test_difference_matches_bruteforce(small_squaring):
@@ -134,23 +135,16 @@ def test_difference_matches_bruteforce(small_squaring):
     edges = sorted(g.edges)[::7]  # sampled, the bulk report covers the rest
     for v, w in edges:
         for n in (0, 4):
-            wa = weight_at(b, v, n)
-            wb = weight_at(b, w, n)
-            assert wa.l1_distance(wb) == brute_weight_diff(g, b.basepoint, v, w, n)
-            assert wa.l1_distance(wb) == 2 * (n + 1)
-
-
-def test_l1_distance_symmetry():
-    a = WeightFunction(1, 0, {0: 2, 1: 1})
-    c = WeightFunction(1, 1, {1: 4})
-    assert a.l1_distance(c) == c.l1_distance(a) == 5
-    assert a.l1_distance(a) == 0
+            diff = l1(weights(b, v, n), weights(b, w, n))
+            assert diff == brute_weight_diff(g, b.basepoint, v, w, n)
+            assert diff == 2 * (n + 1)
 
 
 def test_norm_matches_bruteforce(small_squaring):
     b = small_squaring.squared
     for v in sorted(b.graph.vertices)[::3]:
-        assert weight_at(b, v, 6).norm() == brute_weight_norm(b.graph, b.basepoint, v, 6)
+        got = sum(weights(b, v, 6).values())
+        assert got == brute_weight_norm(b.graph, b.basepoint, v, 6)
 
 
 # ----------------------------------------------------------------- bulk report
@@ -224,8 +218,16 @@ def test_property_a_report_certifies_unreached_vertex():
 
 
 def test_property_a_rejects_non_flat_input():
-    with pytest.raises(NonFlatIntervalError):
-        property_a_report(k23_complex_based(), 3)
+    # bare K_{2,3} from 0: vertex 1 has three downward neighbours, so no
+    # weight is computed and the report carries only that certificate
+    rep = property_a_report(k23_complex_based(), 3)
+    assert not rep.passed
+    assert rep.rows == ()
+    assert rep.check.violations == 1
+    assert [str(c) for c in rep.check.counterexamples] == [
+        "non-flat 1 :: downward-degree=3"
+    ]
+    assert rep.csv_lines() == ["n,norm,max_diff,ratio_num,ratio_den,edges_checked"]
 
 
 def test_property_a_rejects_negative_horizon(small_squaring):
@@ -234,9 +236,9 @@ def test_property_a_rejects_negative_horizon(small_squaring):
 
 
 def test_bulk_report_agrees_with_single_vertex_api(small_squaring):
-    # the vectorized table path and the per-vertex path must tell one story
+    # the report's common norm per n and each vertex's own weights agree
     b = small_squaring.squared
     rep = property_a_report(b, 5)
     for v in sorted(b.graph.vertices)[::5]:
         for row in rep.rows:
-            assert weight_at(b, v, row.n).norm() == row.norm
+            assert sum(weights(b, v, row.n).values()) == row.norm
