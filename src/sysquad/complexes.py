@@ -311,15 +311,6 @@ def distance(obj, u: int, v: int) -> int | float:
     return dist.get(v, INF)
 
 
-def _induced_edges(g: Graph, verts: set[int] | frozenset[int]) -> frozenset[tuple[int, int]]:
-    out = []
-    for u in verts:
-        for w in g.neighbors(u):
-            if u < w and w in verts:
-                out.append((u, w))
-    return frozenset(out)
-
-
 def link(c: SimplicialComplex2, v: int) -> Graph:
     """Link of a vertex: its neighbours, joined when they span a triangle with v."""
     nbs = c.graph.neighbors(v)

@@ -22,9 +22,8 @@ class Certificate:
 
     def __str__(self) -> str:
         """``kind v1 v2 ... :: info``, the suffix dropped when info is empty."""
-        vs = " ".join(str(v) for v in self.vertices)
-        suffix = f" :: {self.info}" if self.info else ""
-        return f"{self.kind} {vs}{suffix}"
+        head = " ".join([self.kind, *map(str, self.vertices)])
+        return f"{head} :: {self.info}" if self.info else head
 
 
 @dataclass(frozen=True)

@@ -368,6 +368,19 @@ def random_graph(n, p, seed):
     return Graph(range(n), edges)
 
 
+def random_connected_graph(n, p, seed):
+    """A seeded random tree on 0..n-1 plus Erdos-Renyi extra edges: always
+    connected, and more often flat from its base than ``random_graph``."""
+    import random as _random
+
+    from sysquad import Graph
+
+    rng = _random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {e for e in combinations(range(n), 2) if rng.random() < p}
+    return Graph(range(n), edges)
+
+
 def random_bipartite_graph(n, p, seed):
     """Random graph with edges only between two seeded sides of 0..n-1."""
     import random as _random
@@ -392,3 +405,45 @@ def random_square_complex(n, p, q, seed):
     rng = _random.Random(seed + 1)
     chosen = [cyc for cyc in cycles if rng.random() < q]
     return SquareComplex(g, chosen)
+
+
+def random_k23_complex(n, p, plants, seed):
+    """A random graph with ``plants`` K_{2,3}s laid over it, and a seeded
+    half of its embedded 4-cycles as squares."""
+    import random as _random
+
+    from sysquad import Graph, SquareComplex, enumerate_embedded_4cycles
+
+    rng = _random.Random(seed)
+    edges = {e for e in combinations(range(n), 2) if rng.random() < p}
+    for _ in range(plants):
+        u0, u1, *mids = rng.sample(range(n), 5)
+        edges |= {(min(u, m), max(u, m)) for u in (u0, u1) for m in mids}
+    g = Graph(range(n), edges)
+    chosen = [cyc for cyc in enumerate_embedded_4cycles(g) if rng.random() < 0.5]
+    return SquareComplex(g, chosen)
+
+
+def brute_flat_intervals_text(c, base, cap):
+    """The ``flat-intervals`` report text, one K_{2,3} search per interval.
+
+    Each interval, by distance sums, becomes its own induced Graph and
+    ``find_K23`` (itself checked against ``brute_k23``) searches it, in
+    vertex order, so the kept certificate prefix is the report's.
+    """
+    from sysquad import Graph, find_K23
+    from sysquad.reports import ReportBuilder
+
+    g = c.graph
+    adj = adjacency(g)
+    rb = ReportBuilder("flat-intervals", cap)
+    reach = bfs_dist(adj, base)
+    if rb.disconnected(base, tuple(sorted(g.vertices - reach.keys()))):
+        return rb.build().to_text()
+    for v in sorted(g.vertices):
+        rb.count("intervals")
+        verts = brute_interval_vertices(g, base, v)
+        sub = Graph(verts, [(u, w) for u in verts for w in adj[u] if u < w and w in verts])
+        for (u0, u1), triple in find_K23(sub):
+            rb.violation("k23-in-interval", (u0, u1) + triple, f"interval={base}->{v}")
+    return rb.build().to_text()

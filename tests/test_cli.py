@@ -242,6 +242,18 @@ def test_verify_disconnected_input_certifies(tmp_path, capsys, text, stderr):
     assert "cert disconnected" in captured.out
 
 
+def test_verify_vertexless_certificate_has_one_space(tmp_path, capsys):
+    # a bare K_{2,3} has no triangles, so the simplicial battery runs and
+    # its mod-2 cycle rank is a certificate on no vertices
+    p = tmp_path / "k23.complex"
+    p.write_text("v 0\nv 1\nv 2\nv 3\nv 4\n"
+                 "e 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\nbase 0\n")
+    assert run_cli("verify", "--input", str(p)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "systolic: h1 :: rank=2\n"
+    assert "\ncert h1 :: rank=2\n" in captured.out
+
+
 def test_verify_parse_error_exit_2(tmp_path, capsys):
     p = tmp_path / "broken.complex"
     p.write_text("v 0\nv 0\n")

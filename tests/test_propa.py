@@ -7,6 +7,7 @@ that ``property_a_report`` computes.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sysquad import (
     BasedComplex,
@@ -16,8 +17,18 @@ from sysquad import (
     bfs_levels,
     property_a_report,
 )
+from sysquad.propa import PropertyARow
+from sysquad.reports import Certificate
 
-from bruteforce import brute_weight_diff, brute_weight_map, brute_weight_norm
+from bruteforce import (
+    adjacency,
+    bfs_dist,
+    brute_weight_diff,
+    brute_weight_map,
+    brute_weight_norm,
+    random_connected_graph,
+    random_graph,
+)
 from conftest import k23_complex_based, l1, weights
 
 
@@ -242,3 +253,84 @@ def test_bulk_report_agrees_with_single_vertex_api(small_squaring):
     for v in sorted(b.graph.vertices)[::5]:
         for row in rep.rows:
             assert sum(weights(b, v, row.n).values()) == row.norm
+
+
+def brute_property_a(g, base, n_max):
+    """Rows and every violation in scan order, recomputed from the brute weights."""
+    adj = adjacency(g)
+    levels = bfs_dist(adj, base)
+    verts = sorted(g.vertices)
+    unreached = [v for v in verts if v not in levels]
+    if unreached:
+        return [], [Certificate("disconnected", (base, v), "no-path") for v in unreached]
+    down = {v: sum(levels[x] == levels[v] - 1 for x in adj[v]) for v in verts}
+    if any(r > 2 for r in down.values()):
+        return [], [Certificate("non-flat", (v,), f"downward-degree={r}")
+                    for v, r in down.items() if r > 2]
+    ns = range(n_max + 1)
+    edges = sorted(g.edges)
+    norms = {(v, n): brute_weight_norm(g, base, v, n) for v in verts for n in ns}
+    diffs = {(e, n): brute_weight_diff(g, base, *e, n) for e in edges for n in ns}
+    viol = [Certificate("weight-norm", (v,), f"n={n} sum={norms[v, n]} expected={want}")
+            for v in verts for n in ns
+            if norms[v, n] != (want := (n + 2) * (n + 1) // 2)]
+    viol += [Certificate("weight-difference", e, f"n={n} diff={diffs[e, n]} expected={want}")
+             for e in edges for n in ns
+             if diffs[e, n] != (want := 2 * (n + 1))]
+    rows = []
+    for n in ns:
+        norm = max(norms[v, n] for v in verts)
+        md = max((diffs[e, n] for e in edges), default=0)
+        ratio = Fraction(md, norm)
+        if edges:
+            want = Fraction(4, n + 2)
+            if ratio != want:
+                viol.append(Certificate("ratio", (n,), f"ratio={ratio} expected={want}"))
+            if rows and not ratio < rows[-1].ratio:
+                viol.append(Certificate("ratio-monotone", (n,),
+                                        f"ratio={ratio} previous={rows[-1].ratio}"))
+        rows.append(PropertyARow(n, norm, md, ratio, len(edges)))
+    return rows, viol
+
+
+def assert_report_matches_brute(g, base, n_max):
+    rows, viol = brute_property_a(g, base, n_max)
+    for cap in (1, 25):
+        rep = property_a_report(BasedComplex(SquareComplex(g, []), base), n_max, cap)
+        assert rep.rows == tuple(rows)
+        assert rep.check.violations == len(viol)
+        assert rep.check.counterexamples == tuple(sorted(viol[:cap])), cap
+
+
+@pytest.mark.parametrize("edges, base", [
+    # equal-level edge 1-2: the supports {0, 1} and {0, 2} are not nested
+    ([(0, 1), (1, 2), (0, 2)], 0),
+    # odd cycle: equal-level edge 2-3 at the far side
+    ([(i, (i + 1) % 5) for i in range(5)], 0),
+    # the bare hexagon fails the norm, difference and ratio identities
+    ([(i, (i + 1) % 6) for i in range(6)], 0),
+    # hexagon with far vertex 6 and pendant 5: 6 fails the norm from n = 2,
+    # 5 only from n = 3, so cap 1 keeps the row-major (vertex, n) first; at
+    # n_max = 8, cap 25 cuts inside the failing edges 2-6, 4-6 and 5-6
+    ([(0, 1), (1, 2), (2, 6), (6, 4), (4, 3), (3, 0), (6, 5)], 0),
+    # 4-cycle 0-1-2-3 with chord 1-3 and vertex 4 over 1 and 3; from base 2
+    # the chord joins two vertices of level 1
+    ([(0, 1), (0, 3), (1, 2), (2, 3), (1, 4), (3, 4), (1, 3)], 2),
+], ids=["triangle", "pentagon", "hexagon", "hexagon-pendant", "square-triangle"])
+def test_property_a_report_matches_brute_cases(edges, base):
+    g = Graph(range(1 + max(max(e) for e in edges)), edges)
+    assert_report_matches_brute(g, base, 8)
+
+
+# two connected draws per general one, which may leave vertices unreached
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([random_connected_graph, random_connected_graph, random_graph]),
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from([0.1, 0.2, 0.3, 0.45]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=4),
+)
+def test_property_a_report_matches_brute(make, n, p, seed, pick, n_max):
+    assert_report_matches_brute(make(n, p, seed), pick % n, n_max)

@@ -16,6 +16,7 @@ from sysquad import (
     bfs_levels,
     canonical_cycle,
     check_ball_isometry,
+    check_flat_intervals,
     check_interval_isometry,
     check_replacement_rule_A,
     check_replacement_rule_B,
@@ -33,6 +34,7 @@ from bruteforce import (
     adjacency,
     bfs_dist,
     brute_ball_isometry_violations,
+    brute_flat_intervals_text,
     brute_girth,
     brute_h1_rank_mod2,
     brute_interval_isometry_ok,
@@ -45,6 +47,7 @@ from bruteforce import (
     four_cycles_by_subsets,
     random_bipartite_graph,
     random_graph,
+    random_k23_complex,
     random_square_complex,
 )
 from conftest import k23_complex_based, rule_a_mutant, rule_b_mutant
@@ -228,6 +231,26 @@ def test_interval_distance_is_level_difference(params, src):
         sub = {w: [x for x in g.neighbors(w) if x in interval] for w in interval}
         inner = bfs_dist(sub, v)
         assert inner == {w: levels[v] - levels[w] for w in interval}, v
+
+
+# up to three planted K_{2,3}s over a random graph
+k23_params = st.tuples(
+    st.integers(min_value=5, max_value=10),
+    st.sampled_from([0.1, 0.25, 0.4]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k23_params)
+def test_flat_intervals_agree_with_per_interval_search(params):
+    c = random_k23_complex(*params)
+    for base in sorted(c.graph.vertices):
+        b = BasedComplex(c, base)
+        for cap in (1, 25):
+            want = brute_flat_intervals_text(c, base, cap)
+            assert check_flat_intervals(b, cap).to_text() == want, (base, cap)
 
 
 @settings(max_examples=40, deadline=None)
