@@ -18,7 +18,6 @@ from .complexes import (
     canonical_cycle,
     distance,
     enumerate_embedded_4cycles,
-    find_K23,
     girth,
     h1_rank_mod2,
     is_connected,
@@ -78,7 +77,6 @@ __all__ = [
     "check_triangle_condition",
     "distance",
     "enumerate_embedded_4cycles",
-    "find_K23",
     "format_complex",
     "girth",
     "h1_rank_mod2",

@@ -385,18 +385,6 @@ def enumerate_embedded_4cycles(g: Graph) -> list[tuple[int, int, int, int]]:
     return cycles
 
 
-def find_K23(g: Graph) -> list[tuple[tuple[int, int], tuple[int, int, int]]]:
-    """All K_{2,3} subgraph occurrences as (2-side pair, 3-side triple), sorted."""
-    found = []
-    for (u, w), mids in _common_neighbour_pairs(g).items():
-        if len(mids) < 3:
-            continue
-        for triple in combinations(mids, 3):
-            found.append(((u, w), triple))
-    found.sort()
-    return found
-
-
 def _gf2_rank(rows: list[int]) -> int:
     """Rank over GF(2) of rows given as arbitrary-precision bitmask integers."""
     basis: dict[int, int] = {}

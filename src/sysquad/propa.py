@@ -12,7 +12,33 @@ The report checks the norm identity on one array of masses, one row per
 vertex and one column per n. Weights are nonnegative, so across an edge
 |a - b| = a + b - 2 min(a, b) at every vertex, and min(a, b) = 0 wherever
 one side is zero; the l1 difference is therefore the two masses minus
-twice the sum of minima over the common support of the two profiles.
+twice the sum of minima over the common support I(u) & I(v), the vertices
+of both basepoint intervals.
+
+Neither sum needs the weights vertex by vertex. With L the level (the
+distance from the base) and delta the deficiency, the weight of center v
+at w in I(v) is f_{n,v}(w) = T[delta(w), n - (L(v) - L(w))]: inside the
+interval, w lies L(v) - L(w) steps from v. Every neighbour of w one level
+lower lies on a geodesic to the base, so it is in every basepoint interval
+through w, and delta(w) = 2 - |down(w)| is the same in the interval and in
+the whole complex. So f_{n,v}(w) depends on w only through its class
+(L(w), delta(w)), and the mass of v is
+
+    sum over classes (l, delta) of |I(v) & class| * T[delta, n - (L(v) - l)].
+
+For the minima: T is nondecreasing in m and 0 below m = 0, so at a common
+vertex w the smaller of the two weights is the one seen from the center
+farther from the base, the one with the smaller m. The sum of minima over
+an edge u v is then
+
+    sum over classes (l, delta) of |I(u) & I(v) & class|
+                                   * T[delta, n - (max(L(u), L(v)) - l)].
+
+This holds for every edge, also one whose two ends lie on the same level.
+The report therefore needs only the class counts of each interval and of
+the common part of each edge's two intervals. Every interval is one row
+of a packed bitset, built level by level as a down-closure, with the
+columns ordered so that each class is a contiguous range.
 """
 
 from __future__ import annotations
@@ -23,7 +49,6 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import BasedComplex, SquareComplex
-from .quadric import based_interval
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 
@@ -70,29 +95,50 @@ def _weight_table(n_max: int) -> np.ndarray:
     return np.stack([np.ones_like(m), m + 1, (m + 2) * (m + 1) // 2])
 
 
-def _profile(b: BasedComplex, v: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of center v on its basepoint interval for every n the table covers.
+# rows per block when counting: the unpacked bits stay _BLOCK x V bytes
+_BLOCK = 64
 
-    Returns (ids, W): ids the sorted interval vertices as an int64 array,
-    W[n, j] = f_{n,v}(ids[j]) by the table, with d measured inside the
-    interval. That distance is d = levels[v] - levels[w], in any graph: the
-    descending path from v to w lies in the interval and has that length,
-    and the in-interval distance is at least the ambient one, which is at
-    least the level difference. So the support sits inside the ambient
-    radius-n ball around v.
 
-    The deficiency of w is 2 - len(b.down(w)). Every neighbour one level
-    closer to the base lies on a geodesic to the basepoint, so it belongs
-    to any basepoint interval through w: the downward degree is the same
-    in the whole complex and in the interval. The caller has checked that
-    it is at most 2.
+def _interval_bits(lev: np.ndarray, down: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Every basepoint interval as a packed bitset: row i is I(i), bit col[w] is w.
+
+    A geodesic from v to the base steps down a level at a time, so I(v) is
+    {v} plus I(w) for each w in down(v), and one pass per level builds the
+    rows from the level below. Row i of ``down`` names the (at most two,
+    the caller has checked) downward neighbours of i, the one neighbour
+    twice when there is only one.
     """
-    levels = b.levels
-    ids = np.array(sorted(based_interval(b, v)), dtype=np.int64)
-    d = np.array([levels[v] - levels[w] for w in ids], dtype=np.int64)
-    dl = np.array([2 - len(b.down(w)) for w in ids], dtype=np.int64)
-    mm = np.arange(table.shape[1])[:, None] - d[None, :]
-    return ids, np.where(mm >= 0, table[dl[None, :], np.maximum(mm, 0)], 0)
+    n = len(lev)
+    bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    bits[np.arange(n), col >> 3] = 0x80 >> (col & 7)  # unpackbits reads the high bit first
+    order = np.argsort(lev, kind="stable")
+    bounds = np.searchsorted(lev[order], np.arange(lev.max() + 2))
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        rows = order[lo:hi]
+        bits[rows] |= bits[down[rows, 0]] | bits[down[rows, 1]]
+    return bits
+
+
+def _class_sums(bits: np.ndarray, starts: np.ndarray, shift: np.ndarray,
+                lev: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row k, column n: the weight of I(a_k) & I(b_k) seen from the farther center.
+
+    That is the sum over classes c of |I(a_k) & I(b_k) & c| times
+    shift[d, c, n], d = max(lev[a_k], lev[b_k]). Columns of ``bits`` hold
+    the classes as contiguous ranges from ``starts``; the bits are counted
+    ``_BLOCK`` rows at a time, then one matmul per center level.
+    """
+    counts = np.empty((len(a), len(starts)), dtype=np.min_scalar_type(len(bits)))
+    for lo in range(0, len(a), _BLOCK):
+        common = bits[a[lo:lo + _BLOCK]] & bits[b[lo:lo + _BLOCK]]
+        counts[lo:lo + _BLOCK] = np.add.reduceat(
+            np.unpackbits(common, axis=1, count=len(bits)), starts, axis=1, dtype=counts.dtype)
+    far = np.maximum(lev[a], lev[b])
+    out = np.empty((len(a), shift.shape[2]), dtype=np.int64)
+    for d in range(len(shift)):
+        at = far == d
+        out[at] = counts[at] @ shift[d]
+    return out
 
 
 def property_a_report(b: BasedComplex, n_max: int,
@@ -116,23 +162,36 @@ def property_a_report(b: BasedComplex, n_max: int,
         return PropertyAReport(rows=(), check=rb.build())
     g = b.graph
     verts = sorted(g.vertices)
-    for w in verts:
-        r = len(b.down(w))
-        if r > 2:
-            rb.violation("non-flat", (w,), f"downward-degree={r}")
-    # stop before any profile: deficiency -1 would read row 2 of the table
+    downs = [b.down(w) for w in verts]
+    for w, d in zip(verts, downs):
+        if len(d) > 2:
+            rb.violation("non-flat", (w,), f"downward-degree={len(d)}")
+    # stop before any weight: deficiency -1 would read row 2 of the table
     if rb.violations:
         return PropertyAReport(rows=(), check=rb.build())
-    table = _weight_table(n_max)
-    index = {v: i for i, v in enumerate(verts)}
-    profiles = [_profile(b, v, table) for v in verts]
     rb.set_stat("vertices", len(verts))
     rb.set_stat("edges", len(g.edges))
     rb.set_stat("n_max", n_max)
     ns = np.arange(n_max + 1)
+    index = {v: i for i, v in enumerate(verts)}
+    lev = np.array([b.levels[v] for v in verts], dtype=np.intp)
+    # both downward neighbours, the one twice when there is one (the base's row is not read)
+    down = np.array([(index[d[0]], index[d[-1]]) if d else (i, i) for i, d in enumerate(downs)],
+                    dtype=np.intp)
+    # columns hold the classes 3 * level + deficiency in order, each a contiguous range
+    cls = 3 * lev + 2 - np.array([len(d) for d in downs], dtype=np.intp)
+    by_class = np.argsort(cls, kind="stable")
+    col = np.empty_like(by_class)
+    col[by_class] = np.arange(len(verts))
+    keys, starts = np.unique(cls[by_class], return_index=True)
+    # shift[d, c, n] = T[delta_c, n - (d - level_c)], the weight a center on level d gives class c
+    m = ns - (np.arange(lev.max() + 1)[:, None, None] - keys[:, None] // 3)
+    shift = np.where(m >= 0, _weight_table(n_max)[keys[:, None] % 3, np.clip(m, 0, n_max)], 0)
+    bits = _interval_bits(lev, down, col)
 
     # sums[i, n]: the mass of f_{n, verts[i]}
-    sums = np.stack([w.sum(axis=1) for _, w in profiles])
+    every = np.arange(len(verts))
+    sums = _class_sums(bits, starts, shift, lev, every, every)
     max_norm = sums.max(axis=0)
     want_norm = (ns + 2) * (ns + 1) // 2
     for i, n in zip(*np.nonzero(sums != want_norm)):
@@ -140,12 +199,8 @@ def property_a_report(b: BasedComplex, n_max: int,
 
     # l1 = both masses minus twice the minima on the common support (see above)
     edges = sorted(g.edges)
-    diffs = np.zeros((len(edges), n_max + 1), dtype=np.int64)
-    for k, (u, v) in enumerate(edges):
-        i, j = index[u], index[v]
-        (ids_u, w_u), (ids_v, w_v) = profiles[i], profiles[j]
-        _, pu, pv = np.intersect1d(ids_u, ids_v, assume_unique=True, return_indices=True)
-        diffs[k] = sums[i] + sums[j] - 2 * np.minimum(w_u[:, pu], w_v[:, pv]).sum(axis=1)
+    eu, ev = np.searchsorted(verts, np.array(edges, dtype=np.int64).reshape(-1, 2)).T
+    diffs = sums[eu] + sums[ev] - 2 * _class_sums(bits, starts, shift, lev, eu, ev)
     max_diff = diffs.max(axis=0, initial=0)
     want_diff = 2 * (ns + 1)
     for k, n in zip(*np.nonzero(diffs != want_diff)):

@@ -410,10 +410,10 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
     neighbours are therefore found once, on the whole graph, sorted, each
     with its sorted common neighbours. For each interval, every such pair
     with both ends inside emits the 3-subsets of its common neighbours
-    inside, in lexicographic order. These are exactly the occurrences
-    ``find_K23`` returns on the induced interval, in the same order, so the
-    kept certificate prefix is the same too. With no such pair, no interval
-    is read.
+    inside, in lexicographic order. These are exactly the K_{2,3}
+    occurrences of the induced interval, sorted as (pair, triple), so the
+    kept certificate prefix is that of a search on each interval in turn.
+    With no such pair, no interval is read.
     """
     if not isinstance(b.complex, SquareComplex):
         raise ValueError("check_flat_intervals expects a square complex")

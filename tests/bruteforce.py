@@ -151,6 +151,93 @@ def brute_weight_diff(g, base, v, w, n):
     return sum(abs(fv.get(k, 0) - fw.get(k, 0)) for k in keys)
 
 
+def brute_profile(b, v, table):
+    """Weights of center v on its basepoint interval for every n the table covers.
+
+    Returns (ids, W): ids the sorted interval vertices as an int64 array,
+    W[n, j] = f_{n,v}(ids[j]) by the table, with d measured inside the
+    interval. That distance is d = levels[v] - levels[w], in any graph: the
+    descending path from v to w lies in the interval and has that length,
+    and the in-interval distance is at least the ambient one, which is at
+    least the level difference. So the support sits inside the ambient
+    radius-n ball around v.
+
+    The deficiency of w is 2 - len(b.down(w)). Every neighbour one level
+    closer to the base lies on a geodesic to the basepoint, so it belongs
+    to any basepoint interval through w: the downward degree is the same
+    in the whole complex and in the interval. The caller has checked that
+    it is at most 2.
+    """
+    from sysquad import based_interval
+
+    levels = b.levels
+    ids = np.array(sorted(based_interval(b, v)), dtype=np.int64)
+    d = np.array([levels[v] - levels[w] for w in ids], dtype=np.int64)
+    dl = np.array([2 - len(b.down(w)) for w in ids], dtype=np.int64)
+    mm = np.arange(table.shape[1])[:, None] - d[None, :]
+    return ids, np.where(mm >= 0, table[dl[None, :], np.maximum(mm, 0)], 0)
+
+
+def brute_property_a_report(b, n_max, cap):
+    """``property_a_report`` from one ``brute_profile`` per vertex.
+
+    The l1 difference across an edge is the two masses minus twice the sum
+    of minima over the common support, found by one ``np.intersect1d`` per
+    edge. Violations are scanned in the same row-major order as the report.
+    """
+    from fractions import Fraction
+
+    from sysquad.propa import PropertyAReport, PropertyARow, _weight_table
+    from sysquad.reports import ReportBuilder
+
+    rb = ReportBuilder("property-a", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return PropertyAReport(rows=(), check=rb.build())
+    g = b.graph
+    verts = sorted(g.vertices)
+    for w in verts:
+        r = len(b.down(w))
+        if r > 2:
+            rb.violation("non-flat", (w,), f"downward-degree={r}")
+    if rb.violations:
+        return PropertyAReport(rows=(), check=rb.build())
+    table = _weight_table(n_max)
+    index = {v: i for i, v in enumerate(verts)}
+    profiles = [brute_profile(b, v, table) for v in verts]
+    rb.set_stat("vertices", len(verts))
+    rb.set_stat("edges", len(g.edges))
+    rb.set_stat("n_max", n_max)
+    ns = np.arange(n_max + 1)
+    sums = np.stack([w.sum(axis=1) for _, w in profiles])
+    max_norm = sums.max(axis=0)
+    want_norm = (ns + 2) * (ns + 1) // 2
+    for i, n in zip(*np.nonzero(sums != want_norm)):
+        rb.violation("weight-norm", (verts[i],), f"n={n} sum={sums[i, n]} expected={want_norm[n]}")
+    edges = sorted(g.edges)
+    diffs = np.zeros((len(edges), n_max + 1), dtype=np.int64)
+    for k, (u, v) in enumerate(edges):
+        i, j = index[u], index[v]
+        (ids_u, w_u), (ids_v, w_v) = profiles[i], profiles[j]
+        _, pu, pv = np.intersect1d(ids_u, ids_v, assume_unique=True, return_indices=True)
+        diffs[k] = sums[i] + sums[j] - 2 * np.minimum(w_u[:, pu], w_v[:, pv]).sum(axis=1)
+    max_diff = diffs.max(axis=0, initial=0)
+    want_diff = 2 * (ns + 1)
+    for k, n in zip(*np.nonzero(diffs != want_diff)):
+        rb.violation("weight-difference", edges[k],
+                     f"n={n} diff={diffs[k, n]} expected={want_diff[n]}")
+    rows = []
+    for n in range(n_max + 1):
+        ratio = Fraction(int(max_diff[n]), int(max_norm[n]))
+        if edges:
+            want = Fraction(4, n + 2)
+            if ratio != want:
+                rb.violation("ratio", (n,), f"ratio={ratio} expected={want}")
+            if rows and not ratio < rows[-1].ratio:
+                rb.violation("ratio-monotone", (n,), f"ratio={ratio} previous={rows[-1].ratio}")
+        rows.append(PropertyARow(n, int(max_norm[n]), int(max_diff[n]), ratio, len(edges)))
+    return PropertyAReport(rows=tuple(rows), check=rb.build())
+
+
 def brute_ball_isometry_violations(g):
     """(center, radius, x, y) with in-ball distance above global distance."""
     adj = adjacency(g)
@@ -424,6 +511,20 @@ def random_k23_complex(n, p, plants, seed):
     return SquareComplex(g, chosen)
 
 
+def find_K23(g):
+    """All K_{2,3} subgraph occurrences as (2-side pair, 3-side triple), sorted."""
+    from sysquad.complexes import _common_neighbour_pairs
+
+    found = []
+    for (u, w), mids in _common_neighbour_pairs(g).items():
+        if len(mids) < 3:
+            continue
+        for triple in combinations(mids, 3):
+            found.append(((u, w), triple))
+    found.sort()
+    return found
+
+
 def brute_flat_intervals_text(c, base, cap):
     """The ``flat-intervals`` report text, one K_{2,3} search per interval.
 
@@ -431,7 +532,7 @@ def brute_flat_intervals_text(c, base, cap):
     ``find_K23`` (itself checked against ``brute_k23``) searches it, in
     vertex order, so the kept certificate prefix is the report's.
     """
-    from sysquad import Graph, find_K23
+    from sysquad import Graph
     from sysquad.reports import ReportBuilder
 
     g = c.graph

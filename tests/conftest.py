@@ -1,12 +1,14 @@
 """Shared instances: lemma-scale disks, the two radius-8 suites, mutants.
 
-Also the per-vertex view of the weights that ``property_a_report`` uses.
+Also a per-vertex view of the weights from the ``brute_profile`` oracle.
 """
 
 import pytest
 
 import sysquad as sq
 from sysquad import propa
+
+from bruteforce import brute_profile
 
 # five lemma-scale disks: two uniform degree-6, one degree-7, two mixed random
 LEMMA_SPECS = (
@@ -41,6 +43,20 @@ def squaring6(disk6_r8):
 @pytest.fixture(scope="session")
 def squaring7(disk7_r8):
     return sq.squaring(sq.BasedComplex(disk7_r8.complex, disk7_r8.center))
+
+
+@pytest.fixture(scope="session")
+def flat6_squared():
+    """The benchmark's flat6 squaring: degree 6, radius 12, 469 vertices."""
+    disk = sq.triangulated_disk(sq.DiskSpec(radius=12, degrees=6))
+    return sq.squaring(sq.BasedComplex(disk.complex, disk.center)).squared
+
+
+@pytest.fixture(scope="session")
+def hyper7_squared():
+    """The benchmark's hyper7 squaring: degree 7, radius 5, 617 vertices."""
+    disk = sq.triangulated_disk(sq.DiskSpec(radius=5, degrees=7))
+    return sq.squaring(sq.BasedComplex(disk.complex, disk.center)).squared
 
 
 @pytest.fixture(scope="session")
@@ -85,8 +101,8 @@ def mutants():
 
 
 def weights(b, v, n):
-    """f_{n,v} as {vertex: weight}, zeros dropped: row n of the report's profile of v."""
-    ids, rows = propa._profile(b, v, propa._weight_table(n))
+    """f_{n,v} as {vertex: weight}, zeros dropped: row n of ``brute_profile``."""
+    ids, rows = brute_profile(b, v, propa._weight_table(n))
     return {int(w): int(x) for w, x in zip(ids, rows[n]) if x}
 
 

@@ -26,7 +26,6 @@ from sysquad import (
     check_spheres_triangle_free,
     check_triangle_condition,
     enumerate_embedded_4cycles,
-    find_K23,
     girth,
     non_systolic_counterexamples,
     property_a_report,
@@ -48,6 +47,7 @@ from bruteforce import (
     brute_weight_norm,
     count_4cycles_trace,
     cycle_edges,
+    find_K23,
     four_cycles_by_subsets,
     random_graph,
 )

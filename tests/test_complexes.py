@@ -12,7 +12,6 @@ from sysquad import (
     canonical_cycle,
     distance,
     enumerate_embedded_4cycles,
-    find_K23,
     girth,
     h1_rank_mod2,
     is_connected,
@@ -26,6 +25,7 @@ from bruteforce import (
     brute_h1_rank_mod2,
     brute_k23,
     cycle_edges,
+    find_K23,
     four_cycles_by_subsets,
     random_graph,
 )

@@ -1,11 +1,13 @@
 """Weight functions, the deficiencies behind them, and the exact mass identities.
 
-Per-vertex weights come from ``conftest.weights``, a view of the profiles
-that ``property_a_report`` computes.
+Per-vertex weights come from ``conftest.weights``, a view of the
+``brute_profile`` oracle; ``brute_property_a_report`` builds the whole
+report from those profiles and is compared with ``property_a_report``.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,17 +19,19 @@ from sysquad import (
     bfs_levels,
     property_a_report,
 )
-from sysquad.propa import PropertyARow
+from sysquad.propa import PropertyARow, _weight_table
 from sysquad.reports import Certificate
 
 from bruteforce import (
     adjacency,
     bfs_dist,
+    brute_property_a_report,
     brute_weight_diff,
     brute_weight_map,
     brute_weight_norm,
     random_connected_graph,
     random_graph,
+    random_k23_complex,
 )
 from conftest import k23_complex_based, l1, weights
 
@@ -75,6 +79,16 @@ def test_deficiency_rejects_three_downward_neighbours():
 
 
 # --------------------------------------------------------------------- weights
+
+
+def test_weight_table_rows_nondecreasing_in_m():
+    # the report takes the minimum of two weights of one vertex from the
+    # farther center; that needs T[delta, m] nondecreasing in m
+    for n_max in (0, 1, 5, 12, 40):
+        table = _weight_table(n_max)
+        assert table.shape == (3, n_max + 1)
+        assert (table >= 1).all()
+        assert (np.diff(table, axis=1) >= 0).all()
 
 
 def test_weight_values_on_diamond():
@@ -334,3 +348,82 @@ def test_property_a_report_matches_brute_cases(edges, base):
 )
 def test_property_a_report_matches_brute(make, n, p, seed, pick, n_max):
     assert_report_matches_brute(make(n, p, seed), pick % n, n_max)
+
+
+def test_property_a_report_c5_equal_level_edge():
+    # the pentagon from 0 has levels 0, 1, 2, 2, 1: edge 2-3 joins two
+    # level-2 vertices, whose weights at 2 and 3 come from the same level
+    g = Graph(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    rep = property_a_report(BasedComplex(SquareComplex(g, []), 0), 3)
+    assert rep.csv_lines()[1:] == ["0,1,2,2,1,5", "1,3,6,2,1,5", "2,6,10,5,3,5", "3,10,14,7,5,5"]
+    assert rep.check.violations == 7
+    assert str(rep.check.counterexamples[0]) == "ratio 1 :: ratio=2 expected=4/3"
+    assert "weight-difference 2 3 :: n=1 diff=6 expected=4" in map(str, rep.check.counterexamples)
+
+
+def assert_report_matches_oracle(c, bases, n_maxes):
+    for base in bases:
+        b = BasedComplex(c, base)
+        for n_max in n_maxes:
+            for cap in (1, 25):
+                got = property_a_report(b, n_max, cap)
+                want = brute_property_a_report(b, n_max, cap)
+                # the check holds the violation count, kept certificates and stats
+                assert got.rows == want.rows, (base, n_max, cap)
+                assert got.check == want.check, (base, n_max, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=5, max_value=12),
+    st.sampled_from([0.1, 0.2, 0.3]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=6),
+)
+def test_property_a_report_matches_profile_oracle_k23(n, p, plants, seed, n_max):
+    c = random_k23_complex(n, p, plants, seed)
+    assert_report_matches_oracle(c, sorted(c.graph.vertices), (n_max,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0.1, 0.2, 0.3, 0.45]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=6),
+)
+def test_property_a_report_matches_profile_oracle_connected(n, p, seed, n_max):
+    c = SquareComplex(random_connected_graph(n, p, seed), [])
+    assert_report_matches_oracle(c, sorted(c.graph.vertices), (n_max,))
+
+
+@pytest.mark.parametrize("name", ["flat6_squared", "hyper7_squared"])
+def test_property_a_report_matches_profile_oracle_benchmark_squarings(name, request):
+    # more than 64 vertices and edges, so the counts span several blocks
+    b = request.getfixturevalue(name)
+    verts = sorted(b.graph.vertices)
+    assert len(verts) > 64
+    assert_report_matches_oracle(b.complex, [b.basepoint, *verts[::150]], (0, 6))
+    assert property_a_report(b, 6).passed
+
+
+@pytest.mark.parametrize("vertices, edges, reached", [
+    # one vertex, no edge: the interval bitset has one level and one row
+    (1, [], True),
+    # a star from its center: the levels stop at 1
+    (4, [(0, 1), (0, 2), (0, 3)], True),
+    # a triangle: the levels stop at 1 and the edge 1-2 lies on level 1
+    (3, [(0, 1), (0, 2), (1, 2)], True),
+    # an edge and an isolated vertex: one disconnected certificate, no rows
+    (3, [(0, 1)], False),
+], ids=["single-vertex", "star", "triangle", "unreached"])
+@pytest.mark.parametrize("n_max", [0, 4])
+def test_property_a_report_matches_profile_oracle_edge_cases(vertices, edges, reached, n_max):
+    c = SquareComplex(Graph(range(vertices), edges), [])
+    assert_report_matches_oracle(c, [0], (n_max,))
+    rep = property_a_report(BasedComplex(c, 0), n_max)
+    assert len(rep.rows) == (n_max + 1 if reached else 0)
+    assert all(row.edges_checked == len(edges) for row in rep.rows)
+    if not reached:
+        assert [str(x) for x in rep.check.counterexamples] == ["disconnected 0 2 :: no-path"]

@@ -22,7 +22,6 @@ from sysquad import (
     check_replacement_rule_B,
     distance,
     enumerate_embedded_4cycles,
-    find_K23,
     girth,
     h1_rank_mod2,
     is_connected,
@@ -44,6 +43,7 @@ from bruteforce import (
     brute_rule_a_violations,
     brute_rule_b_violations,
     cycle_edges,
+    find_K23,
     four_cycles_by_subsets,
     random_bipartite_graph,
     random_graph,
