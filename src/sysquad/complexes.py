@@ -1,10 +1,10 @@
 """Core combinatorial structures and metric primitives.
 
-Finite simple graphs on integer vertex ids, 2-dimensional triangle
-complexes, square complexes, and basepointed variants, together with
-the handful of graph-theoretic operations everything else is built on:
-BFS distances, vertex links, girth, embedded 4-cycle enumeration,
-K_{2,3} pattern search, and mod-2 first-homology rank.
+Finite simple graphs on integer vertex ids, triangle and square complexes
+(one store of cells glued along embedded cycles), and basepointed variants,
+together with the graph operations everything else is built on: BFS
+distances, vertex links, girth, embedded 4-cycle enumeration, common
+neighbours, and mod-2 first-homology rank.
 
 All containers are frozen after construction and every enumeration is
 returned in a canonical sorted order, so identical inputs always produce
@@ -28,17 +28,33 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation or reflection of a cyclic vertex sequence."""
+    """Lexicographically least rotation or reflection of a cyclic vertex sequence.
+
+    The rotations and reflections of three or fewer entries are all their
+    orders, so the least one is the sorted tuple. With distinct entries the
+    least one starts at the minimum and steps to its smaller neighbour;
+    with repeated entries all 2n candidates are compared.
+    """
     t = tuple(cycle)
     n = len(t)
-    best = None
-    for s in (t, t[::-1]):
-        for i in range(n):
-            cand = s[i:] + s[:i]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    if n <= 3:
+        return tuple(sorted(t))
+    if len(set(t)) < n:
+        return min(s[i:] + s[:i] for s in (t, t[::-1]) for i in range(n))
+    i = t.index(min(t))
+    if t[i - n + 1] < t[i - 1]:
+        return t[i:] + t[:i]
+    return t[i::-1] + t[:i:-1]
+
+
+def _boundary_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
+    """The edges between consecutive vertices of a cycle, the last joined to the first."""
+    edges = []
+    u = cycle[0]
+    for w in cycle[1:] + cycle[:1]:
+        edges.append((u, w) if u < w else (w, u))
+        u = w
+    return edges
 
 
 class Graph:
@@ -106,118 +122,95 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
 
 
-class SimplicialComplex2:
-    """A graph plus a set of triangles, each spanning three pairwise adjacent vertices."""
+class _CellComplex:
+    """A graph plus 2-cells glued along embedded cycles of one length (3 or 4).
 
-    __slots__ = ("_graph", "_triangles", "_tri_at")
+    A cell is stored as the canonical form of its boundary cycle (a triangle
+    as its sorted vertices), so no two cells are glued to the same cycle.
+    """
 
-    def __init__(self, graph: Graph, triangles: Iterable[Sequence[int]] = ()):
-        tris = set()
-        for tri in triangles:
-            t = tuple(sorted(tri))
-            if len(t) != 3 or len(set(t)) != 3:
-                raise ValueError(f"triangle {tuple(tri)} must have 3 distinct vertices")
-            a, b, c = t
-            for e in ((a, b), (a, c), (b, c)):
-                if e not in graph.edges:
-                    raise ValueError(f"triangle {t} misses edge {e}")
-            tris.add(t)
+    __slots__ = ("_graph", "_cells", "_cells_at")
+    _length: int
+    _noun: str
+
+    def __init__(self, graph: Graph, cells: Iterable[Sequence[int]] = ()):
+        n = self._length
+        edges = graph.edges
+        store = set()
+        for cell in cells:
+            c = canonical_cycle(cell)
+            if len(c) != n or len(set(c)) != n:
+                raise ValueError(f"{self._noun} {tuple(cell)} must have {n} distinct vertices")
+            missing = [e for e in _boundary_edges(c) if e not in edges]
+            if missing:
+                raise ValueError(f"{self._noun} {tuple(cell)} misses boundary edge {missing[0]}")
+            store.add(c)
         self._graph = graph
-        self._triangles: frozenset[tuple[int, int, int]] = frozenset(tris)
-        tri_at: dict[int, list[tuple[int, int, int]]] = {}
-        for t in sorted(self._triangles):
-            for v in t:
-                tri_at.setdefault(v, []).append(t)
-        self._tri_at = {v: tuple(ts) for v, ts in tri_at.items()}
+        self._cells: frozenset[tuple[int, ...]] = frozenset(store)
+        cells_at: dict[int, list[tuple[int, ...]]] = {}
+        for c in sorted(self._cells):
+            for v in c:
+                cells_at.setdefault(v, []).append(c)
+        self._cells_at = {v: tuple(cs) for v, cs in cells_at.items()}
 
     @property
     def graph(self) -> Graph:
         return self._graph
+
+    def _at(self, v: int) -> tuple[tuple[int, ...], ...]:
+        if not self._graph.has_vertex(v):
+            raise ValueError(f"unknown vertex {v}")
+        return self._cells_at.get(v, ())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._graph == other._graph and self._cells == other._cells
+
+    def __hash__(self) -> int:
+        return hash((self._graph, self._cells))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({len(self._graph.vertices)} vertices, "
+            f"{len(self._graph.edges)} edges, {len(self._cells)} {self._noun}s)"
+        )
+
+
+class SimplicialComplex2(_CellComplex):
+    """A graph plus a set of triangles, each spanning three pairwise adjacent vertices."""
+
+    __slots__ = ()
+    _length = 3
+    _noun = "triangle"
 
     @property
     def triangles(self) -> frozenset[tuple[int, int, int]]:
-        return self._triangles
+        return self._cells
 
     def triangles_at(self, v: int) -> tuple[tuple[int, int, int], ...]:
-        if not self._graph.has_vertex(v):
-            raise ValueError(f"unknown vertex {v}")
-        return self._tri_at.get(v, ())
+        return self._at(v)
 
     def has_triangle(self, tri: Sequence[int]) -> bool:
-        return tuple(sorted(tri)) in self._triangles
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialComplex2):
-            return NotImplemented
-        return self._graph == other._graph and self._triangles == other._triangles
-
-    def __hash__(self) -> int:
-        return hash((self._graph, self._triangles))
-
-    def __repr__(self) -> str:
-        return (
-            f"SimplicialComplex2({len(self._graph.vertices)} vertices, "
-            f"{len(self._graph.edges)} edges, {len(self._triangles)} triangles)"
-        )
+        return canonical_cycle(tri) in self._cells
 
 
-class SquareComplex:
-    """A graph plus a set of squares glued to embedded 4-cycles.
+class SquareComplex(_CellComplex):
+    """A graph plus a set of squares glued to embedded 4-cycles."""
 
-    Each square is stored as the canonical form of its boundary cycle, so
-    no two squares are glued to the same 4-cycle.
-    """
-
-    __slots__ = ("_graph", "_squares", "_sq_at")
-
-    def __init__(self, graph: Graph, squares: Iterable[Sequence[int]] = ()):
-        sqs = set()
-        for sq in squares:
-            s = tuple(sq)
-            if len(s) != 4 or len(set(s)) != 4:
-                raise ValueError(f"square {s} must have 4 distinct vertices")
-            for i in range(4):
-                e = _normalize_edge(s[i], s[(i + 1) % 4])
-                if e not in graph.edges:
-                    raise ValueError(f"square {s} misses boundary edge {e}")
-            sqs.add(canonical_cycle(s))
-        self._graph = graph
-        self._squares: frozenset[tuple[int, int, int, int]] = frozenset(sqs)
-        sq_at: dict[int, list[tuple[int, int, int, int]]] = {}
-        for s in sorted(self._squares):
-            for v in s:
-                sq_at.setdefault(v, []).append(s)
-        self._sq_at = {v: tuple(ss) for v, ss in sq_at.items()}
-
-    @property
-    def graph(self) -> Graph:
-        return self._graph
+    __slots__ = ()
+    _length = 4
+    _noun = "square"
 
     @property
     def squares(self) -> frozenset[tuple[int, int, int, int]]:
-        return self._squares
+        return self._cells
 
     def squares_at(self, v: int) -> tuple[tuple[int, int, int, int], ...]:
-        if not self._graph.has_vertex(v):
-            raise ValueError(f"unknown vertex {v}")
-        return self._sq_at.get(v, ())
+        return self._at(v)
 
     def has_square(self, cycle: Sequence[int]) -> bool:
-        return canonical_cycle(cycle) in self._squares
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquareComplex):
-            return NotImplemented
-        return self._graph == other._graph and self._squares == other._squares
-
-    def __hash__(self) -> int:
-        return hash((self._graph, self._squares))
-
-    def __repr__(self) -> str:
-        return (
-            f"SquareComplex({len(self._graph.vertices)} vertices, "
-            f"{len(self._graph.edges)} edges, {len(self._squares)} squares)"
-        )
+        return canonical_cycle(cycle) in self._cells
 
 
 class BasedComplex:
@@ -413,17 +406,7 @@ def h1_rank_mod2(c: SimplicialComplex2 | SquareComplex) -> int:
         raise ValueError("h1_rank_mod2 requires a connected complex")
     edges = sorted(g.edges)
     eidx = {e: i for i, e in enumerate(edges)}
-    rows = []
-    if isinstance(c, SimplicialComplex2):
-        for a, b, cc in sorted(c.triangles):
-            rows.append(
-                (1 << eidx[(a, b)]) | (1 << eidx[(a, cc)]) | (1 << eidx[(b, cc)])
-            )
-    else:
-        for s in sorted(c.squares):
-            m = 0
-            for i in range(4):
-                m |= 1 << eidx[_normalize_edge(s[i], s[(i + 1) % 4])]
-            rows.append(m)
-    cycle_rank = len(edges) - len(g.vertices) + 1
+    rows = [sum(1 << eidx[e] for e in _boundary_edges(cell)) for cell in sorted(c._cells)]
+    # E - V + (number of components): one for a connected graph, none for the empty one
+    cycle_rank = len(edges) - len(g.vertices) + min(1, len(g.vertices))
     return cycle_rank - _gf2_rank(rows)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .complexes import Graph, SimplicialComplex2, SquareComplex, canonical_cycle
+from .complexes import Graph, SimplicialComplex2, SquareComplex, _boundary_edges, canonical_cycle
 
 _ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
+_CELL = {"t": "triangle", "q": "square"}
 
 
 class ComplexFileError(ValueError):
@@ -38,27 +39,24 @@ class ParsedComplex:
 
     vertices: frozenset[int]
     edges: frozenset[tuple[int, int]]
-    triangles: frozenset[tuple[int, int, int]]
-    squares: frozenset[tuple[int, int, int, int]]
+    cells: frozenset[tuple[int, ...]]
     basepoint: int | None
 
     @property
     def kind(self) -> str:
-        if self.squares:
-            return "square"
-        if self.triangles:
-            return "simplicial"
-        return "graph"
+        if not self.cells:
+            return "graph"
+        return "square" if len(next(iter(self.cells))) == 4 else "simplicial"
 
     def to_simplicial(self) -> SimplicialComplex2:
-        if self.squares:
+        if self.kind == "square":
             raise ValueError("file carries squares, not a simplicial complex")
-        return SimplicialComplex2(Graph(self.vertices, self.edges), self.triangles)
+        return SimplicialComplex2(Graph(self.vertices, self.edges), self.cells)
 
     def to_square(self) -> SquareComplex:
-        if self.triangles:
+        if self.kind == "simplicial":
             raise ValueError("file carries triangles, not a square complex")
-        return SquareComplex(Graph(self.vertices, self.edges), self.squares)
+        return SquareComplex(Graph(self.vertices, self.edges), self.cells)
 
 
 def _records(text: str):
@@ -97,11 +95,9 @@ def parse_complex(text: str) -> ParsedComplex:
             vertices.add(ids[0])
 
     edges: set[tuple[int, int]] = set()
-    triangles: set[tuple[int, int, int]] = set()
-    squares: set[tuple[int, int, int, int]] = set()
+    cells: set[tuple[int, ...]] = set()
     basepoint: int | None = None
-    saw_t_line = None
-    saw_q_line = None
+    first_line: dict[str, int] = {}
 
     for lineno, kind, ids in recs:
         if kind == "v":
@@ -117,51 +113,36 @@ def parse_complex(text: str) -> ParsedComplex:
             if e in edges:
                 raise ComplexFileError(lineno, f"duplicate edge {e}")
             edges.add(e)
-        elif kind == "t":
-            saw_t_line = saw_t_line or lineno
-            if len(set(ids)) != 3:
-                raise ComplexFileError(lineno, f"triangle {tuple(ids)} repeats a vertex")
-            t = tuple(sorted(ids))
-            if t in triangles:
-                raise ComplexFileError(lineno, f"duplicate triangle {t}")
-            triangles.add(t)
-        elif kind == "q":
-            saw_q_line = saw_q_line or lineno
-            if len(set(ids)) != 4:
-                raise ComplexFileError(lineno, f"square {tuple(ids)} repeats a vertex")
-            s = canonical_cycle(ids)
-            if s in squares:
-                raise ComplexFileError(lineno, f"duplicate square {s}")
-            squares.add(s)
+        elif kind in _CELL:
+            first_line.setdefault(kind, lineno)
+            if len(set(ids)) != len(ids):
+                raise ComplexFileError(lineno, f"{_CELL[kind]} {tuple(ids)} repeats a vertex")
+            cell = canonical_cycle(ids)
+            if cell in cells:
+                raise ComplexFileError(lineno, f"duplicate {_CELL[kind]} {cell}")
+            cells.add(cell)
         else:  # base
             if basepoint is not None:
                 raise ComplexFileError(lineno, "second base record")
             basepoint = ids[0]
 
-    if saw_t_line and saw_q_line:
-        raise ComplexFileError(
-            max(saw_t_line, saw_q_line), "file mixes triangles and squares"
-        )
+    if len(first_line) == 2:
+        raise ComplexFileError(max(first_line.values()), "file mixes triangles and squares")
 
     # cell boundary edges must be declared
     for lineno, kind, ids in recs:
-        if kind == "t":
-            a, b, c = sorted(ids)
-            for e in ((a, b), (a, c), (b, c)):
-                if e not in edges:
-                    raise ComplexFileError(lineno, f"triangle {(a, b, c)} misses edge {e}")
-        elif kind == "q":
-            for i in range(4):
-                u, w = ids[i], ids[(i + 1) % 4]
-                e = (min(u, w), max(u, w))
-                if e not in edges:
-                    raise ComplexFileError(lineno, f"square {tuple(ids)} misses edge {e}")
+        if kind in _CELL:
+            missing = [e for e in _boundary_edges(ids) if e not in edges]
+            # parse errors are byte-stable: a triangle names its sorted vertices and
+            # least missing edge, a square its file order and first missing edge along it
+            if missing:
+                cell, e = (sorted(ids), min(missing)) if kind == "t" else (ids, missing[0])
+                raise ComplexFileError(lineno, f"{_CELL[kind]} {tuple(cell)} misses edge {e}")
 
     return ParsedComplex(
         vertices=frozenset(vertices),
         edges=frozenset(edges),
-        triangles=frozenset(triangles),
-        squares=frozenset(squares),
+        cells=frozenset(cells),
         basepoint=basepoint,
     )
 
@@ -181,12 +162,8 @@ def format_complex(
         out.write(f"v {v}\n")
     for u, w in sorted(g.edges):
         out.write(f"e {u} {w}\n")
-    if isinstance(complex, SimplicialComplex2):
-        for a, b, c in sorted(complex.triangles):
-            out.write(f"t {a} {b} {c}\n")
-    else:
-        for s in sorted(complex.squares):
-            out.write(f"q {s[0]} {s[1]} {s[2]} {s[3]}\n")
+    for cell in sorted(complex._cells):
+        out.write(("t %d %d %d\n", "q %d %d %d %d\n")[len(cell) - 3] % cell)
     if basepoint is not None:
         if not g.has_vertex(basepoint):
             raise ValueError(f"basepoint {basepoint} is not a vertex")

@@ -387,12 +387,13 @@ def brute_rule_b_violations(c):
                     ok = True
                     break
             if not ok:
-                key = _canonical_hexagon(hexagon)
+                key = brute_canonical_cycle(hexagon)
                 viol.add((u,) + key)
     return sorted(viol)
 
 
-def _canonical_hexagon(seq):
+def brute_canonical_cycle(seq):
+    """Least of all rotations and reflections of a cyclic sequence, by enumeration."""
     best = None
     k = len(seq)
     for flip in (tuple(seq), tuple(reversed(seq))):
@@ -440,7 +441,14 @@ def brute_h1_rank_mod2(c):
         row += 1
         if row == mat.shape[0]:
             break
-    cycles = len(edges) - len(g.vertices) + 1
+    adj = adjacency(g)
+    seen = set()
+    components = 0
+    for v in sorted(g.vertices):
+        if v not in seen:
+            components += 1
+            seen.update(bfs_dist(adj, v))
+    cycles = len(edges) - len(g.vertices) + components
     return cycles - rank
 
 

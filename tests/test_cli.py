@@ -261,6 +261,37 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("v 0\nv 1\nv 2\ne 0 1\ne 1 2\nt 2 0 1\n",
+     "line 6: triangle (0, 1, 2) misses edge (0, 2)"),
+    # a triangle names its least missing edge, a square the first along its file order
+    ("v 0\nv 1\nv 2\ne 1 2\nt 2 1 0\n", "line 5: triangle (0, 1, 2) misses edge (0, 1)"),
+    ("v 0\nv 1\nv 2\ne 0 1\nt 0 1 2\n", "line 5: triangle (0, 1, 2) misses edge (0, 2)"),
+    ("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 2 3\nq 2 3 0 1\n",
+     "line 8: square (2, 3, 0, 1) misses edge (0, 3)"),
+    ("v 0\nv 1\nv 2\nv 3\ne 0 1\nq 2 3 0 1\n", "line 6: square (2, 3, 0, 1) misses edge (2, 3)"),
+    ("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 2 3\ne 0 3\nq 0 1 2 3\nq 1 0 3 2\n",
+     "line 10: duplicate square (0, 1, 2, 3)"),
+    ("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 0 2\ne 2 3\ne 0 3\nt 0 1 2\nq 0 1 2 3\n",
+     "line 11: file mixes triangles and squares"),
+])
+def test_verify_cell_parse_errors(tmp_path, capsys, text, message):
+    p = tmp_path / "cells.complex"
+    p.write_text(text)
+    assert run_cli("verify", "--input", str(p)) == 2
+    assert capsys.readouterr().err == f"{p}: {message}\n"
+
+
+def test_verify_empty_file_passes(tmp_path, capsys):
+    # no vertices: no components and no cycles, so the cycle rank is 0
+    p = tmp_path / "empty.complex"
+    p.write_text("")
+    assert run_cli("verify", "--input", str(p)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "stat h1_rank_mod2 0\n" in captured.out
+
+
 def test_verify_missing_file(tmp_path):
     assert run_cli("verify", "--input", str(tmp_path / "none.complex")) == 2
 

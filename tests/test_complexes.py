@@ -220,7 +220,7 @@ def test_k23_matches_oracle():
 
 def test_triangle_needs_all_edges():
     g = Graph(range(3), [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="misses edge"):
+    with pytest.raises(ValueError, match="misses boundary edge"):
         SimplicialComplex2(g, [(0, 1, 2)])
 
 
@@ -230,10 +230,37 @@ def test_triangle_needs_distinct_vertices():
         SimplicialComplex2(g, [(0, 1, 1)])
 
 
+def test_square_needs_distinct_vertices():
+    with pytest.raises(ValueError, match="distinct"):
+        SquareComplex(cycle_graph(4), [(0, 1, 0, 3)])
+
+
 def test_square_needs_boundary_edges():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match="misses boundary edge"):
         SquareComplex(g, [(0, 1, 2, 3)])
+
+
+def test_triangle_and_square_complexes_differ():
+    g = cycle_graph(4)
+    assert SimplicialComplex2(g, []) != SquareComplex(g, [])
+    assert SquareComplex(g, []) != SimplicialComplex2(g, [])
+    assert SquareComplex(g, []) == SquareComplex(g, [])
+
+
+def test_cells_at_are_sorted():
+    # the wheel with hub 0 and rim 1..5: every triangle and 4-cycle meets the hub
+    rim = [(i, i % 5 + 1) for i in range(1, 6)]
+    g = Graph(range(6), [(0, i) for i in range(1, 6)] + rim)
+    tris = [(0, b, a) for a, b in reversed(rim)]
+    c = SimplicialComplex2(g, tris)
+    assert c.triangles_at(0) == tuple(sorted(tuple(sorted(t)) for t in tris))
+    assert c.triangles_at(1) == ((0, 1, 2), (0, 1, 5))
+    sqs = [(1, 2, 3, 0), (5, 4, 3, 0), (2, 3, 4, 0), (1, 0, 4, 5)]
+    sc = SquareComplex(g, sqs)
+    assert sc.squares_at(0) == ((0, 1, 2, 3), (0, 1, 5, 4), (0, 2, 3, 4), (0, 3, 4, 5))
+    assert sc.squares_at(3) == ((0, 1, 2, 3), (0, 2, 3, 4), (0, 3, 4, 5))
+    assert sc.squares_at(5) == ((0, 1, 5, 4), (0, 3, 4, 5))
 
 
 def test_square_complex_lookup():
@@ -256,6 +283,13 @@ def test_h1_rank_examples():
     tri = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
     assert h1_rank_mod2(SimplicialComplex2(tri, [(0, 1, 2)])) == 0
     assert h1_rank_mod2(SimplicialComplex2(tri, [])) == 1
+
+
+@pytest.mark.parametrize("cls", [SimplicialComplex2, SquareComplex])
+def test_h1_rank_of_empty_complex_is_zero(cls):
+    c = cls(Graph([]), [])
+    assert h1_rank_mod2(c) == 0
+    assert brute_h1_rank_mod2(c) == 0
 
 
 def test_h1_rank_tree_is_zero():

@@ -33,6 +33,7 @@ from bruteforce import (
     adjacency,
     bfs_dist,
     brute_ball_isometry_violations,
+    brute_canonical_cycle,
     brute_flat_intervals_text,
     brute_girth,
     brute_h1_rank_mod2,
@@ -177,6 +178,14 @@ def test_canonical_cycle_orbit_invariance(perm):
     assert len(forms) == 1
     canon = forms.pop()
     assert canon[0] == min(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=6))
+def test_canonical_cycle_matches_oracle(seq):
+    # values from 0..3 force repeats at lengths 5 and 6 and often below
+    assert canonical_cycle(seq) == brute_canonical_cycle(seq)
+    assert canonical_cycle(tuple(seq)) == brute_canonical_cycle(seq)
 
 
 @settings(max_examples=40, deadline=None)
