@@ -556,3 +556,93 @@ def brute_flat_intervals_text(c, base, cap):
         for (u0, u1), triple in find_K23(sub):
             rb.violation("k23-in-interval", (u0, u1) + triple, f"interval={base}->{v}")
     return rb.build().to_text()
+
+
+_ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
+_CELL = {"t": "triangle", "q": "square"}
+
+
+def brute_parse_complex(text):
+    """The three-pass complex file reader, returning (complex, basepoint).
+
+    Syntax first, over the whole file; then vertices; then every other
+    record in file order; then the mixed-kinds check; then each cell's
+    boundary edges, in file order. Only then is a ``Graph`` built and the
+    cells handed to a store, which checks them again. A file with no
+    cells reads as a ``SimplicialComplex2`` with no triangles.
+    """
+    from sysquad import ComplexFileError, Graph, SimplicialComplex2, SquareComplex
+
+    recs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *toks = line.split()
+        if kind not in _ARITY:
+            raise ComplexFileError(lineno, f"unknown record type {kind!r}")
+        if len(toks) != _ARITY[kind]:
+            raise ComplexFileError(lineno, f"{kind} record needs {_ARITY[kind]} ids, got {len(toks)}")
+        ids = []
+        for tok in toks:
+            try:
+                value = int(tok)
+            except ValueError:
+                raise ComplexFileError(lineno, f"invalid id {tok!r}") from None
+            if value < 0:
+                raise ComplexFileError(lineno, f"negative id {value}")
+            ids.append(value)
+        recs.append((lineno, kind, ids))
+
+    vertices = set()
+    for lineno, kind, ids in recs:
+        if kind == "v":
+            if ids[0] in vertices:
+                raise ComplexFileError(lineno, f"duplicate vertex {ids[0]}")
+            vertices.add(ids[0])
+
+    edges, cells, basepoint, first_line = set(), set(), None, {}
+    for lineno, kind, ids in recs:
+        if kind == "v":
+            continue
+        for value in ids:
+            if value not in vertices:
+                raise ComplexFileError(lineno, f"undeclared vertex {value}")
+        if kind == "e":
+            u, w = ids
+            if u == w:
+                raise ComplexFileError(lineno, f"loop edge ({u}, {w})")
+            e = (min(u, w), max(u, w))
+            if e in edges:
+                raise ComplexFileError(lineno, f"duplicate edge {e}")
+            edges.add(e)
+        elif kind in _CELL:
+            first_line.setdefault(kind, lineno)
+            if len(set(ids)) != len(ids):
+                raise ComplexFileError(lineno, f"{_CELL[kind]} {tuple(ids)} repeats a vertex")
+            cell = brute_canonical_cycle(ids)
+            if cell in cells:
+                raise ComplexFileError(lineno, f"duplicate {_CELL[kind]} {cell}")
+            cells.add(cell)
+        else:
+            if basepoint is not None:
+                raise ComplexFileError(lineno, "second base record")
+            basepoint = ids[0]
+
+    if len(first_line) == 2:
+        raise ComplexFileError(max(first_line.values()), "file mixes triangles and squares")
+
+    for lineno, kind, ids in recs:
+        if kind in _CELL:
+            k = len(ids)
+            along = [(min(ids[i], ids[(i + 1) % k]), max(ids[i], ids[(i + 1) % k]))
+                     for i in range(k)]
+            missing = [e for e in along if e not in edges]
+            if missing:
+                # a triangle names its sorted vertices and least missing edge,
+                # a square its file order and first missing edge along it
+                cell, e = (sorted(ids), min(missing)) if kind == "t" else (ids, missing[0])
+                raise ComplexFileError(lineno, f"{_CELL[kind]} {tuple(cell)} misses edge {e}")
+
+    cls = SquareComplex if "q" in first_line else SimplicialComplex2
+    return cls(Graph(vertices, edges), cells), basepoint

@@ -555,3 +555,26 @@ def test_generated_file_matches_library_serialization(tmp_path):
     out = gen(tmp_path, radius=1)
     d = triangulated_disk(DiskSpec(radius=1, degrees=6))
     assert out.read_text() == format_complex(d.complex, basepoint=d.center)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the duplicate cell on line 8 comes before the duplicate edge on line 9
+    ("v 0\nv 1\nv 2\ne 0 1\ne 1 2\ne 0 2\nt 0 1 2\nt 2 1 0\ne 0 1\n",
+     "line 8: duplicate triangle (0, 1, 2)"),
+    # a repeated vertex is found before any missing edge, wherever it stands
+    ("v 0\nv 1\nv 2\ne 0 1\ne 1 2\nt 0 1 2\nt 0 1 1\n",
+     "line 7: triangle (0, 1, 1) repeats a vertex"),
+    ("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\nq 0 1 1 2\nq 0 1 2 3\n",
+     "line 7: square (0, 1, 1, 2) repeats a vertex"),
+    # mixed kinds are found before the triangle's missing edge (0, 2)
+    ("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 1 2\ne 2 3\ne 0 3\nt 0 1 2\nq 0 1 2 3\n",
+     "line 10: file mixes triangles and squares"),
+], ids=["dup-cell-then-dup-edge", "missing-edge-then-repeat", "repeat-then-missing-edge",
+        "mixed-with-missing-edge"])
+def test_file_with_several_errors_names_the_first(tmp_path, capsys, text, message):
+    p = tmp_path / "bad.complex"
+    p.write_text(text)
+    assert run_cli("verify", "--input", str(p)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{p}: {message}\n"

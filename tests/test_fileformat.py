@@ -18,6 +18,8 @@ from sysquad import (
     write_complex,
 )
 
+from bruteforce import brute_parse_complex
+
 
 def triangle_complex():
     g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
@@ -212,29 +214,58 @@ def test_kind_conversion_guards():
 # --------------------------------------------------------------------- fuzzing
 
 _id = st.integers(min_value=0, max_value=4).map(str)
-_records = st.one_of(*(
-    st.lists(_id, min_size=arity, max_size=arity).map(lambda ids, kind=kind: " ".join((kind, *ids)))
-    for kind, arity in (("v", 1), ("e", 2), ("t", 3), ("q", 4), ("base", 1))
-))
+
+
+def _record(kind, arity):
+    return st.lists(_id, min_size=arity, max_size=arity).map(lambda ids: " ".join((kind, *ids)))
+
+
+_cells = st.one_of(_record("t", 3), _record("q", 4))
+_records = st.one_of(_cells, *(_record(kind, arity) for kind, arity in (("v", 1), ("e", 2), ("base", 1))))
 _noise = st.lists(st.one_of(_id, st.sampled_from(["v", "e", "x", "-1", "1.5", "#", ""])), max_size=5)
-# mostly well-formed records over five ids, often after declaring all five,
-# mixed with comments, malformed token lists and arbitrary text
-_texts = st.tuples(
-    st.sampled_from(["", "v 0\nv 1\nv 2\nv 3\nv 4\n"]),
-    st.lists(st.one_of(
+_five = "".join(f"v {v}\n" for v in range(5))
+_prefixes = st.sampled_from([
+    "", _five,
+    # every edge among the five ids, so any cell on distinct ids is glued
+    _five + "".join(f"e {u} {w}\n" for u in range(5) for w in range(u + 1, 5)),
+    # a 5-cycle, so most cells miss an edge
+    _five + "".join(f"e {u} {(u + 1) % 5}\n" for u in range(5)),
+])
+# mostly well-formed records over five ids, mixed with comments, malformed
+# token lists and arbitrary text; or cells of one kind on distinct ids, which
+# often parse
+_texts = st.one_of(
+    st.tuples(_prefixes, st.lists(st.one_of(
         _records, _records.map(lambda r: r + "  # note"),
         _noise.map(" ".join), st.text(max_size=12),
-    ), max_size=12),
+    ), max_size=12)),
+    st.tuples(_prefixes, st.one_of(*(
+        st.lists(st.permutations(range(5)).map(lambda ids, k=k, n=n: " ".join((k, *map(str, ids[:n])))),
+                 max_size=6)
+        for k, n in (("t", 3), ("q", 4))
+    )).map(lambda cells: cells + ["base 0"])),
 ).map(lambda t: t[0] + "\n".join(t[1]))
+
+
+def _read(text):
+    parsed = parse_complex(text)
+    typed = parsed.to_square() if parsed.kind == "square" else parsed.to_simplicial()
+    return typed, parsed.basepoint
 
 
 @settings(max_examples=300, deadline=None)
 @given(_texts)
 def test_fuzzed_text_parses_or_names_its_line(text):
+    # exact agreement with the three-pass oracle: the same first error, or
+    # equal complexes of the same type and the same basepoint
     try:
-        parsed = parse_complex(text)
+        want = brute_parse_complex(text)
     except ComplexFileError as exc:
-        assert 1 <= exc.lineno <= len(text.splitlines())
+        with pytest.raises(ComplexFileError) as ei:
+            _read(text)
+        assert (ei.value.lineno, str(ei.value)) == (exc.lineno, str(exc))
         return
-    typed = parsed.to_square() if parsed.kind == "square" else parsed.to_simplicial()
-    assert parse_complex(format_complex(typed, parsed.basepoint)) == parsed
+    got = _read(text)
+    assert type(got[0]) is type(want[0])
+    assert got == want
+    assert _read(format_complex(*got)) == got
