@@ -28,7 +28,6 @@ from .fileformat import (
     format_complex,
     parse_complex,
     read_complex,
-    write_complex,
 )
 from .generators import DiskSpec, non_systolic_counterexamples, triangulated_disk
 from .propa import property_a_report
@@ -89,5 +88,4 @@ __all__ = [
     "squaring",
     "triangulated_disk",
     "verify_systolic",
-    "write_complex",
 ]

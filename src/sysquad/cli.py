@@ -220,13 +220,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_square(args: argparse.Namespace) -> int:
-    parsed = read_complex(args.input)
-    if parsed.kind == "square":
+    c, base = read_complex(args.input)
+    if isinstance(c, SquareComplex):
         raise UsageError("input already carries squares")
-    if parsed.basepoint is None:
+    if base is None:
         raise UsageError("input file has no base record")
-    b = BasedComplex(parsed.to_simplicial(), parsed.basepoint)
-    result = squaring(b)
+    result = squaring(BasedComplex(c, base))
     _emit(
         format_complex(result.squared.complex, result.squared.basepoint),
         args.output,
@@ -235,18 +234,18 @@ def _cmd_square(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    parsed = read_complex(args.input)
-    # a file with neither triangles nor squares gets the simplicial battery
-    kind = "square" if parsed.kind == "square" else "simplicial"
-    checks = _select(args, kind, parsed.kind)
-    base = parsed.basepoint
+    c, base = read_complex(args.input)
+    if isinstance(c, SquareComplex):
+        kind = label = "square"
+    else:  # a file with neither triangles nor squares gets the simplicial battery
+        kind, label = "simplicial", "simplicial" if c.triangles else "graph"
+    checks = _select(args, kind, label)
     skipped: list[str] = []
     if base is None:
-        skipped = sorted(c.name for c in checks if c.needs_base(args))
+        skipped = sorted(check.name for check in checks if check.needs_base(args))
         if skipped and args.rules is not None:
             raise UsageError(f"rules {skipped} need a base record in the input")
-        checks = [c for c in checks if c.name not in skipped]
-    c = parsed.to_square() if kind == "square" else parsed.to_simplicial()
+        checks = [check for check in checks if check.name not in skipped]
     based = BasedComplex(c, base) if base is not None else None
     reports = _run_checks(checks, c, based, args)
     files = None
@@ -257,13 +256,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_propa(args: argparse.Namespace) -> int:
-    parsed = read_complex(args.input)
-    if parsed.kind == "simplicial":
-        raise UsageError("propa needs a square complex (run square first)")
-    if parsed.basepoint is None:
+    c, base = read_complex(args.input)
+    if isinstance(c, SimplicialComplex2):
+        if c.triangles:
+            raise UsageError("propa needs a square complex (run square first)")
+        c = SquareComplex(c.graph)  # a file without cells: its graph, no squares
+    if base is None:
         raise UsageError("input file has no base record")
-    b = BasedComplex(parsed.to_square(), parsed.basepoint)
-    report = property_a_report(b, args.n_max, args.cert_cap)
+    report = property_a_report(BasedComplex(c, base), args.n_max, args.cert_cap)
     _emit("\n".join(report.csv_lines()) + "\n", args.output)
     if not report.passed:
         print(_certificate_line(report.check), file=sys.stderr)

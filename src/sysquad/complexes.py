@@ -122,11 +122,22 @@ class Graph:
         return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
 
 
+class CellError(ValueError):
+    """A cell the store rejects; ``index`` is its position among the given cells."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class _CellComplex:
     """A graph plus 2-cells glued along embedded cycles of one length (3 or 4).
 
     A cell is stored as the canonical form of its boundary cycle (a triangle
     as its sorted vertices), so no two cells are glued to the same cycle.
+    The store is the one place that checks a cell's boundary edges; cells
+    are checked in the given order and the first bad one raises a
+    ``CellError`` carrying its index.
     """
 
     __slots__ = ("_graph", "_cells", "_cells_at")
@@ -137,13 +148,18 @@ class _CellComplex:
         n = self._length
         edges = graph.edges
         store = set()
-        for cell in cells:
+        for i, cell in enumerate(cells):
+            cell = tuple(cell)
             c = canonical_cycle(cell)
             if len(c) != n or len(set(c)) != n:
-                raise ValueError(f"{self._noun} {tuple(cell)} must have {n} distinct vertices")
-            missing = [e for e in _boundary_edges(c) if e not in edges]
+                raise CellError(i, f"{self._noun} {cell} must have {n} distinct vertices")
+            missing = [e for e in _boundary_edges(cell) if e not in edges]
             if missing:
-                raise ValueError(f"{self._noun} {tuple(cell)} misses boundary edge {missing[0]}")
+                # complex files quote this byte for byte: a triangle names its sorted
+                # vertices and least missing edge, a square its given order and the
+                # first missing edge along it
+                shown, e = (c, min(missing)) if n == 3 else (cell, missing[0])
+                raise CellError(i, f"{self._noun} {shown} misses edge {e}")
             store.add(c)
         self._graph = graph
         self._cells: frozenset[tuple[int, ...]] = frozenset(store)

@@ -10,16 +10,18 @@ Record types, one per line, ids are nonnegative integers:
     # ...                   comment, also allowed after a record
 
 Files mix freely with blank lines. A file may carry triangles or squares
-but not both. Parsing is two-pass (vertices first), so record order does
-not matter; every rejection carries the offending line number.
+but not both; one with neither reads as a ``SimplicialComplex2`` with no
+triangles. Parsing checks the syntax of the whole file, then declares the
+vertices, then reads every other record in file order, so record order
+does not matter. The cell store checks each cell's boundary edges, in file
+order, as it is built. Every rejection carries the offending line number.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
-from .complexes import Graph, SimplicialComplex2, SquareComplex, _boundary_edges, canonical_cycle
+from .complexes import CellError, Graph, SimplicialComplex2, SquareComplex, canonical_cycle
 
 _ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
 _CELL = {"t": "triangle", "q": "square"}
@@ -31,32 +33,6 @@ class ComplexFileError(ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
-
-
-@dataclass(frozen=True)
-class ParsedComplex:
-    """Raw contents of a complex file, validated but not yet typed."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    cells: frozenset[tuple[int, ...]]
-    basepoint: int | None
-
-    @property
-    def kind(self) -> str:
-        if not self.cells:
-            return "graph"
-        return "square" if len(next(iter(self.cells))) == 4 else "simplicial"
-
-    def to_simplicial(self) -> SimplicialComplex2:
-        if self.kind == "square":
-            raise ValueError("file carries squares, not a simplicial complex")
-        return SimplicialComplex2(Graph(self.vertices, self.edges), self.cells)
-
-    def to_square(self) -> SquareComplex:
-        if self.kind == "simplicial":
-            raise ValueError("file carries triangles, not a square complex")
-        return SquareComplex(Graph(self.vertices, self.edges), self.cells)
 
 
 def _records(text: str):
@@ -84,7 +60,8 @@ def _records(text: str):
         yield lineno, kind, ids
 
 
-def parse_complex(text: str) -> ParsedComplex:
+def parse_complex(text: str) -> tuple[SimplicialComplex2 | SquareComplex, int | None]:
+    """The complex a file describes, and its basepoint (None without a base record)."""
     recs = list(_records(text))
 
     vertices: set[int] = set()
@@ -95,7 +72,8 @@ def parse_complex(text: str) -> ParsedComplex:
             vertices.add(ids[0])
 
     edges: set[tuple[int, int]] = set()
-    cells: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
+    cells: dict[int, list[int]] = {}  # line number -> ids, in file order
     basepoint: int | None = None
     first_line: dict[str, int] = {}
 
@@ -118,9 +96,10 @@ def parse_complex(text: str) -> ParsedComplex:
             if len(set(ids)) != len(ids):
                 raise ComplexFileError(lineno, f"{_CELL[kind]} {tuple(ids)} repeats a vertex")
             cell = canonical_cycle(ids)
-            if cell in cells:
+            if cell in seen:
                 raise ComplexFileError(lineno, f"duplicate {_CELL[kind]} {cell}")
-            cells.add(cell)
+            seen.add(cell)
+            cells[lineno] = ids
         else:  # base
             if basepoint is not None:
                 raise ComplexFileError(lineno, "second base record")
@@ -129,25 +108,14 @@ def parse_complex(text: str) -> ParsedComplex:
     if len(first_line) == 2:
         raise ComplexFileError(max(first_line.values()), "file mixes triangles and squares")
 
-    # cell boundary edges must be declared
-    for lineno, kind, ids in recs:
-        if kind in _CELL:
-            missing = [e for e in _boundary_edges(ids) if e not in edges]
-            # parse errors are byte-stable: a triangle names its sorted vertices and
-            # least missing edge, a square its file order and first missing edge along it
-            if missing:
-                cell, e = (sorted(ids), min(missing)) if kind == "t" else (ids, missing[0])
-                raise ComplexFileError(lineno, f"{_CELL[kind]} {tuple(cell)} misses edge {e}")
-
-    return ParsedComplex(
-        vertices=frozenset(vertices),
-        edges=frozenset(edges),
-        cells=frozenset(cells),
-        basepoint=basepoint,
-    )
+    cls = SquareComplex if "q" in first_line else SimplicialComplex2
+    try:
+        return cls(Graph(vertices, edges), cells.values()), basepoint
+    except CellError as exc:  # a cell misses a boundary edge
+        raise ComplexFileError(list(cells)[exc.index], str(exc)) from None
 
 
-def read_complex(path) -> ParsedComplex:
+def read_complex(path) -> tuple[SimplicialComplex2 | SquareComplex, int | None]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_complex(fh.read())
 
@@ -170,10 +138,3 @@ def format_complex(
         out.write(f"base {basepoint}\n")
     return out.getvalue()
 
-
-def write_complex(
-    path, complex: SimplicialComplex2 | SquareComplex, basepoint: int | None = None
-) -> None:
-    text = format_complex(complex, basepoint)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -26,12 +26,12 @@ from sysquad import (
     check_spheres_triangle_free,
     check_triangle_condition,
     enumerate_embedded_4cycles,
+    format_complex,
     girth,
     non_systolic_counterexamples,
     property_a_report,
     squaring,
     verify_systolic,
-    write_complex,
 )
 from sysquad.metrics import all_pairs, vertex_order
 from sysquad.cli import main as cli_main
@@ -265,7 +265,7 @@ def test_criterion_8_negative_corpus(tmp_path, capsys):
         assert tag in {cert.kind for cert in rep.counterexamples}, tag
 
         path = tmp_path / f"bad{idx}.complex"
-        write_complex(path, c)
+        path.write_text(format_complex(c), encoding="utf-8")
         code = cli_main(["verify", "--input", str(path)])
         err = capsys.readouterr().err
         assert code == 1, tag

@@ -8,13 +8,14 @@ import pytest
 
 from sysquad import (
     BasedComplex,
+    SimplicialComplex2,
+    SquareComplex,
     format_complex,
     non_systolic_counterexamples,
     property_a_report,
     read_complex,
     squaring,
     triangulated_disk,
-    write_complex,
     DiskSpec,
 )
 import sysquad.cli
@@ -40,10 +41,10 @@ def gen(tmp_path, name="disk.complex", radius=2, degree=6):
 
 def test_generate_writes_readable_file(tmp_path):
     out = gen(tmp_path)
-    parsed = read_complex(out)
-    assert parsed.kind == "simplicial"
-    assert parsed.basepoint is not None
-    assert len(parsed.vertices) == 19
+    c, base = read_complex(out)
+    assert type(c) is SimplicialComplex2
+    assert base is not None
+    assert len(c.graph.vertices) == 19
 
 
 def test_generate_is_byte_deterministic(tmp_path):
@@ -77,16 +78,17 @@ def test_square_roundtrip(tmp_path):
     src = gen(tmp_path)
     out = tmp_path / "squared.complex"
     assert run_cli("square", "--input", str(src), "--output", str(out)) == 0
-    parsed = read_complex(out)
-    assert parsed.kind == "square"
-    assert parsed.basepoint == read_complex(src).basepoint
-    assert parsed.vertices == read_complex(src).vertices
+    c, base = read_complex(out)
+    source, source_base = read_complex(src)
+    assert type(c) is SquareComplex
+    assert base == source_base
+    assert c.graph.vertices == source.graph.vertices
 
 
 def test_square_requires_basepoint(tmp_path, capsys):
     d = triangulated_disk(DiskSpec(radius=1, degrees=6))
     p = tmp_path / "nobase.complex"
-    write_complex(p, d.complex)
+    p.write_text(format_complex(d.complex), encoding="utf-8")
     code = run_cli("square", "--input", str(p))
     assert code == 2
     assert "base" in capsys.readouterr().err
@@ -102,7 +104,7 @@ def test_square_rejects_square_input(tmp_path, capsys):
 def test_square_rejects_non_systolic(tmp_path, capsys):
     c, _ = non_systolic_counterexamples()[0]
     p = tmp_path / "bad.complex"
-    write_complex(p, c, basepoint=0)
+    p.write_text(format_complex(c, basepoint=0), encoding="utf-8")
     code = run_cli("square", "--input", str(p))
     assert code == 1
     assert "systolic" in capsys.readouterr().err
@@ -132,7 +134,7 @@ def test_verify_simplicial_passes(tmp_path, capsys):
 def test_verify_counterexample_exit_and_cert(tmp_path, capsys):
     c, tag = non_systolic_counterexamples()[0]
     p = tmp_path / "wheel.complex"
-    write_complex(p, c)
+    p.write_text(format_complex(c), encoding="utf-8")
     code = run_cli("verify", "--input", str(p))
     captured = capsys.readouterr()
     assert code == 1
@@ -185,7 +187,7 @@ def test_verify_rule_kind_mismatch(tmp_path, capsys):
 def test_verify_base_needing_rule_without_base(tmp_path, capsys):
     d = triangulated_disk(DiskSpec(radius=1, degrees=6))
     p = tmp_path / "nobase.complex"
-    write_complex(p, d.complex)
+    p.write_text(format_complex(d.complex), encoding="utf-8")
     assert run_cli("verify", "--input", str(p), "--rules", "spheres") == 2
     # default selection just skips them, with a notice
     assert run_cli("verify", "--input", str(p)) == 0
@@ -197,7 +199,7 @@ def squared_without_base(tmp_path):
     d = triangulated_disk(DiskSpec(radius=2, degrees=6))
     res = squaring(BasedComplex(d.complex, d.center))
     p = tmp_path / "sq_nobase.complex"
-    write_complex(p, res.squared.complex)
+    p.write_text(format_complex(res.squared.complex), encoding="utf-8")
     return p
 
 
@@ -360,8 +362,7 @@ def test_propa_csv_matches_library(tmp_path):
         "propa", "--input", str(mid), "--n-max", "6", "--output", str(out)
     ) == 0
 
-    parsed = read_complex(mid)
-    b = BasedComplex(parsed.to_square(), parsed.basepoint)
+    b = BasedComplex(*read_complex(mid))
     expected = property_a_report(b, 6).csv_lines()
     assert out.read_text().splitlines() == expected
 
@@ -386,7 +387,7 @@ def test_propa_requires_basepoint(tmp_path):
     d = triangulated_disk(DiskSpec(radius=1, degrees=6))
     res = squaring(BasedComplex(d.complex, d.center))
     p = tmp_path / "sq_nobase.complex"
-    write_complex(p, res.squared.complex)
+    p.write_text(format_complex(res.squared.complex), encoding="utf-8")
     assert run_cli("propa", "--input", str(p)) == 2
 
 
@@ -538,7 +539,7 @@ def test_console_script_entrypoint(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
-    assert read_complex(out).kind == "simplicial"
+    assert type(read_complex(out)[0]) is SimplicialComplex2
 
 
 def test_cli_import_loads_no_scipy():

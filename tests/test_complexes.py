@@ -1,6 +1,7 @@
 """Core graph and complex machinery against hand examples and oracles."""
 
 import math
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from sysquad import (
     is_connected,
     link,
 )
+from sysquad.complexes import CellError
 
 from bruteforce import (
     bfs_dist,
@@ -220,7 +222,7 @@ def test_k23_matches_oracle():
 
 def test_triangle_needs_all_edges():
     g = Graph(range(3), [(0, 1), (1, 2)])
-    with pytest.raises(ValueError, match="misses boundary edge"):
+    with pytest.raises(ValueError, match=re.escape("triangle (0, 1, 2) misses edge (0, 2)")):
         SimplicialComplex2(g, [(0, 1, 2)])
 
 
@@ -237,8 +239,21 @@ def test_square_needs_distinct_vertices():
 
 def test_square_needs_boundary_edges():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(ValueError, match="misses boundary edge"):
+    with pytest.raises(ValueError, match=re.escape("square (0, 1, 2, 3) misses edge (0, 3)")):
         SquareComplex(g, [(0, 1, 2, 3)])
+
+
+def test_cell_error_names_the_cell_and_its_index():
+    # a triangle names its sorted vertices and least missing edge, a square
+    # its given order and the first missing edge along it
+    g = Graph(range(4), [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(CellError) as ei:
+        SimplicialComplex2(g, [(2, 1, 0), (3, 1, 0)])
+    assert (ei.value.index, str(ei.value)) == (1, "triangle (0, 1, 3) misses edge (0, 3)")
+    g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
+    with pytest.raises(CellError) as ei:
+        SquareComplex(g, [(3, 2, 1, 0), (5, 4, 1, 0)])
+    assert (ei.value.index, str(ei.value)) == (1, "square (5, 4, 1, 0) misses edge (1, 4)")
 
 
 def test_triangle_and_square_complexes_differ():

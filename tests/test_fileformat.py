@@ -15,8 +15,8 @@ from sysquad import (
     read_complex,
     squaring,
     triangulated_disk,
-    write_complex,
 )
+from sysquad.cli import main
 
 from bruteforce import brute_parse_complex
 
@@ -37,27 +37,29 @@ def square_complex():
 def test_simplicial_roundtrip(tmp_path):
     c = triangle_complex()
     p = tmp_path / "tri.complex"
-    write_complex(p, c, basepoint=0)
-    parsed = read_complex(p)
-    assert parsed.kind == "simplicial"
-    assert parsed.basepoint == 0
-    assert parsed.to_simplicial() == c
+    p.write_text(format_complex(c, basepoint=0), encoding="utf-8")
+    read, base = read_complex(p)
+    assert type(read) is SimplicialComplex2
+    assert base == 0
+    assert read == c
 
 
 def test_square_roundtrip(tmp_path):
     c = square_complex()
     p = tmp_path / "sq.complex"
-    write_complex(p, c)
-    parsed = read_complex(p)
-    assert parsed.kind == "square"
-    assert parsed.basepoint is None
-    assert parsed.to_square() == c
+    p.write_text(format_complex(c), encoding="utf-8")
+    read, base = read_complex(p)
+    assert type(read) is SquareComplex
+    assert base is None
+    assert read == c
 
 
 def test_graph_kind_when_no_cells():
-    parsed = parse_complex("v 0\nv 1\ne 0 1\n")
-    assert parsed.kind == "graph"
-    assert parsed.edges == frozenset({(0, 1)})
+    c, base = parse_complex("v 0\nv 1\ne 0 1\n")
+    assert type(c) is SimplicialComplex2
+    assert c.triangles == frozenset()
+    assert c.graph.edges == frozenset({(0, 1)})
+    assert base is None
 
 
 def test_format_is_deterministic():
@@ -71,17 +73,17 @@ def test_format_is_deterministic():
 
 def test_comments_and_blank_lines_ignored():
     text = "# header\nv 0\n\nv 1\ne 0 1  # trailing note\n"
-    parsed = parse_complex(text)
-    assert parsed.vertices == frozenset({0, 1})
-    assert parsed.edges == frozenset({(0, 1)})
+    c, _ = parse_complex(text)
+    assert c.graph.vertices == frozenset({0, 1})
+    assert c.graph.edges == frozenset({(0, 1)})
 
 
 def test_write_read_file_roundtrip_bytes(tmp_path):
     c = square_complex()
     p1 = tmp_path / "a.complex"
     p2 = tmp_path / "b.complex"
-    write_complex(p1, c, basepoint=3)
-    write_complex(p2, c, basepoint=3)
+    p1.write_text(format_complex(c, basepoint=3), encoding="utf-8")
+    p2.write_text(format_complex(c, basepoint=3), encoding="utf-8")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -94,10 +96,12 @@ def test_write_read_file_roundtrip_bytes(tmp_path):
 def test_generated_disk_and_squaring_roundtrip(radius, degrees, seed):
     d = triangulated_disk(DiskSpec(radius=radius, degrees=degrees, seed=seed))
     sq = squaring(BasedComplex(d.complex, d.center)).squared
-    parsed = parse_complex(format_complex(d.complex, d.center))
-    assert (parsed.to_simplicial(), parsed.basepoint) == (d.complex, d.center)
-    parsed = parse_complex(format_complex(sq.complex, sq.basepoint))
-    assert (parsed.to_square(), parsed.basepoint) == (sq.complex, sq.basepoint)
+    c, base = parse_complex(format_complex(d.complex, d.center))
+    assert (type(c), c, base) == (SimplicialComplex2, d.complex, d.center)
+    c, base = parse_complex(format_complex(sq.complex, sq.basepoint))
+    # radius 0 squares nothing, and a file without cells reads as triangles
+    want = sq.complex if sq.complex.squares else SimplicialComplex2(sq.graph)
+    assert (type(c), c, base) == (type(want), want, sq.basepoint)
 
 
 # ---------------------------------------------------------------- parse errors
@@ -203,26 +207,36 @@ def test_read_missing_file(tmp_path):
         read_complex(tmp_path / "absent.complex")
 
 
-def test_kind_conversion_guards():
-    parsed = parse_complex(
-        "v 0\nv 1\nv 2\ne 0 1\ne 1 2\ne 0 2\nt 0 1 2\n"
+def test_cellless_file_reads_as_triangle_complex(tmp_path, capsys):
+    # a based path: no triangles to read, and propa takes its graph as squares
+    p = tmp_path / "path.complex"
+    p.write_text("v 0\nv 1\nv 2\ne 0 1\ne 1 2\nbase 0\n")
+    c, base = read_complex(p)
+    assert type(c) is SimplicialComplex2
+    assert c.triangles == frozenset()
+    assert base == 0
+    assert main(["propa", "--input", str(p), "--n-max", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "n,norm,max_diff,ratio_num,ratio_den,edges_checked\n"
+        "0,1,2,2,1,2\n1,3,4,4,3,2\n2,6,6,1,1,2\n"
     )
-    with pytest.raises(ValueError, match="triangles"):
-        parsed.to_square()
 
 
 # --------------------------------------------------------------------- fuzzing
 
 _id = st.integers(min_value=0, max_value=4).map(str)
-
-
-def _record(kind, arity):
-    return st.lists(_id, min_size=arity, max_size=arity).map(lambda ids: " ".join((kind, *ids)))
-
-
-_cells = st.one_of(_record("t", 3), _record("q", 4))
-_records = st.one_of(_cells, *(_record(kind, arity) for kind, arity in (("v", 1), ("e", 2), ("base", 1))))
+_records = st.one_of(*(
+    st.lists(_id, min_size=arity, max_size=arity).map(lambda ids, kind=kind: " ".join((kind, *ids)))
+    for kind, arity in (("v", 1), ("e", 2), ("t", 3), ("q", 4), ("base", 1))
+))
 _noise = st.lists(st.one_of(_id, st.sampled_from(["v", "e", "x", "-1", "1.5", "#", ""])), max_size=5)
+
+
+def _distinct(kind, arity):
+    """A cell record on ``arity`` distinct ids among the five."""
+    return st.permutations(range(5)).map(lambda ids: " ".join((kind, *map(str, ids[:arity]))))
+
+
 _five = "".join(f"v {v}\n" for v in range(5))
 _prefixes = st.sampled_from([
     "", _five,
@@ -239,18 +253,10 @@ _texts = st.one_of(
         _records, _records.map(lambda r: r + "  # note"),
         _noise.map(" ".join), st.text(max_size=12),
     ), max_size=12)),
-    st.tuples(_prefixes, st.one_of(*(
-        st.lists(st.permutations(range(5)).map(lambda ids, k=k, n=n: " ".join((k, *map(str, ids[:n])))),
-                 max_size=6)
-        for k, n in (("t", 3), ("q", 4))
-    )).map(lambda cells: cells + ["base 0"])),
+    st.tuples(_prefixes, st.one_of(
+        st.lists(_distinct("t", 3), max_size=6), st.lists(_distinct("q", 4), max_size=6),
+    ).map(lambda cells: cells + ["base 0"])),
 ).map(lambda t: t[0] + "\n".join(t[1]))
-
-
-def _read(text):
-    parsed = parse_complex(text)
-    typed = parsed.to_square() if parsed.kind == "square" else parsed.to_simplicial()
-    return typed, parsed.basepoint
 
 
 @settings(max_examples=300, deadline=None)
@@ -262,10 +268,10 @@ def test_fuzzed_text_parses_or_names_its_line(text):
         want = brute_parse_complex(text)
     except ComplexFileError as exc:
         with pytest.raises(ComplexFileError) as ei:
-            _read(text)
+            parse_complex(text)
         assert (ei.value.lineno, str(ei.value)) == (exc.lineno, str(exc))
         return
-    got = _read(text)
+    got = parse_complex(text)
     assert type(got[0]) is type(want[0])
     assert got == want
-    assert _read(format_complex(*got)) == got
+    assert parse_complex(format_complex(*got)) == got
