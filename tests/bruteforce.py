@@ -646,3 +646,89 @@ def brute_parse_complex(text):
 
     cls = SquareComplex if "q" in first_line else SimplicialComplex2
     return cls(Graph(vertices, edges), cells), basepoint
+
+
+def brute_triangulated_disk(spec):
+    """The disk of ``spec``, built arc by arc with explicit shared endpoints.
+
+    Each vertex of a layer draws its degree, in layer order, and gets an
+    arc of children: the first child is the previous arc's last, the
+    rest are fresh ids, and the last arc closes on the first arc's first
+    child. Same draws, ids, cells and layers as ``triangulated_disk``.
+    """
+    import random
+
+    from sysquad import Graph, SimplicialComplex2
+    from sysquad.generators import Disk
+
+    degs = spec.degrees
+    choices = [degs] if isinstance(degs, int) else sorted(degs)
+    rng = random.Random(spec.seed)
+    if spec.radius == 0:
+        c = SimplicialComplex2(Graph([0]), [])
+        return Disk(complex=c, center=0, layers=((0,),))
+
+    vertices = [0]
+    edges = []
+    triangles = []
+
+    d0 = rng.choice(choices)
+    first_layer = list(range(1, d0 + 1))
+    vertices.extend(first_layer)
+    for i, v in enumerate(first_layer):
+        w = first_layer[(i + 1) % d0]
+        edges.append((0, v))
+        edges.append((v, w))
+        triangles.append((0, v, w))
+    layers = [[0], first_layer]
+    parents = {v: 1 for v in first_layer}
+    next_id = d0 + 1
+
+    for k in range(1, spec.radius):
+        layer = layers[k]
+        m = len(layer)
+        fan = []
+        for v in layer:
+            c = rng.choice(choices) - 2 - parents[v]
+            assert c >= 2
+            fan.append(c)
+
+        start = next_id
+        arcs = []
+        cursor = start
+        next_id += 1
+        for i in range(m):
+            need = fan[i]
+            if i < m - 1:
+                fresh = list(range(next_id, next_id + need - 1))
+                next_id += need - 1
+                arc = [cursor] + fresh
+                cursor = arc[-1]
+            else:
+                fresh = list(range(next_id, next_id + need - 2))
+                next_id += need - 2
+                arc = [cursor] + fresh + [start]
+            arcs.append(arc)
+
+        new_layer = []
+        new_parents = {}
+        for i, v in enumerate(layer):
+            arc = arcs[i]
+            for a in arc:
+                edges.append((v, a))
+                new_parents[a] = new_parents.get(a, 0) + 1
+            for a, b in zip(arc, arc[1:]):
+                edges.append((a, b))
+                triangles.append((v, a, b))
+            w = layer[(i + 1) % m]
+            triangles.append((v, w, arc[-1]))
+            new_layer.extend(arc[:-1])
+        vertices.extend(new_layer)
+        layers.append(new_layer)
+        parents = new_parents
+
+    return Disk(
+        complex=SimplicialComplex2(Graph(vertices, edges), triangles),
+        center=0,
+        layers=tuple(tuple(layer) for layer in layers),
+    )

@@ -12,7 +12,19 @@ from sysquad import (
     verify_systolic,
 )
 
+from bruteforce import brute_triangulated_disk
 from conftest import LEMMA_SPECS
+
+# Radius 0-5 for each rule, seeds 0-11 for the mixed rules. A constant
+# degree draws from a one-element list, so its seed cannot change the disk.
+ORACLE_GRID = tuple(
+    DiskSpec(radius=r, degrees=degs, seed=s)
+    for degs, seeds in ((6, 1), (7, 1), (8, 1), (11, 1), (frozenset({6, 7}), 12),
+                        (frozenset({6, 7, 8}), 12), (frozenset({6, 9}), 12))
+    for r in range(6) for s in range(seeds)
+) + (DiskSpec(radius=6, degrees=6),)
+# the benchmark's two disks: flat6 and hyper7
+BENCH_SPECS = (DiskSpec(radius=12, degrees=6), DiskSpec(radius=5, degrees=7))
 
 
 def test_radius_zero_is_a_point():
@@ -75,6 +87,14 @@ def test_interior_links_are_cycles_of_the_requested_degree():
         assert len(lk.vertices) == 7
         assert all(len(lk.neighbors(u)) == 2 for u in lk.vertices)
         assert girth(lk) == 7
+
+
+def test_matches_arc_by_arc_oracle():
+    for spec in ORACLE_GRID + LEMMA_SPECS + BENCH_SPECS:
+        got, want = triangulated_disk(spec), brute_triangulated_disk(spec)
+        assert format_complex(got.complex) == format_complex(want.complex), f"{spec}"
+        assert got.center == want.center, f"{spec}"
+        assert got.layers == want.layers, f"{spec}"
 
 
 def test_mixed_degree_rule_is_seeded():
