@@ -210,7 +210,10 @@ def _emit(text: str, output: str | None) -> None:
 
 def _disk_spec(args: argparse.Namespace) -> DiskSpec:
     degrees = args.degree if args.degree is not None else frozenset(args.degrees)
-    return DiskSpec(radius=args.radius, degrees=degrees, seed=args.seed)
+    try:
+        return DiskSpec(radius=args.radius, degrees=degrees, seed=args.seed)
+    except ValueError as exc:  # a degree rule that cannot be systolic
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -273,11 +276,12 @@ def _cmd_propa(args: argparse.Namespace) -> int:
 
 def _cmd_all(args: argparse.Namespace) -> int:
     checks = _select(args)
+    spec = _disk_spec(args)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     files = (outdir / "reports.txt", outdir / "certificates.csv")
 
-    disk = triangulated_disk(_disk_spec(args))
+    disk = triangulated_disk(spec)
     (outdir / "disk.complex").write_text(
         format_complex(disk.complex, disk.center), encoding="utf-8"
     )

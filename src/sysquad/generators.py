@@ -1,11 +1,23 @@
 """Generators for triangulated disks with prescribed interior degrees.
 
 The construction is layer by layer. Layer 0 is the center; every layer k >= 1
-is a cycle. Between consecutive layers each vertex v receives a fan of
-children sized so that v reaches its prescribed degree, and consecutive
-vertices of a layer share exactly one child, which keeps the annulus
-between the layers triangulated. Boundary vertices (the last layer) are
-exempt from the degree rule.
+is a cycle. The center draws its degree d, and layer 1 is a whole cycle of
+d children around it. Each vertex v of layer k >= 1, in layer order, draws
+its degree d and gets fan(v) = d - 2 - parents(v) children: d minus its two
+ring neighbours and its parents in layer k - 1. Layer k + 1 is one ring of
+sum(fan) - len(layer) fresh ids. The children of v are a window of fan(v)
+consecutive ring entries that starts where the previous vertex's window
+ended, indices taken mod the ring length, so consecutive windows share an
+endpoint and the last window wraps to the first. The triangles between the
+layers are v's fan over its window and (v, next v, shared endpoint).
+Boundary vertices (the last layer) are exempt from the degree rule.
+
+Every fan has at least 2 children. A ring position starts at most one
+window and ends at most one, so it has at most 2 parents, and a degree of
+at least 6 leaves d - 2 - 2 >= 2. Layer 1 has at least 6 vertices, and a
+layer of m vertices gets a ring of sum(fan) - m >= m, so every layer from 1
+on has at least 6. The ring length, at least fan(v) + len(layer) - 2, thus
+exceeds every window: no window holds a ring entry twice.
 
 Interior links come out as single cycles whose length equals the
 prescribed degree, so any rule with all degrees >= 6 produces a complex
@@ -91,47 +103,24 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
     for k in range(1, spec.radius):
         layer = layers[k]
         m = len(layer)
-        fan = []
-        for v in layer:
-            target = rng.choice(choices)
-            used = 2 + parents[v]
-            c = target - used
-            # degree >= 6 with at most 2 ring and 2 parent edges forces c >= 2
-            assert c >= 2
-            fan.append(c)
-
-        start = next_id  # first child of the first arc, shared with the last arc
-        arcs: list[list[int]] = []
-        cursor = start
-        next_id += 1
-        for i in range(m):
-            need = fan[i]
-            if i < m - 1:
-                fresh = list(range(next_id, next_id + need - 1))
-                next_id += need - 1
-                arc = [cursor] + fresh
-                cursor = arc[-1]
-            else:
-                fresh = list(range(next_id, next_id + need - 2))
-                next_id += need - 2
-                arc = [cursor] + fresh + [start]
-            arcs.append(arc)
-
-        new_layer: list[int] = []
+        fan = [rng.choice(choices) - 2 - parents[v] for v in layer]
+        n = sum(fan) - m
+        ring = list(range(next_id, next_id + n))
+        next_id += n
         new_parents: dict[int, int] = {}
+        pos = 0
         for i, v in enumerate(layer):
-            arc = arcs[i]
-            for a in arc:
+            window = [ring[(pos + j) % n] for j in range(fan[i])]
+            pos += fan[i] - 1
+            for a in window:
                 edges.append((v, a))
                 new_parents[a] = new_parents.get(a, 0) + 1
-            for a, b in zip(arc, arc[1:]):
+            for a, b in zip(window, window[1:]):
                 edges.append((a, b))
                 triangles.append((v, a, b))
-            w = layer[(i + 1) % m]
-            triangles.append((v, w, arc[-1]))
-            new_layer.extend(arc[:-1])
-        vertices.extend(new_layer)
-        layers.append(new_layer)
+            triangles.append((v, layer[(i + 1) % m], window[-1]))
+        vertices.extend(ring)
+        layers.append(ring)
         parents = new_parents
 
     graph = Graph(vertices, edges)

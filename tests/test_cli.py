@@ -67,8 +67,18 @@ def test_generate_rejects_degree_and_degrees():
 
 def test_generate_bad_degree_fails(capsys):
     code = run_cli("generate", "--degree", "5", "--radius", "2")
-    assert code == 1
-    assert "cannot be systolic" in capsys.readouterr().err
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: interior degree 5 < 6 cannot be systolic\n"
+
+
+def test_generate_bad_degree_in_list_is_usage_error(capsys):
+    code = run_cli("generate", "--degrees", "6,5", "--radius", "2")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: interior degree 5 < 6 cannot be systolic\n"
 
 
 # ---------------------------------------------------------------------- square
@@ -460,6 +470,14 @@ def test_all_checks_rules_before_generating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown rule 'bogus'")
     assert ",".join(c.name for c in CHECKS) in err
+
+
+def test_all_checks_degrees_before_writing(tmp_path, capsys):
+    outdir = tmp_path / "bundle"
+    code = run_cli("all", "--degree", "5", "--radius", "2", "--output", str(outdir))
+    assert code == 2
+    assert not outdir.exists()
+    assert capsys.readouterr().err == "error: interior degree 5 < 6 cannot be systolic\n"
 
 
 def test_checks_resolve_cli_names_when_they_run(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from sysquad import (
     DiskSpec,
     format_complex,
-    girth,
+    is_connected,
     link,
     non_systolic_counterexamples,
     triangulated_disk,
@@ -80,13 +80,18 @@ def test_layers_partition_by_distance():
 
 
 def test_interior_links_are_cycles_of_the_requested_degree():
-    d = triangulated_disk(DiskSpec(radius=2, degrees=7))
-    interior = set(d.layers[0]) | set(d.layers[1])
-    for v in interior:
-        lk = link(d.complex, v)
-        assert len(lk.vertices) == 7
-        assert all(len(lk.neighbors(u)) == 2 for u in lk.vertices)
-        assert girth(lk) == 7
+    rules = (6, 7, 9, frozenset({6, 7}), frozenset({6, 7, 8}), frozenset({6, 9}))
+    for degrees in rules:
+        allowed = {degrees} if isinstance(degrees, int) else degrees
+        for radius in range(1, 6):
+            for seed in range(3):
+                spec = DiskSpec(radius=radius, degrees=degrees, seed=seed)
+                d = triangulated_disk(spec)
+                for v in (v for layer in d.layers[:-1] for v in layer):
+                    lk = link(d.complex, v)
+                    assert len(lk.vertices) in allowed, f"{spec} {v}"
+                    assert all(len(lk.neighbors(u)) == 2 for u in lk.vertices)
+                    assert is_connected(lk), f"{spec} {v}"
 
 
 def test_matches_arc_by_arc_oracle():
