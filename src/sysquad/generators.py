@@ -40,6 +40,7 @@ class DiskSpec:
       - an int: every interior vertex gets this degree;
       - a set/frozenset of ints: each interior vertex draws uniformly
         from the set, seeded by ``seed``.
+    Either is stored as a frozenset, an int d as ``frozenset({d})``.
     All degrees must be >= 6; anything less cannot be systolic.
     """
 
@@ -51,13 +52,13 @@ class DiskSpec:
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         degs = self.degrees
-        if isinstance(degs, set):
-            degs = frozenset(degs)
-            object.__setattr__(self, "degrees", degs)
         if isinstance(degs, int):
             degs = frozenset({degs})
+        elif isinstance(degs, set):
+            degs = frozenset(degs)
         elif not isinstance(degs, frozenset):
             raise ValueError(f"unsupported degree rule {degs!r}")
+        object.__setattr__(self, "degrees", degs)
         if not degs:
             raise ValueError("empty degree set")
         for d in degs:
@@ -76,8 +77,7 @@ class Disk:
 
 def triangulated_disk(spec: DiskSpec) -> Disk:
     """Build the disk described by ``spec``; deterministic for a fixed spec."""
-    degs = spec.degrees
-    choices = [degs] if isinstance(degs, int) else sorted(degs)
+    choices = sorted(spec.degrees)
     rng = random.Random(spec.seed)
     if spec.radius == 0:
         c = SimplicialComplex2(Graph([0]), [])

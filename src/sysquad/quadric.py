@@ -9,7 +9,6 @@ embed isometrically, and that every basepoint interval is K_{2,3}-free
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable
 from itertools import combinations
 
@@ -244,7 +243,7 @@ def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
 
 
 def check_ball_isometry(
-    c: SquareComplex | BasedComplex | Graph,
+    c: SquareComplex | Graph,
     cap: int = DEFAULT_CERT_CAP,
     dist: np.ndarray | None = None,
 ) -> CheckReport:
@@ -279,9 +278,6 @@ def check_ball_isometry(
     idx = {v: i for i, v in enumerate(order)}
     rb = ReportBuilder("ball-isometry", cap)
     rb.set_stat("centers", n)
-    if n == 0:
-        rb.set_stat("triples", 0)
-        return rb.build()
     D = all_pairs(g, order) if dist is None else dist
     finite = D < n
     size = finite.sum(axis=1)
@@ -311,37 +307,13 @@ def check_ball_isometry(
     return rb.build()
 
 
-def _default_pairs(b: BasedComplex, seed: int = 0) -> list[tuple[int, int]]:
-    """Every (basepoint, v) pair, then the new pairs among 2,000 random draws.
-
-    Each draw takes two vertices from an RNG seeded with ``seed``; an
-    unordered pair not yet listed is appended in draw order.
-    """
-    verts = sorted(b.graph.vertices)
-    pairs = [(b.basepoint, v) for v in verts]
-    rng = random.Random(seed)
-    seen = {tuple(sorted(p)) for p in pairs}
-    for _ in range(2000):
-        u, v = rng.choice(verts), rng.choice(verts)
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    return pairs
-
-
 def check_interval_isometry(
-    c: SquareComplex | BasedComplex | Graph,
-    pairs: Iterable[tuple[int, int]] | None = None,
+    c: SquareComplex | Graph,
+    pairs: Iterable[tuple[int, int]],
     cap: int = DEFAULT_CERT_CAP,
-    seed: int = 0,
     dist: np.ndarray | None = None,
 ) -> CheckReport:
     """Each interval of the given vertex pairs embeds isometrically.
-
-    Default sample (the first argument must then be based): every
-    (basepoint, v) pair, then the new pairs among 2,000 seeded random
-    draws. Passing every pair checks exhaustively.
 
     Local form: an interval with ambient distance block S embeds
     isometrically exactly when every ordered pair x != y in it has a
@@ -356,10 +328,6 @@ def check_interval_isometry(
     (``is_modular``, step 3). When that certificate passes, each pair
     costs only its ``disconnected`` test.
     """
-    if pairs is None:
-        if not isinstance(c, BasedComplex):
-            raise ValueError("default sampling needs a based complex")
-        pairs = _default_pairs(c, seed)
     g = c if isinstance(c, Graph) else c.graph
     order = vertex_order(g)
     idx = {v: i for i, v in enumerate(order)}

@@ -80,9 +80,8 @@ class ReportBuilder:
         self._violations = 0
         self._stats: dict[str, int | str] = {}
 
-    def count(self, key: str, n: int = 1) -> None:
-        cur = self._stats.get(key, 0)
-        self._stats[key] = (cur if isinstance(cur, int) else 0) + n
+    def count(self, key: str) -> None:
+        self._stats[key] = self._stats.get(key, 0) + 1
 
     def set_stat(self, key: str, value: int | str) -> None:
         self._stats[key] = value

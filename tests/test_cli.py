@@ -360,6 +360,51 @@ def test_verify_exhaustive_flag(tmp_path):
     assert run_cli("verify", "--input", str(mid), "--exhaustive") == 0
 
 
+def test_verify_interval_sample_is_seeded(tmp_path, capsys):
+    # every (base, v) pair of the 232-vertex squaring, then the new pairs
+    # among 2,000 draws seeded by --seed
+    assert run_cli(
+        "all", "--degree", "7", "--radius", "4", "--output", str(tmp_path / "run"),
+    ) == 0
+    squared = str(tmp_path / "run" / "squared.complex")
+    outs = {}
+    for seed in ("0", "0", "1"):
+        capsys.readouterr()
+        assert run_cli(
+            "verify", "--input", squared, "--rules", "intervals", "--seed", seed,
+        ) == 0
+        out = capsys.readouterr().out
+        assert outs.setdefault(seed, out) == out
+    assert "stat intervals 2128\n" in outs["0"]
+    assert "stat intervals 2145\n" in outs["1"]
+
+
+NUMPY_OOM = "Unable to allocate 21.9 GiB for an array with shape (76742, 76742)"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("message, shown", [
+    (NUMPY_OOM, NUMPY_OOM),
+    ("", "out of memory"),  # CPython's own MemoryError carries no message
+], ids=["numpy", "bare"])
+def test_verify_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch,
+                                               jobs, message, shown):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    src = gen(tmp_path)
+    mid = tmp_path / "sq.complex"
+    run_cli("square", "--input", str(src), "--output", str(mid))
+    capsys.readouterr()
+    monkeypatch.setattr(sysquad.cli, "all_pairs", exhausted)
+    assert run_cli(
+        "verify", "--input", str(mid), "--rules", "balls", "--jobs", jobs,
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {shown}\n"
+
+
 # ----------------------------------------------------------------------- propa
 
 

@@ -247,6 +247,16 @@ def test_ball_isometry_stays_inside_components():
     assert rep.stats["triples"] == 3 * 3 * 2 + 2 * 2 * 1 + 0
 
 
+def test_isometry_checks_on_the_empty_graph():
+    assert check_ball_isometry(Graph([])).to_text() == (
+        "check ball-isometry\npassed true\nstat centers 0\nstat triples 0\n"
+        "violations 0\n"
+    )
+    assert check_interval_isometry(Graph([]), []).to_text() == (
+        "check interval-isometry\npassed true\nviolations 0\n"
+    )
+
+
 def test_ball_isometry_passes_on_squaring(small_squaring):
     rep = check_ball_isometry(small_squaring.squared.complex)
     assert rep.passed
@@ -320,14 +330,6 @@ def test_interval_isometry_matches_bruteforce_on_every_pair():
         assert got == want, f"seed={seed}"
         failing += len(want)
     assert failing > 0
-
-
-def test_interval_isometry_default_pairs_are_seeded(small_squaring):
-    b = small_squaring.squared
-    a = check_interval_isometry(b)
-    c = check_interval_isometry(b)
-    assert a.to_text() == c.to_text()
-    assert a.passed
 
 
 # -------------------------------------------------------------- interval shapes
