@@ -34,6 +34,7 @@ from .quadric import (
     check_quadrangle_condition,
     check_replacement_rule_A,
     check_replacement_rule_B,
+    is_modular,
 )
 from .reports import DEFAULT_CERT_CAP, CheckReport
 from .squaring import check_quasi_isometry, squaring
@@ -51,11 +52,16 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class Subject:
-    """What a check runs on: the complex, its based form, shared distances."""
+    """What a check runs on: the complex, its based form, shared distances.
+
+    ``dist`` is the complex's ``all_pairs`` matrix and ``modular`` its
+    ``is_modular`` verdict; both are None when no selected check uses them.
+    """
 
     complex: SimplicialComplex2 | SquareComplex
     based: BasedComplex | None
     dist: np.ndarray | None
+    modular: bool | None
     args: argparse.Namespace
 
     @property
@@ -69,7 +75,8 @@ class Check:
 
     ``needs_base`` says, given the parsed flags, whether the check needs
     the input's base record. ``uses_dist`` checks share one all-pairs
-    distance matrix, computed once before any of them runs.
+    distance matrix and one modularity verdict, computed once before any
+    of them runs.
     """
 
     name: str
@@ -129,11 +136,13 @@ CHECKS = (
     Check("quad", "square", _always,
           lambda s: check_quadrangle_condition(s.based, s.cap)),
     Check("balls", "square", _never,
-          lambda s: check_ball_isometry(s.complex, s.cap, dist=s.dist),
+          lambda s: check_ball_isometry(
+              s.complex, s.cap, dist=s.dist, modular=s.modular),
           uses_dist=True),
     Check("intervals", "square", lambda args: not args.exhaustive,
           lambda s: check_interval_isometry(
-              s.complex, _interval_pairs(s), s.cap, dist=s.dist),
+              s.complex, _interval_pairs(s), s.cap,
+              dist=s.dist, modular=s.modular),
           uses_dist=True),
     Check("flat", "square", _always,
           lambda s: check_flat_intervals(s.based, s.cap)),
@@ -162,10 +171,12 @@ def _select(args: argparse.Namespace, kind: str | None = None,
 def _run_checks(checks: list[Check], c, based: BasedComplex | None,
                 args: argparse.Namespace) -> list[CheckReport]:
     """Run ``checks`` on one complex; reports keep table order whatever --jobs is."""
-    dist = None
+    dist = modular = None
     if any(check.uses_dist for check in checks):
-        dist = all_pairs(c.graph, vertex_order(c.graph))
-    subject = Subject(c, based, dist, args)
+        order = vertex_order(c.graph)
+        dist = all_pairs(c.graph, order)
+        modular = is_modular(c.graph, order, dist)
+    subject = Subject(c, based, dist, modular, args)
     if args.jobs == 1 or len(checks) <= 1:
         return [check.run(subject) for check in checks]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:

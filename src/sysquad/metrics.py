@@ -3,7 +3,9 @@
 Every distance matrix in the package comes from ``_bfs``. It runs the
 breadth-first searches from all sources at once: vertex v holds a bitset
 (``np.packbits``, one bit per source) of the sources whose search reached
-v at the current depth, and one level ORs each vertex's neighbour bitsets.
+v at the current depth. The graph is a padded neighbour table, so one
+level is one row gather of the frontier per table column, ORed together:
+the padding points at an extra all-zero frontier row, which adds nothing.
 """
 
 from __future__ import annotations
@@ -12,32 +14,71 @@ import numpy as np
 
 from .complexes import Graph
 
+# frontier rows unpacked at a time: a block of 1024 x n booleans stays far
+# below the n x n matrix, so the unpacking adds little to peak memory
+_UNPACK_ROWS = 1024
+
 
 def vertex_order(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(g.vertices))
 
 
-def _bfs(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Distances of the graph on 0..n-1 with symmetric edge list (rows, cols).
+def _table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Neighbour table of the graph on 0..n-1 with symmetric edge list (rows, cols).
 
-    ``rows`` must be sorted. See ``all_pairs`` for the dtype and sentinel.
+    ``rows`` must be sorted. Row v lists v's neighbours in edge-list order,
+    then the padding index n. The table has one column at least.
     """
+    deg = np.bincount(rows, minlength=n)
+    nbr = np.full((n, max(deg.max(initial=0), 1)), n, dtype=np.intp)
+    nbr[rows, np.arange(len(rows)) - (np.cumsum(deg) - deg)[rows]] = cols
+    return nbr
+
+
+def neighbour_table(g: Graph, order: tuple[int, ...]) -> np.ndarray:
+    """Row i holds the indices in ``order`` of the neighbours of order[i].
+
+    A row follows ``g.neighbors`` (ascending ids), so it ascends when
+    ``order`` is sorted, and is padded with n = len(order) up to the
+    largest degree (at least one column).
+    """
+    idx = {v: i for i, v in enumerate(order)}
+    rows = np.repeat(np.arange(len(order)), [g.degree(v) for v in order])
+    cols = np.array([idx[w] for v in order for w in g.neighbors(v)], dtype=np.intp)
+    return _table(rows, cols, len(order))
+
+
+def _bfs(nbr: np.ndarray) -> np.ndarray:
+    """Distances of the graph with neighbour table ``nbr``, padded with n = len(nbr).
+
+    See ``all_pairs`` for the dtype and sentinel. Besides the matrix, the
+    search holds four n x n/8 bitsets and one block of unpacked rows.
+    """
+    n = len(nbr)
     D = np.full((n, n), n, dtype=np.min_scalar_type(2 * n))
     np.fill_diagonal(D, 0)
-    starts = np.searchsorted(rows, np.arange(n))
-    # reduceat reads an empty segment as the row at its start (and fails
-    # past the end), so it only gets the segments of vertices with neighbours
-    has = np.bincount(rows, minlength=n) > 0
-    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
-    seen = frontier.copy()
-    reached = np.zeros_like(frontier)
+    frontier = np.zeros((n + 1, (n + 7) // 8), dtype=np.uint8)
+    v = np.arange(n)
+    frontier[v, v >> 3] = np.right_shift(128, v & 7)  # bit v of row v, as packbits
+    live = frontier[:n]  # a view: row n stays zero
+    seen = live.copy()
+    reached = np.empty_like(seen)
+    step = np.empty_like(seen)
     depth = 0
     while frontier.any():
         depth += 1
-        reached[has] = np.bitwise_or.reduceat(frontier[cols], starts[has], axis=0)
-        frontier = reached & ~seen
-        seen |= frontier
-        D[np.unpackbits(frontier, axis=1, count=n).view(bool)] = depth
+        # the indices are valid, and mode="clip" lets take write to out unbuffered
+        np.take(frontier, nbr[:, 0], axis=0, out=reached, mode="clip")
+        for column in nbr.T[1:]:
+            np.take(frontier, column, axis=0, out=step, mode="clip")
+            reached |= step
+        np.invert(seen, out=step)
+        np.bitwise_and(reached, step, out=live)
+        seen |= live
+        for lo in range(0, n, _UNPACK_ROWS):
+            hi = lo + _UNPACK_ROWS
+            np.copyto(D[lo:hi], depth,
+                      where=np.unpackbits(live[lo:hi], axis=1, count=n).view(bool))
     return D
 
 
@@ -49,11 +90,7 @@ def all_pairs(g: Graph, order: tuple[int, ...] | None = None) -> np.ndarray:
     (at most n - 1). The dtype holds 2n, so sums such as D[u] + D[v] and
     D[k] + 1 never wrap; a difference such as D[x] - 1 can.
     """
-    order = order or vertex_order(g)
-    idx = {v: i for i, v in enumerate(order)}
-    rows = np.repeat(np.arange(len(order)), [g.degree(v) for v in order])
-    cols = np.array([idx[w] for v in order for w in g.neighbors(v)], dtype=np.intp)
-    return _bfs(rows, cols, len(order))
+    return _bfs(neighbour_table(g, order or vertex_order(g)))
 
 
 def induced_distances(dist: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -64,4 +101,4 @@ def induced_distances(dist: np.ndarray, sub: np.ndarray) -> np.ndarray:
     sentinel are those of ``all_pairs`` with n = len(sub).
     """
     rows, cols = np.nonzero(dist[np.ix_(sub, sub)] == 1)
-    return _bfs(rows, cols, len(sub))
+    return _bfs(_table(rows, cols, len(sub)))

@@ -19,6 +19,7 @@ from sysquad import (
     DiskSpec,
 )
 import sysquad.cli
+import sysquad.quadric
 from sysquad.cli import CHECKS, main
 
 
@@ -544,6 +545,40 @@ def test_checks_resolve_cli_names_when_they_run(tmp_path, monkeypatch):
         "all", "--degree", "6", "--radius", "1", "--output", str(tmp_path / "run"),
     ) == 0
     assert len(calls) == 2
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts calls of all_pairs and is_modular from the CLI and from the checks."""
+    calls = {"all_pairs": 0, "is_modular": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (sysquad.cli, sysquad.quadric):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_one_modularity_certificate_per_square_complex(tmp_path, kernel_calls, jobs):
+    # both isometry checks read the verdict computed beside the shared matrix
+    src = gen(tmp_path)
+    mid = tmp_path / "sq.complex"
+    run_cli("square", "--input", str(src), "--output", str(mid))
+    assert run_cli("verify", "--input", str(mid), "--jobs", jobs) == 0
+    assert kernel_calls == {"all_pairs": 1, "is_modular": 1}
+    assert run_cli(
+        "all", "--degree", "6", "--radius", "2", "--jobs", jobs,
+        "--output", str(tmp_path / "run"),
+    ) == 0
+    assert kernel_calls == {"all_pairs": 2, "is_modular": 2}
+    assert run_cli("verify", "--input", str(mid), "--rules", "a,b", "--jobs", jobs) == 0
+    assert kernel_calls == {"all_pairs": 2, "is_modular": 2}
 
 
 def test_all_requires_output_directory():

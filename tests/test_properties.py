@@ -26,6 +26,7 @@ from sysquad import (
     h1_rank_mod2,
     is_connected,
 )
+from sysquad import metrics
 from sysquad.metrics import all_pairs, induced_distances, vertex_order
 from sysquad.quadric import is_modular
 
@@ -141,6 +142,46 @@ def test_induced_distances_agree_with_networkx(params, seed):
     for i, a in enumerate(sub):
         for j, b in enumerate(sub):
             assert inner[i, j] == lengths[order[a]].get(order[b], len(sub))
+
+
+def star(center, n):
+    return Graph(range(n), [(center, v) for v in range(n) if v != center])
+
+
+# the distance kernel's padded neighbour table and packed rows at their edges:
+# one wide row sets the padding width, isolated vertices gather only padding,
+# and at n = 9 a packed row ends in a byte with seven unused bits; small
+# unpacking blocks end on and off the last row
+@pytest.mark.parametrize("g", [
+    Graph([]),
+    Graph([0]),
+    Graph(range(9), [(v, v + 1) for v in range(8)]),
+    star(5, 13),
+    Graph(range(14), [(5, v) for v in range(13) if v != 5]),
+    Graph(range(7), [(1, 4), (4, 6)]),
+    Graph(range(9), [(2, 7)]),
+], ids=["n0", "n1", "path9", "star", "star-isolated", "isolated", "edge9"])
+def test_distance_kernel_edge_cases_agree_with_networkx(monkeypatch, g):
+    order = vertex_order(g)
+    n = len(order)
+    lengths = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    expected = [[lengths[u].get(v, n) for v in order] for u in order]
+    for rows in (None, 1, 3):
+        if rows is not None:
+            monkeypatch.setattr(metrics, "_UNPACK_ROWS", rows)
+        D = all_pairs(g, order)
+        assert D.shape == (n, n) and D.dtype == np.min_scalar_type(2 * n)
+        assert D.tolist() == expected, rows
+        for sub in (np.arange(n), np.arange(0, n, 2), np.arange(1, n, 2), np.arange(0)):
+            inner = induced_distances(D, sub)
+            assert inner.shape == (len(sub), len(sub))
+            assert inner.dtype == np.min_scalar_type(2 * len(sub))
+            h = nx_graph(g).subgraph([order[i] for i in sub])
+            inner_lengths = dict(nx.all_pairs_shortest_path_length(h))
+            assert inner.tolist() == [
+                [inner_lengths[order[a]].get(order[b], len(sub)) for b in sub]
+                for a in sub
+            ], (rows, sub)
 
 
 @settings(max_examples=40, deadline=None)

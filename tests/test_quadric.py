@@ -20,10 +20,12 @@ from sysquad import (
     squaring,
 )
 from sysquad.metrics import all_pairs, vertex_order
+from sysquad import quadric
 from sysquad.quadric import is_modular
 
 from bruteforce import (
     brute_interval_isometry_ok,
+    brute_is_modular,
     brute_interval_vertices,
     random_graph,
 )
@@ -383,6 +385,41 @@ def test_certificate_reads_every_pair_block():
     assert not modular(g)
     rep = check_ball_isometry(g)
     assert str(rep.counterexamples[0]) == "ball-isometry 80 82 84 :: r=2 d_ball=4 d=2"
+
+
+def ladder(k, first=0):
+    """The 2 x k grid on first .. first + 2k - 1."""
+    rails = [(first + i, first + i + 1) for i in range(k - 1)]
+    rails += [(first + k + i, first + k + i + 1) for i in range(k - 1)]
+    return rails + [(first + i, first + k + i) for i in range(k)]
+
+
+def complete_bipartite(a, b, first=0):
+    return [(first + i, first + a + j) for i in range(a) for j in range(b)]
+
+
+@pytest.mark.parametrize("n, edges", [
+    (6, complete_bipartite(3, 3)),
+    (6, complete_bipartite(2, 4)),
+    (6, [e for e in complete_bipartite(3, 3) if e != (0, 3)]),
+    (85, ladder(40) + complete_bipartite(2, 3, 80)),
+    (21, ladder(5) + complete_bipartite(2, 3, 10)
+     + [(15 + i, 15 + (i + 1) % 6) for i in range(6)]),
+    (6, [(0, 1), (2, 3), (4, 5)]),
+    (3, []),
+], ids=["k33", "k24", "k33-minus-edge", "ladder40-k23", "ladder5-k23-hexagon",
+        "matching", "edgeless"])
+def test_certificate_agrees_with_brute_at_every_block_size(monkeypatch, n, edges):
+    # common-neighbour rows of multiplicity 1, 2, 3 and 4 in one padded table;
+    # the matching and the edgeless graph have no pair with a common neighbour
+    g = Graph(range(n), edges)
+    order = vertex_order(g)
+    D = all_pairs(g, order)
+    expected = brute_is_modular(g)
+    for pairs_per_block in (None, 1, 2, 3, 7):
+        if pairs_per_block is not None:
+            monkeypatch.setattr(quadric, "_BLOCK_ENTRIES", pairs_per_block * n)
+        assert is_modular(g, order, D) == expected, pairs_per_block
 
 
 def test_odd_cycle_takes_the_exact_fallback():
