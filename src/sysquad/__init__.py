@@ -18,10 +18,8 @@ from .complexes import (
     canonical_cycle,
     distance,
     enumerate_embedded_4cycles,
-    girth,
     h1_rank_mod2,
     is_connected,
-    link,
 )
 from .fileformat import (
     ComplexFileError,
@@ -29,7 +27,7 @@ from .fileformat import (
     parse_complex,
     read_complex,
 )
-from .generators import DiskSpec, non_systolic_counterexamples, triangulated_disk
+from .generators import DiskSpec, triangulated_disk
 from .propa import property_a_report
 from .quadric import (
     based_interval,
@@ -77,11 +75,8 @@ __all__ = [
     "distance",
     "enumerate_embedded_4cycles",
     "format_complex",
-    "girth",
     "h1_rank_mod2",
     "is_connected",
-    "link",
-    "non_systolic_counterexamples",
     "parse_complex",
     "property_a_report",
     "read_complex",

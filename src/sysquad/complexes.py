@@ -3,8 +3,8 @@
 Finite simple graphs on integer vertex ids, triangle and square complexes
 (one store of cells glued along embedded cycles), and basepointed variants,
 together with the graph operations everything else is built on: BFS
-distances, vertex links, girth, embedded 4-cycle enumeration, common
-neighbours, and mod-2 first-homology rank.
+distances, embedded 4-cycle enumeration, common neighbours, and mod-2
+first-homology rank.
 
 All containers are frozen after construction and every enumeration is
 returned in a canonical sorted order, so identical inputs always produce
@@ -318,45 +318,6 @@ def distance(obj, u: int, v: int) -> int | float:
     if not g.has_vertex(v):
         raise ValueError(f"unknown vertex {v}")
     return dist.get(v, INF)
-
-
-def link(c: SimplicialComplex2, v: int) -> Graph:
-    """Link of a vertex: its neighbours, joined when they span a triangle with v."""
-    nbs = c.graph.neighbors(v)
-    edges = []
-    for t in c.triangles_at(v):
-        a, b = (x for x in t if x != v)
-        edges.append((a, b))
-    return Graph(nbs, edges)
-
-
-def girth(g: Graph) -> int | float:
-    """Length of a shortest embedded cycle, INF for forests.
-
-    Per-root BFS: scanning a non-tree edge (u, w) during the BFS from a root
-    certifies a cycle of length dist(u) + dist(w) + 1 through the BFS tree,
-    and a root lying on a shortest cycle realizes its exact length.
-    """
-    best: int | float = INF
-    for root in sorted(g.vertices):
-        dist = {root: 0}
-        parent: dict[int, int | None] = {root: None}
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            if 2 * du >= best:
-                continue
-            for w in g.neighbors(u):
-                if w not in dist:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    q.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cand = du + dist[w] + 1
-                    if cand < best:
-                        best = cand
-    return best
 
 
 def is_connected(g: Graph) -> bool:

@@ -130,25 +130,3 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
         center=0,
         layers=tuple(tuple(layer) for layer in layers),
     )
-
-
-def non_systolic_counterexamples() -> list[tuple[SimplicialComplex2, str]]:
-    """Small complexes that must fail systolic verification, with the failing check."""
-    out = []
-
-    # hub whose link is a 4-cycle
-    rim = [1, 2, 3, 4]
-    edges = [(0, v) for v in rim] + [(1, 2), (2, 3), (3, 4), (1, 4)]
-    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4)]
-    out.append((SimplicialComplex2(Graph(range(5), edges), tris), "link-girth"))
-
-    # a 3-clique with no 2-cell on it
-    g = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
-    out.append((SimplicialComplex2(g, []), "flagness"))
-
-    # complete graph on 4 vertices with all four triangles: links are 3-cycles
-    k4_edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    k4_tris = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    out.append((SimplicialComplex2(Graph(range(4), k4_edges), k4_tris), "link-girth"))
-
-    return out

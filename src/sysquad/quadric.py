@@ -299,8 +299,12 @@ def check_ball_isometry(
     rb = ReportBuilder("ball-isometry", cap)
     rb.set_stat("centers", n)
     D = all_pairs(g, order) if dist is None else dist
-    finite = D < n
-    size = finite.sum(axis=1)
+    # component sizes, one distance row per component: no n x n mask
+    size = np.zeros(n, dtype=np.int64)
+    for u in range(n):
+        if not size[u]:
+            members = D[u] < n
+            size[members] = np.count_nonzero(members)
     rb.set_stat("triples", int((size * (size - 1)).sum()))
     if modular is None:
         modular = is_modular(g, order, D)
@@ -309,7 +313,7 @@ def check_ball_isometry(
     for x in range(n):
         # bad[u, y]: u in x's component, y != x, d(u,y) <= d(u,x), no step yet
         bad = D <= D[:, x][:, None]
-        bad &= finite[:, x][:, None]
+        bad &= (D[:, x] < n)[:, None]
         bad[:, x] = False
         for z in g.neighbors(order[x]):
             k = idx[z]

@@ -3,6 +3,21 @@
 verify_systolic covers the structural conditions: every vertex link has
 girth >= 6, the complex is flag (each 3-clique spans a triangle, no
 4-clique), and the mod-2 cycle test for simple connectedness passes.
+Link girth and flagness are array passes over one triangle array and
+the sorted edge keys, vertices indexed by ``vertex_order``:
+
+- Link girth walks the directed link edges. Corner v of triangle
+  (v, p, q) gives link(v) the edge pq in both directions, and (v: q->r)
+  follows (v: p->q) when r != p. A walk that comes back to its start edge
+  is a closed walk that never turns back, and the first length at which
+  any walk from link(v) comes back is the girth of link(v)
+  (``_link_girths`` proves it), so five steps decide girth < 6 for every
+  link, branched links included.
+- Flagness lists the 3-cliques u < w < x from each edge (u, w) and the
+  neighbours x > w of w, keeps those with (u, x) an edge, and looks them
+  up among the triangles; each 3-clique extends to the 4-cliques
+  u < w < x < y through the neighbours y > x of x adjacent to u and w.
+  Membership is ``np.searchsorted`` on sorted keys.
 
 The three basepointed checks cover the sphere geometry that squaring
 relies on: spheres are triangle-free, two neighbours of a vertex that
@@ -12,17 +27,137 @@ an equidistant edge see a common neighbour one step closer.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .complexes import (
     BasedComplex,
     SimplicialComplex2,
     bfs_levels,
-    girth,
     h1_rank_mod2,
-    link,
 )
+from .metrics import vertex_order
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
+
+# a link with no closed walk of this length or less has girth >= 6
+_WALK = 5
+
+
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with lo[i] <= j < hi[i], grouped by i, each group ascending."""
+    cnt = hi - lo
+    row = np.repeat(np.arange(len(lo)), cnt)
+    return row, lo[row] + np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row]
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of nonnegative ``keys``, sorted.
+
+    A sort is many times faster here than ``np.unique``, which hashes.
+    """
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which queries occur in ``keys``, sorted and padded with a key above every query."""
+    return keys[np.searchsorted(keys, queries)] == queries
+
+
+def _link_girths(tri: np.ndarray, n: int) -> np.ndarray:
+    """The girth of link(v) at index v when it is below 6, else 0.
+
+    ``tri`` holds one row of vertex indices per triangle. A state is a
+    directed link edge (v: p->q), from corner v of triangle (v, p, q);
+    its successors are the (v: q->r) with r != p. A walk of k states that
+    ends on its start state is a closed walk x0 x1 ... xk = x0 in link(v)
+    that never turns back, not even across x0.
+
+    The first k at which any walk from link(v) ends on its start is the
+    girth of link(v). Walking once around a shortest cycle is such a walk.
+    Conversely, in such a walk let j be least with x_j = x_i for some
+    i < j (x_k = x_0, so j <= k). Then x_i, ..., x_{j-1} are distinct, and
+    j - i >= 3, because a link is a simple graph (j - i != 1) and the
+    walk never turns back (x_{i+2} != x_i). So they form a cycle of
+    length j - i <= k. In particular no walk ends on its start within two
+    steps, and five steps find every link of girth below 6.
+
+    Two walks from one start that reach one state at step k have the same
+    continuations, so one (start, current) pair per step loses no return.
+    A pair stays inside one link, so the state holds at most
+    sum over v of (2 t_v)^2 pairs, t_v the triangles at v. A link stops
+    walking once its girth is known.
+    """
+    a, b, c = tri.T
+    vert = np.stack([a, a, b, b, c, c], axis=1).ravel()
+    tail = np.stack([b, c, a, c, a, b], axis=1).ravel()
+    head = np.stack([c, b, c, a, b, a], axis=1).ravel()
+    m = len(vert)
+    # states s and s ^ 1 are one link edge in its two directions; sorted by
+    # (v, tail), the (v: q->r) form one run of states for each (v, q)
+    by = np.argsort(vert * n + tail, kind="stable")
+    back = np.empty(m, dtype=np.intp)
+    back[by] = np.arange(m)
+    back = back[by ^ 1]
+    vert, tail, head = vert[by], tail[by], head[by]
+    keys = vert * n + tail
+    row, nxt = _expand(np.searchsorted(keys, vert * n + head, side="left"),
+                       np.searchsorted(keys, vert * n + head, side="right"))
+    turn = nxt != back[row]  # never back along the edge just walked
+    # the successors of state s are succ[ptr[s]:ptr[s + 1]]
+    succ = nxt[turn]
+    ptr = np.searchsorted(row[turn], np.arange(m + 1))
+
+    girth = np.zeros(n, dtype=np.intp)
+    start = cur = np.arange(m)
+    for k in range(1, _WALK + 1):
+        i, f = _expand(ptr[cur], ptr[cur + 1])
+        start, cur = np.divmod(_distinct(start[i] * m + succ[f]), m)
+        closed = start == cur
+        if closed.any():
+            girth[vert[start[closed]]] = k
+            live = girth[vert[start]] == 0
+            start, cur = start[live], cur[live]
+    return girth
+
+
+def _flag_violations(ends: np.ndarray, tri: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """The number of 3-cliques, and one row (u, w, x, y) per flagness violation.
+
+    ``ends`` and ``tri`` hold one ascending row of vertex indices per edge
+    and per triangle. A 3-clique u < w < x comes once, from the edge (u, w)
+    and the neighbour x > w of w, when (u, x) is an edge too; a 4-clique
+    u < w < x < y comes once, from the 3-clique (u, w, x) and the neighbour
+    y > x of x, when y is adjacent to u and w. An empty triangle is the row
+    (u, w, x, -1). Rows come in scan order: by 3-clique, each empty triangle
+    before the 4-cliques it extends, by y.
+    """
+    # edges u < w as sorted keys u * n + w, padded with n * n above every key
+    ekeys = np.append(np.sort(ends[:, 0] * n + ends[:, 1]), n * n)
+    u, w = np.divmod(ekeys[:-1], n)
+    first = np.searchsorted(u, np.arange(n + 1))  # w[first[v]:first[v + 1]] are above v
+    e, f = _expand(first[w], first[w + 1])
+    keep = _contains(ekeys, u[e] * n + w[f])
+    e, x = e[keep], w[f[keep]]  # 3-clique i is (u[e[i]], w[e[i]], x[i])
+    # a triangle (u, w, x) and a 3-clique as (index of edge (u, w)) * n + x
+    t_edge = np.searchsorted(ekeys, tri[:, 0] * n + tri[:, 1])
+    tkeys = np.append(np.sort(t_edge * n + tri[:, 2]), len(ekeys) * n)
+    empty = ~_contains(tkeys, e * n + x)
+    i, f = _expand(first[x], first[x + 1])
+    y = w[f]
+    keep = _contains(ekeys, u[e[i]] * n + y) & _contains(ekeys, w[e[i]] * n + y)
+    # slot 0 of a 3-clique is its empty triangle, slot y + 1 its 4-clique with y
+    slot = np.concatenate([np.flatnonzero(empty) * (n + 1), i[keep] * (n + 1) + y[keep] + 1])
+    i, y = np.divmod(np.sort(slot), n + 1)
+    return len(x), np.column_stack([u[e[i]], w[e[i]], x[i], y - 1])
+
+
+def _index_rows(order: tuple[int, ...], rows, width: int) -> np.ndarray:
+    """Rows of vertex ids as rows of their indices in ``order``."""
+    idx = {v: i for i, v in enumerate(order)}
+    flat = np.fromiter(map(idx.__getitem__, chain.from_iterable(rows)), dtype=np.intp)
+    return flat.reshape(-1, width)
 
 
 def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
@@ -30,7 +165,10 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
 
     A vertex the smallest vertex does not reach is a ``disconnected``
     certificate, and the h1 test, which needs a connected complex, is
-    skipped.
+    skipped. Certificates come in scan order, so a cap keeps the same
+    prefix as a scan of the links by vertex and then of the 3-cliques
+    (u, w, x) in order, each empty triangle before the 4-cliques
+    (u, w, x, y) it extends, by y.
     """
     g = c.graph
     rb = ReportBuilder("systolic", cap)
@@ -43,25 +181,23 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb.set_stat("edges", len(g.edges))
     rb.set_stat("triangles", len(c.triangles))
 
-    for v in sorted(g.vertices):
-        lk = link(c, v)
-        gg = girth(lk)
-        rb.count("links")
-        if gg < 6:
-            rb.violation("link-girth", (v,), f"girth={gg}")
+    order = vertex_order(g)
+    n = len(order)
+    tri = _index_rows(order, c.triangles, 3)
+    if n:
+        rb.set_stat("links", n)
+    girth = _link_girths(tri, n)
+    for v in np.flatnonzero(girth).tolist():
+        rb.violation("link-girth", (order[v],), f"girth={girth[v]}")
 
-    for u, w in sorted(g.edges):
-        nbs = g.neighbor_set(u) & g.neighbor_set(w)
-        for x in sorted(nbs):
-            if x < w:
-                continue  # count each 3-clique once, with u < w < x
-            rb.count("cliques3")
-            if not c.has_triangle((u, w, x)):
-                rb.violation("flagness", (u, w, x), "empty-triangle")
-            deeper = nbs & g.neighbor_set(x)
-            for y in sorted(deeper):
-                if y > x:
-                    rb.violation("flagness", (u, w, x, y), "4-clique")
+    cliques, rows = _flag_violations(_index_rows(order, g.edges, 2), tri, n)
+    if cliques:
+        rb.set_stat("cliques3", cliques)
+    for *clique, y in rows.tolist():
+        if y < 0:
+            rb.violation("flagness", tuple(order[i] for i in clique), "empty-triangle")
+        else:
+            rb.violation("flagness", tuple(order[i] for i in (*clique, y)), "4-clique")
 
     if connected:
         rank = h1_rank_mod2(c)

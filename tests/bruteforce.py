@@ -533,6 +533,116 @@ def find_K23(g):
     return found
 
 
+def link(c, v):
+    """Link of a vertex: its neighbours, joined when they span a triangle with v."""
+    from sysquad import Graph
+
+    nbs = c.graph.neighbors(v)
+    edges = []
+    for t in c.triangles_at(v):
+        a, b = (x for x in t if x != v)
+        edges.append((a, b))
+    return Graph(nbs, edges)
+
+
+def girth(g):
+    """Length of a shortest embedded cycle, INF for forests.
+
+    Per-root BFS: scanning a non-tree edge (u, w) during the BFS from a root
+    certifies a cycle of length dist(u) + dist(w) + 1 through the BFS tree,
+    and a root lying on a shortest cycle realizes its exact length.
+    """
+    best = INF
+    for root in sorted(g.vertices):
+        dist = {root: 0}
+        parent = {root: None}
+        q = deque([root])
+        while q:
+            u = q.popleft()
+            du = dist[u]
+            if 2 * du >= best:
+                continue
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    q.append(w)
+                elif parent[u] != w and parent[w] != u:
+                    cand = du + dist[w] + 1
+                    if cand < best:
+                        best = cand
+    return best
+
+
+def brute_verify_systolic(c, cap):
+    """The ``systolic`` report from one ``girth(link(c, v))`` per vertex and a
+    common-neighbour scan over the sorted edges, in the same scan order."""
+    from sysquad.complexes import bfs_levels, h1_rank_mod2
+    from sysquad.reports import ReportBuilder
+
+    g = c.graph
+    rb = ReportBuilder("systolic", cap)
+    connected = True
+    if g.vertices:
+        source = min(g.vertices)
+        reached = bfs_levels(g, source)
+        connected = not rb.disconnected(source, tuple(sorted(g.vertices.difference(reached))))
+    rb.set_stat("vertices", len(g.vertices))
+    rb.set_stat("edges", len(g.edges))
+    rb.set_stat("triangles", len(c.triangles))
+
+    for v in sorted(g.vertices):
+        gg = girth(link(c, v))
+        rb.count("links")
+        if gg < 6:
+            rb.violation("link-girth", (v,), f"girth={gg}")
+
+    for u, w in sorted(g.edges):
+        nbs = g.neighbor_set(u) & g.neighbor_set(w)
+        for x in sorted(nbs):
+            if x < w:
+                continue  # count each 3-clique once, with u < w < x
+            rb.count("cliques3")
+            if not c.has_triangle((u, w, x)):
+                rb.violation("flagness", (u, w, x), "empty-triangle")
+            deeper = nbs & g.neighbor_set(x)
+            for y in sorted(deeper):
+                if y > x:
+                    rb.violation("flagness", (u, w, x, y), "4-clique")
+
+    if connected:
+        rank = h1_rank_mod2(c)
+        rb.set_stat("h1_rank_mod2", rank)
+        if rank != 0:
+            rb.violation("h1", (), f"rank={rank}")
+
+    return rb.build()
+
+
+def non_systolic_counterexamples():
+    """Small complexes that must fail systolic verification, with the failing check."""
+    from sysquad import Graph, SimplicialComplex2
+
+    out = []
+
+    # hub whose link is a 4-cycle
+    rim = [1, 2, 3, 4]
+    edges = [(0, v) for v in rim] + [(1, 2), (2, 3), (3, 4), (1, 4)]
+    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4)]
+    out.append((SimplicialComplex2(Graph(range(5), edges), tris), "link-girth"))
+
+    # a 3-clique with no 2-cell on it
+    g = Graph(range(3), [(0, 1), (0, 2), (1, 2)])
+    out.append((SimplicialComplex2(g, []), "flagness"))
+
+    # complete graph on 4 vertices with all four triangles: links are 3-cycles
+    k4_edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    k4_tris = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    out.append((SimplicialComplex2(Graph(range(4), k4_edges), k4_tris), "link-girth"))
+
+    return out
+
+
 def brute_flat_intervals_text(c, base, cap):
     """The ``flat-intervals`` report text, one K_{2,3} search per interval.
 

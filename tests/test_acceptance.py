@@ -27,8 +27,6 @@ from sysquad import (
     check_triangle_condition,
     enumerate_embedded_4cycles,
     format_complex,
-    girth,
-    non_systolic_counterexamples,
     property_a_report,
     squaring,
     verify_systolic,
@@ -49,6 +47,8 @@ from bruteforce import (
     cycle_edges,
     find_K23,
     four_cycles_by_subsets,
+    girth,
+    non_systolic_counterexamples,
     random_graph,
 )
 from conftest import k23_complex_based, l1, rule_a_mutant, rule_b_mutant, weights

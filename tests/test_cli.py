@@ -11,7 +11,6 @@ from sysquad import (
     SimplicialComplex2,
     SquareComplex,
     format_complex,
-    non_systolic_counterexamples,
     property_a_report,
     read_complex,
     squaring,
@@ -21,6 +20,8 @@ from sysquad import (
 import sysquad.cli
 import sysquad.quadric
 from sysquad.cli import CHECKS, main
+
+from bruteforce import non_systolic_counterexamples
 
 
 def run_cli(*argv):

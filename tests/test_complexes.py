@@ -13,10 +13,8 @@ from sysquad import (
     canonical_cycle,
     distance,
     enumerate_embedded_4cycles,
-    girth,
     h1_rank_mod2,
     is_connected,
-    link,
 )
 from sysquad.complexes import CellError
 
@@ -29,6 +27,8 @@ from bruteforce import (
     cycle_edges,
     find_K23,
     four_cycles_by_subsets,
+    girth,
+    link,
     random_graph,
 )
 from conftest import k23_graph

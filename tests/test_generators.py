@@ -6,13 +6,11 @@ from sysquad import (
     DiskSpec,
     format_complex,
     is_connected,
-    link,
-    non_systolic_counterexamples,
     triangulated_disk,
     verify_systolic,
 )
 
-from bruteforce import brute_triangulated_disk
+from bruteforce import brute_triangulated_disk, link, non_systolic_counterexamples
 from conftest import LEMMA_SPECS
 
 # Radius 0-5 for each rule, seeds 0-11 for the mixed rules. A constant

@@ -22,7 +22,6 @@ from sysquad import (
     check_replacement_rule_B,
     distance,
     enumerate_embedded_4cycles,
-    girth,
     h1_rank_mod2,
     is_connected,
 )
@@ -47,6 +46,7 @@ from bruteforce import (
     cycle_edges,
     find_K23,
     four_cycles_by_subsets,
+    girth,
     random_bipartite_graph,
     random_graph,
     random_k23_complex,

@@ -1,5 +1,12 @@
 """Verification of the triangle-complex conditions and their level lemmas."""
 
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from sysquad import systolic
 from sysquad import (
     BasedComplex,
     Graph,
@@ -7,9 +14,10 @@ from sysquad import (
     check_ball_neighbours,
     check_spheres_triangle_free,
     check_triangle_condition,
-    non_systolic_counterexamples,
     verify_systolic,
 )
+
+from bruteforce import brute_verify_systolic, non_systolic_counterexamples
 
 
 def four_wheel():
@@ -87,6 +95,161 @@ def test_disconnected_input_rejected():
     ):
         assert not rep.passed
         assert [(x.kind, x.vertices, x.info) for x in rep.counterexamples] == want
+
+
+def complex_of(triangles, edges=()):
+    """The complex on the given triangles plus extra edges, with their vertices."""
+    es = {tuple(sorted(e)) for e in edges}
+    for t in triangles:
+        es.update(tuple(sorted(p)) for p in combinations(t, 2))
+    vs = {v for e in es for v in e}
+    return SimplicialComplex2(Graph(vs, es), triangles)
+
+
+def cone(edges):
+    """The cone over a graph with apex 0: the link of the apex is that graph."""
+    return complex_of([(0, a, b) for a, b in edges])
+
+
+def relabel(c, f):
+    g = c.graph
+    return SimplicialComplex2(
+        Graph(map(f, g.vertices), [(f(a), f(b)) for a, b in g.edges]),
+        [tuple(map(f, t)) for t in c.triangles],
+    )
+
+
+def petersen(s=1):
+    outer = [(s + i, s + (i + 1) % 5) for i in range(5)]
+    inner = [(s + 5 + i, s + 5 + (i + 2) % 5) for i in range(5)]
+    return outer + inner + [(s + i, s + 5 + i) for i in range(5)]
+
+
+def heawood(s=1):
+    """The incidence graph of the Fano plane: cubic, girth 6."""
+    lines = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)]
+    return [(s + p, s + 7 + i) for i, line in enumerate(lines) for p in line]
+
+
+def k_nn(n, s=1):
+    return [(s + a, s + n + b) for a in range(n) for b in range(n)]
+
+
+def mixed_violations():
+    """More than 25 violations of all three kinds, ids in reverse vertex order.
+
+    K6 with the ten triangles at one vertex (link K5, girth 3; ten empty
+    triangles, fifteen 4-cliques), two 4-wheels and a 5-wheel, joined by
+    bare edges.
+    """
+    k6 = [(0, a, b) for a, b in combinations(range(1, 6), 2)]
+    wheels = []
+    for hub, rim in ((6, range(7, 11)), (11, range(12, 16)), (16, range(17, 22))):
+        rim = list(rim)
+        wheels += [(hub, a, b) for a, b in zip(rim, rim[1:] + rim[:1])]
+    c = complex_of(k6 + wheels, edges=[(a, b) for a, b in combinations(range(1, 6), 2)]
+                   + [(5, 7), (10, 12), (15, 17)])
+    return relabel(c, lambda v: 100 - 3 * v)
+
+
+@st.composite
+def triangle_complexes(draw):
+    """Random 2-complexes with non-contiguous vertex ids.
+
+    Up to two parts (none: the empty complex; two: disconnected input).
+    A part is a random graph with a random share of its 3-cliques filled,
+    none to all (edges in three or more triangles, links with no
+    triangles, empty triangles, 4-cliques), or a bouquet: a hub whose link
+    is disjoint cycles of lengths 3 to 7, with extra triangles on one
+    spoke so that the link branches there.
+    """
+    edges, tris, size = set(), [], 0
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            n = draw(st.integers(1, 9))
+            p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+            q = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+            rng = random.Random(draw(st.integers(0, 10**6)))
+            es = {e for e in combinations(range(n), 2) if rng.random() < p}
+            ts = [t for t in combinations(range(n), 3)
+                  if set(combinations(t, 2)) <= es and rng.random() < q]
+        else:
+            es, ts, n = set(), [], 1
+            for length in draw(st.lists(st.integers(3, 7), min_size=1, max_size=3)):
+                rim = list(range(n, n + length))
+                n += length
+                ts += [(0, a, b) for a, b in zip(rim, rim[1:] + rim[:1])]
+            for _ in range(draw(st.integers(0, 3))):  # pages on the spoke (0, 1)
+                ts.append((0, 1, n))
+                n += 1
+            es = {tuple(sorted(e)) for t in ts for e in combinations(t, 2)}
+        edges |= {(a + size, b + size) for a, b in es}
+        tris += [tuple(v + size for v in t) for t in ts]
+        size += n
+    ids = draw(st.permutations(range(size)))
+    return relabel(SimplicialComplex2(Graph(range(size), edges), tris), lambda v: 2 * ids[v] + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(triangle_complexes())
+@example(SimplicialComplex2(Graph([]), []))
+@example(SimplicialComplex2(Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4)]), []))
+@example(cone(heawood(2**64)))  # ids beyond any fixed-width integer
+def test_verify_systolic_agrees_with_oracle(c):
+    # the whole report: verdict, stats, violation count and kept certificates
+    for cap in (0, 1, 25):
+        assert verify_systolic(c, cap) == brute_verify_systolic(c, cap)
+
+
+@pytest.mark.parametrize("link_edges, want", [
+    (k_nn(3), "girth=4"),
+    (petersen(), "girth=5"),
+    (heawood(), None),
+    (petersen(1) + heawood(11), "girth=5"),  # a link of two components
+    (heawood(1) + [(1, 50), (50, 51), (51, 52), (52, 1)], "girth=4"),
+])
+def test_branched_links(link_edges, want):
+    # every rim vertex of a cone has degree >= 3 in the apex link
+    c = cone(link_edges)
+    rep = verify_systolic(c)
+    assert rep == brute_verify_systolic(c, 25)
+    got = [x.info for x in rep.counterexamples if x.kind == "link-girth"]
+    assert got == ([want] if want else [])
+
+
+def test_scan_order_under_every_cap():
+    c = mixed_violations()
+    full = brute_verify_systolic(c, 10**6)
+    kinds = {(x.kind, x.info.split("=")[0]) for x in full.counterexamples}
+    assert {("link-girth", "girth"), ("flagness", "empty-triangle"),
+            ("flagness", "4-clique")} <= kinds
+    assert full.violations > 25
+    for cap in range(full.violations + 2):
+        assert verify_systolic(c, cap) == brute_verify_systolic(c, cap), cap
+    # the link scan comes first, by vertex: the least violating id is the
+    # 5-wheel's hub, 100 - 3 * 16
+    first = verify_systolic(c, 1).counterexamples
+    assert [str(x) for x in first] == ["link-girth 52 :: girth=5"]
+
+
+def test_walk_state_is_bounded(monkeypatch):
+    # one (start, current) pair per two directed link edges of one link: at
+    # most sum_v (2 t_v)^2 pairs. The apex link K_{7,7} has 6^3 walks of
+    # three steps from each of its 98 directed edges, more than that bound
+    c = cone(k_nn(7))
+    bound = sum((2 * len(c.triangles_at(v))) ** 2 for v in c.graph.vertices)
+    assert 98 * 6 ** 3 > bound
+    sizes = []
+    expand = systolic._expand
+
+    def spy(lo, hi):
+        sizes.append(len(lo))
+        return expand(lo, hi)
+
+    monkeypatch.setattr(systolic, "_expand", spy)
+    rep = verify_systolic(c)
+    assert [str(x) for x in rep.counterexamples] == ["link-girth 0 :: girth=4"]
+    assert max(sizes) <= bound
 
 
 def test_verify_report_idempotent(small_disk):
