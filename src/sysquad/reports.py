@@ -91,6 +91,10 @@ class ReportBuilder:
         if len(self._certs) < self.cap:
             self._certs.append(Certificate(kind, vertices, info))
 
+    def uncertified(self, k: int) -> None:
+        """Count ``k`` violations whose certificates fall past the cap."""
+        self._violations += k
+
     def disconnected(self, source: int, unreached: tuple[int, ...]) -> bool:
         """One ``disconnected (source, v) :: no-path`` violation per unreached v.
 

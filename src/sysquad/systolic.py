@@ -6,18 +6,26 @@ girth >= 6, the complex is flag (each 3-clique spans a triangle, no
 Link girth and flagness are array passes over one triangle array and
 the sorted edge keys, vertices indexed by ``vertex_order``:
 
-- Link girth walks the directed link edges. Corner v of triangle
-  (v, p, q) gives link(v) the edge pq in both directions, and (v: q->r)
-  follows (v: p->q) when r != p. A walk that comes back to its start edge
-  is a closed walk that never turns back, and the first length at which
-  any walk from link(v) comes back is the girth of link(v)
-  (``_link_girths`` proves it), so five steps decide girth < 6 for every
-  link, branched links included.
-- Flagness lists the 3-cliques u < w < x from each edge (u, w) and the
-  neighbours x > w of w, keeps those with (u, x) an edge, and looks them
-  up among the triangles; each 3-clique extends to the 4-cliques
-  u < w < x < y through the neighbours y > x of x adjacent to u and w.
-  Membership is ``np.searchsorted`` on sorted keys.
+- Link girth searches two steps out from every vertex s of every link
+  link(v), where corner v of triangle (v, p, q) makes p and q adjacent:
+  two adjacent neighbours of s close a triangle, a vertex reached from
+  two neighbours of s closes a 4-cycle, and two adjacent vertices at
+  distance 2 close a cycle of length 5 or less. A shortest cycle of
+  link(v), when of length 5 or less, is found from each of its vertices
+  (``_link_girths`` proves it), so the least length found over the
+  vertices of link(v) is its girth when below 6, branched links
+  included.
+- Flagness ranks the vertices by degree and lists each 3-clique once,
+  from an edge a -> b towards the higher rank and an out-neighbour c of
+  b with a -> c an edge, then extends it to the 4-cliques through the
+  out-neighbours of c adjacent to a and b. Membership is
+  ``np.searchsorted`` on sorted keys.
+
+Both searches go in blocks of about ``_BLOCK_ENTRIES`` expanded entries,
+so their working set is one block, or one item (a link vertex and its
+two-step paths, an edge and its candidate 3-cliques) where that is
+larger, whatever the degrees. Flagness holds the first ``cap`` violations
+in scan order and counts the rest.
 
 The three basepointed checks cover the sphere geometry that squaring
 relies on: spheres are triangle-free, two neighbours of a vertex that
@@ -40,8 +48,8 @@ from .complexes import (
 from .metrics import vertex_order
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
-# a link with no closed walk of this length or less has girth >= 6
-_WALK = 5
+# one block of the link and clique searches expands about this many entries
+_BLOCK_ENTRIES = 1 << 12
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,13 +59,21 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, lo[row] + np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row]
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of nonnegative ``keys``, sorted.
+def _blocks(cum: np.ndarray, budget: int):
+    """Consecutive ranges [lo, hi) that cover the items, in order.
 
-    A sort is many times faster here than ``np.unique``, which hashes.
+    Item i costs cum[i + 1] - cum[i]. A range costs at most ``budget``,
+    unless it is one item that costs more on its own.
     """
-    keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
+    lo, items = 0, len(cum) - 1
+    while lo < items:
+        hi = max(lo + 1, int(np.searchsorted(cum, cum[lo] + budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _cumsum(cost: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(cost)))
 
 
 def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -68,89 +84,155 @@ def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _link_girths(tri: np.ndarray, n: int) -> np.ndarray:
     """The girth of link(v) at index v when it is below 6, else 0.
 
-    ``tri`` holds one row of vertex indices per triangle. A state is a
-    directed link edge (v: p->q), from corner v of triangle (v, p, q);
-    its successors are the (v: q->r) with r != p. A walk of k states that
-    ends on its start state is a closed walk x0 x1 ... xk = x0 in link(v)
-    that never turns back, not even across x0.
+    ``tri`` holds one row of vertex indices per triangle; corner v of
+    triangle (v, p, q) makes p and q adjacent in link(v). A root is a
+    vertex s of link(v) with a link neighbour, and the search from it
+    looks two steps out in link(v) for the least of
 
-    The first k at which any walk from link(v) ends on its start is the
-    girth of link(v). Walking once around a shortest cycle is such a walk.
-    Conversely, in such a walk let j be least with x_j = x_i for some
-    i < j (x_k = x_0, so j <= k). Then x_i, ..., x_{j-1} are distinct, and
-    j - i >= 3, because a link is a simple graph (j - i != 1) and the
-    walk never turns back (x_{i+2} != x_i). So they form a cycle of
-    length j - i <= k. In particular no walk ends on its start within two
-    steps, and five steps find every link of girth below 6.
+    - 3, when two neighbours x, y of s are adjacent: a triangle s x y;
+    - 4, when a vertex y, neither s nor a neighbour of s, is reached from
+      two neighbours x != x' of s: a 4-cycle s x y x';
+    - 5, when two such vertices y and z are adjacent: with y reached
+      from x and z from x', the 5-cycle s x y z x', or the triangle
+      x y z when x = x'.
 
-    Two walks from one start that reach one state at step k have the same
-    continuations, so one (start, current) pair per step loses no return.
-    A pair stays inside one link, so the state holds at most
-    sum over v of (2 t_v)^2 pairs, t_v the triangles at v. A link stops
-    walking once its girth is known.
+    Each value is the length of a cycle of link(v) or more, so no value is
+    below the girth. Now let s lie on a shortest cycle C of length g <= 5.
+    No vertex of C has a shortcut to s, which would close a shorter cycle.
+    So when g = 3 the other two vertices of C are adjacent neighbours of s,
+    when g = 4 the vertex of C opposite s is reached from its two
+    neighbours on C, and when g = 5 the two vertices of C opposite s are
+    adjacent. The least value over the roots of link(v) is therefore its
+    girth when that is below 6, and no value means girth >= 6.
+
+    Roots go in blocks of about ``_BLOCK_ENTRIES`` two-step paths, and the
+    search for 5 in blocks of as many neighbours; a block larger than that
+    holds one item. The search for 5 skips links whose girth is already
+    known.
     """
+    girth = np.full(n, 6, dtype=np.intp)  # 6: no cycle of length <= 5 found
     a, b, c = tri.T
-    vert = np.stack([a, a, b, b, c, c], axis=1).ravel()
-    tail = np.stack([b, c, a, c, a, b], axis=1).ravel()
-    head = np.stack([c, b, c, a, b, a], axis=1).ravel()
-    m = len(vert)
-    # states s and s ^ 1 are one link edge in its two directions; sorted by
-    # (v, tail), the (v: q->r) form one run of states for each (v, q)
-    by = np.argsort(vert * n + tail, kind="stable")
-    back = np.empty(m, dtype=np.intp)
-    back[by] = np.arange(m)
-    back = back[by ^ 1]
-    vert, tail, head = vert[by], tail[by], head[by]
-    keys = vert * n + tail
-    row, nxt = _expand(np.searchsorted(keys, vert * n + head, side="left"),
-                       np.searchsorted(keys, vert * n + head, side="right"))
-    turn = nxt != back[row]  # never back along the edge just walked
-    # the successors of state s are succ[ptr[s]:ptr[s + 1]]
-    succ = nxt[turn]
-    ptr = np.searchsorted(row[turn], np.arange(m + 1))
+    # link edges (v: s -> x); edges 2k and 2k + 1 are one edge both ways
+    key = np.stack([a, a, b, b, c, c], axis=1).ravel() * n
+    key += np.stack([b, c, a, c, a, b], axis=1).ravel()
+    # one run of link edges per root (v, s); a stable argsort, because the
+    # default kind maps 256 KB more of numpy's sort code into the process
+    by = np.argsort(key, kind="stable")
+    at = np.empty_like(by)
+    at[by] = np.arange(len(by))
+    key = key[by]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    root_v = key[first] // n  # root r is (v, s), ascending
+    ptr = np.append(first, len(key))  # the link edges out of root r are ptr[r]:ptr[r + 1]
+    rid = np.repeat(np.arange(len(first)), np.diff(ptr))
+    hop = rid[at[by ^ 1]]  # link edge (v: s -> x) leads to the root (v, x)
+    del key, by, at  # the search needs only the roots and hop
+    # roots r and y adjacent as r * R + y, ascending, padded above every key
+    R = len(first)
+    adjacent = np.append(np.sort(rid * R + hop), R * R)
+    cum = _cumsum(np.diff(ptr)[hop])[ptr]  # the two-step paths out of the roots before r
+    for lo, hi in _blocks(cum, _BLOCK_ENTRIES):
+        e = np.arange(ptr[lo], ptr[hi])
+        i, f = _expand(ptr[hop[e]], ptr[hop[e] + 1])  # paths s -> x -> y
+        r, y = rid[e[i]], hop[f]
+        far = y != r  # y is not s
+        r, y = r[far], y[far]
+        near = _contains(adjacent, r * R + y)
+        girth[root_v[r[near]]] = 3
+        reach = np.sort(r[~near] * R + y[~near])
+        twice = root_v[reach[1:][reach[1:] == reach[:-1]] // R]
+        girth[twice] = np.minimum(girth[twice], 4)
+        reach = reach[np.diff(reach, prepend=-1) != 0]
+        r, y = np.divmod(reach, R)
+        live = girth[root_v[r]] == 6
+        r, y = r[live], y[live]
+        reach = np.append(reach, R * R)
+        for p, q in _blocks(_cumsum(np.diff(ptr)[y]), _BLOCK_ENTRIES):
+            j, g = _expand(ptr[y[p:q]], ptr[y[p:q] + 1])  # edges y -> z
+            z_far = _contains(reach, r[p + j] * R + hop[g])
+            girth[root_v[r[p + j[z_far]]]] = 5
+    return np.where(girth < 6, girth, 0)
 
-    girth = np.zeros(n, dtype=np.intp)
-    start = cur = np.arange(m)
-    for k in range(1, _WALK + 1):
-        i, f = _expand(ptr[cur], ptr[cur + 1])
-        start, cur = np.divmod(_distinct(start[i] * m + succ[f]), m)
-        closed = start == cur
-        if closed.any():
-            girth[vert[start[closed]]] = k
-            live = girth[vert[start]] == 0
-            start, cur = start[live], cur[live]
-    return girth
 
+def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
+    """The flagness scan, one block at a time.
 
-def _flag_violations(ends: np.ndarray, tri: np.ndarray, n: int) -> tuple[int, np.ndarray]:
-    """The number of 3-cliques, and one row (u, w, x, y) per flagness violation.
+    ``ends`` and ``tri`` hold one row of vertex indices per edge and per
+    triangle. Vertices are ranked by (degree, index), and an edge points
+    to its end of higher rank. A vertex points to at most sqrt(2 E)
+    others, since each of them has degree at least as high as its own.
+    A 3-clique a < b < c in rank comes once, from the edge a -> b and an
+    out-neighbour c of b with a -> c an edge; a 4-clique a < b < c < d in
+    rank comes once, from the 3-clique (a, b, c) and an out-neighbour d of
+    c adjacent to a and b. The edges go in blocks of about
+    ``_BLOCK_ENTRIES`` candidate 3-cliques, and the 3-cliques in blocks of
+    as many candidate 4-cliques.
 
-    ``ends`` and ``tri`` hold one ascending row of vertex indices per edge
-    and per triangle. A 3-clique u < w < x comes once, from the edge (u, w)
-    and the neighbour x > w of w, when (u, x) is an edge too; a 4-clique
-    u < w < x < y comes once, from the 3-clique (u, w, x) and the neighbour
-    y > x of x, when y is adjacent to u and w. An empty triangle is the row
-    (u, w, x, -1). Rows come in scan order: by 3-clique, each empty triangle
-    before the 4-cliques it extends, by y.
+    Each block yields the number of 3-cliques it lists and one row
+    (u, w, x, y) of indices per violation, u < w < x < y; an empty
+    triangle is (u, w, x, -1).
     """
-    # edges u < w as sorted keys u * n + w, padded with n * n above every key
-    ekeys = np.append(np.sort(ends[:, 0] * n + ends[:, 1]), n * n)
+    by = np.argsort(np.bincount(ends.ravel(), minlength=n) * n + np.arange(n), kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[by] = np.arange(n)
+    a, b = rank[ends.T]
+    # edges a -> b as sorted keys a * n + b, padded with n * n above every key
+    ekeys = np.append(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n * n)
     u, w = np.divmod(ekeys[:-1], n)
-    first = np.searchsorted(u, np.arange(n + 1))  # w[first[v]:first[v + 1]] are above v
-    e, f = _expand(first[w], first[w + 1])
-    keep = _contains(ekeys, u[e] * n + w[f])
-    e, x = e[keep], w[f[keep]]  # 3-clique i is (u[e[i]], w[e[i]], x[i])
-    # a triangle (u, w, x) and a 3-clique as (index of edge (u, w)) * n + x
+    out = np.searchsorted(u, np.arange(n + 1))  # the out-neighbours of a are w[out[a]:out[a + 1]]
+    # a triangle and a 3-clique a < b < c as (index of edge a -> b) * n + c
+    tri = np.sort(rank[tri], axis=1)
     t_edge = np.searchsorted(ekeys, tri[:, 0] * n + tri[:, 1])
     tkeys = np.append(np.sort(t_edge * n + tri[:, 2]), len(ekeys) * n)
-    empty = ~_contains(tkeys, e * n + x)
-    i, f = _expand(first[x], first[x + 1])
-    y = w[f]
-    keep = _contains(ekeys, u[e[i]] * n + y) & _contains(ekeys, w[e[i]] * n + y)
-    # slot 0 of a 3-clique is its empty triangle, slot y + 1 its 4-clique with y
-    slot = np.concatenate([np.flatnonzero(empty) * (n + 1), i[keep] * (n + 1) + y[keep] + 1])
-    i, y = np.divmod(np.sort(slot), n + 1)
-    return len(x), np.column_stack([u[e[i]], w[e[i]], x[i], y - 1])
+    # rank to index; an empty triangle's fourth vertex n sorts last, then reads -1
+    index = np.append(by, n)
+
+    def by_index(rows):
+        rows = np.sort(index[rows], axis=1)
+        rows[rows == n] = -1
+        return rows
+
+    for lo, hi in _blocks(_cumsum(out[w + 1] - out[w]), _BLOCK_ENTRIES):
+        e, f = _expand(out[w[lo:hi]], out[w[lo:hi] + 1])
+        e += lo
+        keep = _contains(ekeys, u[e] * n + w[f])
+        e, x = e[keep], w[f[keep]]  # 3-clique i is (u[e[i]], w[e[i]], x[i])
+        empty = ~_contains(tkeys, e * n + x)
+        yield len(x), by_index(np.column_stack(
+            [u[e[empty]], w[e[empty]], x[empty], np.full(empty.sum(), n)]))
+        for p, q in _blocks(_cumsum(out[x + 1] - out[x]), _BLOCK_ENTRIES):
+            i, g = _expand(out[x[p:q]], out[x[p:q] + 1])
+            i += p
+            y = w[g]
+            keep = _contains(ekeys, u[e[i]] * n + y) & _contains(ekeys, w[e[i]] * n + y)
+            i, y = i[keep], y[keep]
+            yield 0, by_index(np.column_stack([u[e[i]], w[e[i]], x[i], y]))
+
+
+def _first_violations(blocks, cap: int) -> tuple[int, int, np.ndarray]:
+    """The 3-cliques and violations that ``_flag_blocks`` found, and the first ``cap`` rows.
+
+    The rows come in scan order: by 3-clique (u, w, x), each empty triangle
+    before the 4-cliques (u, w, x, y) it extends, by y. Rows are held until
+    they reach twice ``cap`` plus a block, then cut back to the first
+    ``cap``, so a scan with many violations holds few of them at once.
+    """
+    cliques = count = held = 0
+    rows = [np.empty((0, 4), dtype=np.intp)]
+    for k, found in blocks:
+        cliques += k
+        count += len(found)
+        held += len(found)
+        rows.append(found)
+        if held > 2 * (cap + _BLOCK_ENTRIES):
+            rows = [_scan_order(np.concatenate(rows))[:cap]]
+            held = len(rows[0])
+    return cliques, count, _scan_order(np.concatenate(rows))[:cap]
+
+
+def _scan_order(rows: np.ndarray) -> np.ndarray:
+    """Rows (u, w, x, y) by (u, w, x), then by y: an empty triangle's -1 first."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _index_rows(order: tuple[int, ...], rows, width: int) -> np.ndarray:
@@ -190,7 +272,8 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     for v in np.flatnonzero(girth).tolist():
         rb.violation("link-girth", (order[v],), f"girth={girth[v]}")
 
-    cliques, rows = _flag_violations(_index_rows(order, g.edges, 2), tri, n)
+    blocks = _flag_blocks(_index_rows(order, g.edges, 2), tri, n)
+    cliques, count, rows = _first_violations(blocks, cap)
     if cliques:
         rb.set_stat("cliques3", cliques)
     for *clique, y in rows.tolist():
@@ -198,6 +281,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
             rb.violation("flagness", tuple(order[i] for i in clique), "empty-triangle")
         else:
             rb.violation("flagness", tuple(order[i] for i in (*clique, y)), "4-clique")
+    rb.uncertified(count - len(rows))
 
     if connected:
         rank = h1_rank_mod2(c)

@@ -108,7 +108,11 @@ def complex_of(triangles, edges=()):
 
 def cone(edges):
     """The cone over a graph with apex 0: the link of the apex is that graph."""
-    return complex_of([(0, a, b) for a, b in edges])
+    return cone_at(0, edges)
+
+
+def cone_at(apex, edges):
+    return complex_of([(apex, a, b) for a, b in edges])
 
 
 def relabel(c, f):
@@ -196,9 +200,14 @@ def triangle_complexes(draw):
 @example(SimplicialComplex2(Graph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4)]), []))
 @example(cone(heawood(2**64)))  # ids beyond any fixed-width integer
 def test_verify_systolic_agrees_with_oracle(c):
-    # the whole report: verdict, stats, violation count and kept certificates
+    # the whole report: verdict, stats, violation count and kept
+    # certificates, searched in one block and in blocks of one item
     for cap in (0, 1, 25):
-        assert verify_systolic(c, cap) == brute_verify_systolic(c, cap)
+        want = brute_verify_systolic(c, cap)
+        assert verify_systolic(c, cap) == want
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(systolic, "_BLOCK_ENTRIES", 1)
+            assert verify_systolic(c, cap) == want
 
 
 @pytest.mark.parametrize("link_edges, want", [
@@ -232,24 +241,82 @@ def test_scan_order_under_every_cap():
     assert [str(x) for x in first] == ["link-girth 52 :: girth=5"]
 
 
-def test_walk_state_is_bounded(monkeypatch):
-    # one (start, current) pair per two directed link edges of one link: at
-    # most sum_v (2 t_v)^2 pairs. The apex link K_{7,7} has 6^3 walks of
-    # three steps from each of its 98 directed edges, more than that bound
-    c = cone(k_nn(7))
-    bound = sum((2 * len(c.triangles_at(v))) ** 2 for v in c.graph.vertices)
-    assert 98 * 6 ** 3 > bound
+def expansions(monkeypatch):
+    """The length of every expansion the systolic searches make, as they make them."""
     sizes = []
     expand = systolic._expand
 
     def spy(lo, hi):
-        sizes.append(len(lo))
-        return expand(lo, hi)
+        row, col = expand(lo, hi)
+        sizes.append(len(row))
+        return row, col
 
     monkeypatch.setattr(systolic, "_expand", spy)
+    return sizes
+
+
+def test_link_search_is_blocked_on_branched_links(monkeypatch):
+    # the apex link K_{40,40} has 128,000 two-step paths out of its 80
+    # vertices; a search of all of them at once, or a walk from every
+    # directed link edge (3,200 x 39^3 entries at step 3), is far more
+    # than one block
+    sizes = expansions(monkeypatch)
+    c = cone(k_nn(40))
     rep = verify_systolic(c)
     assert [str(x) for x in rep.counterexamples] == ["link-girth 0 :: girth=4"]
-    assert max(sizes) <= bound
+    assert sum(sizes) > 2 * systolic._BLOCK_ENTRIES
+    assert max(sizes) <= systolic._BLOCK_ENTRIES
+
+
+def test_clique_search_is_blocked_on_a_fan(monkeypatch):
+    # the apex sits in the middle of the ids, below 2,000 of its
+    # neighbours and above 2,000; listing the 3-cliques from the edges
+    # (u, apex) and the neighbours of the apex above it would expand
+    # 2,000 x 2,000 entries, while both searches expand about 18 entries
+    # per vertex when edges point towards the higher degree
+    sizes = expansions(monkeypatch)
+    rim = [v for v in range(4001) if v != 2000]
+    rep = verify_systolic(cone_at(2000, zip(rim, rim[1:])))
+    assert rep.passed
+    assert rep.stats["cliques3"] == 3999
+    assert sum(sizes) < 100_000
+
+
+def test_flagness_holds_few_rows_on_a_complete_graph(monkeypatch):
+    # K_20 with no triangle: 1,140 empty triangles and 4,845 4-cliques;
+    # the scan holds the rows of one block and at most twice the cap plus
+    # a block besides, not all 5,985
+    monkeypatch.setattr(systolic, "_BLOCK_ENTRIES", 64)
+    held = []
+    scan_order = systolic._scan_order
+
+    def spy(rows):
+        held.append(len(rows))
+        return scan_order(rows)
+
+    monkeypatch.setattr(systolic, "_scan_order", spy)
+    c = SimplicialComplex2(Graph(range(20), combinations(range(20), 2)), [])
+    for cap in (0, 1, 25):
+        held.clear()
+        rep = verify_systolic(c, cap)
+        assert rep == brute_verify_systolic(c, cap)
+        assert rep.violations == 1140 + 4845 + 1  # and the h1 rank
+        assert max(held) <= 2 * (cap + 64) + 64
+
+
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_every_block_size_agrees_with_oracle(monkeypatch, budget):
+    # blocks of one item upwards split roots, paths and 3-cliques at
+    # every boundary
+    monkeypatch.setattr(systolic, "_BLOCK_ENTRIES", budget)
+    sizes = expansions(monkeypatch)
+    for c in (mixed_violations(), cone(petersen(1) + heawood(11)), cone(k_nn(4)),
+              cone(heawood(1) + [(1, 50), (50, 51), (51, 52), (52, 1)])):
+        sizes.clear()
+        for cap in (0, 1, 25):
+            assert verify_systolic(c, cap) == brute_verify_systolic(c, cap)
+        # a block holds one item, or items costing at most the budget
+        assert max(sizes) <= max(budget, 16)
 
 
 def test_verify_report_idempotent(small_disk):
