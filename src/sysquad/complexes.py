@@ -21,12 +21,6 @@ from typing import Iterable, Sequence
 INF = math.inf
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    if u == v:
-        raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-    return (u, v) if u < v else (v, u)
-
-
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically least rotation or reflection of a cyclic vertex sequence.
 
@@ -60,24 +54,34 @@ def _boundary_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
 class Graph:
     """Finite simple graph. Vertices are opaque nonnegative integer ids."""
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_nbset")
+    __slots__ = ("_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
         vs = frozenset(vertices)
-        es = set()
-        for u, v in edges:
-            e = _normalize_edge(u, v)
-            if e[0] not in vs or e[1] not in vs:
-                raise ValueError(f"edge {e} has an undeclared endpoint")
-            es.add(e)
-        self._vertices: frozenset[int] = vs
-        self._edges: frozenset[tuple[int, int]] = frozenset(es)
+        pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+        ordered = sorted(pairs)  # near linear on the sorted lists most callers pass
+        es = frozenset(ordered)
+        if len(es) < len(ordered):
+            ordered = sorted(es)
         adj: dict[int, list[int]] = {v: [] for v in vs}
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        self._nbset = {v: frozenset(ns) for v, ns in self._adj.items()}
+        # in sorted edge order each vertex meets its smaller neighbours, in
+        # order, before its larger ones, so every list comes out sorted
+        try:
+            for u, v in ordered:
+                adj[u].append(v)
+                adj[v].append(u)
+            valid = not any(u == v for u, v in ordered)
+        except KeyError:
+            valid = False
+        if not valid:  # raise for the first bad edge in the given order
+            for u, v in pairs:
+                if u == v:
+                    raise ValueError(f"loop edge ({u}, {v}) is not allowed")
+                if u not in vs or v not in vs:
+                    raise ValueError(f"edge {(u, v)} has an undeclared endpoint")
+        self._vertices: frozenset[int] = vs
+        self._edges: frozenset[tuple[int, int]] = es
+        self._adj = {v: tuple(ns) for v, ns in adj.items()}
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -94,10 +98,7 @@ class Graph:
             raise ValueError(f"unknown vertex {v}") from None
 
     def neighbor_set(self, v: int) -> frozenset[int]:
-        try:
-            return self._nbset[v]
-        except KeyError:
-            raise ValueError(f"unknown vertex {v}") from None
+        return frozenset(self.neighbors(v))
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -147,26 +148,37 @@ class _CellComplex:
     def __init__(self, graph: Graph, cells: Iterable[Sequence[int]] = ()):
         n = self._length
         edges = graph.edges
-        store = set()
+        store = []
         for i, cell in enumerate(cells):
             cell = tuple(cell)
-            c = canonical_cycle(cell)
-            if len(c) != n or len(set(c)) != n:
+            # a triangle's canonical form is its sorted vertices, and its least
+            # boundary edge comes first; a square's edges follow the given order
+            if n == 3:
+                c = tuple(sorted(cell))
+                valid = len(c) == 3 and c[0] < c[1] < c[2]
+                along = ((c[0], c[1]), (c[0], c[2]), (c[1], c[2])) if valid else ()
+            else:
+                c = canonical_cycle(cell)
+                valid = len(c) == n and len(set(c)) == n
+                along = _boundary_edges(cell) if valid else ()
+            if not valid:
                 raise CellError(i, f"{self._noun} {cell} must have {n} distinct vertices")
-            missing = [e for e in _boundary_edges(cell) if e not in edges]
-            if missing:
+            if not edges.issuperset(along):
                 # complex files quote this byte for byte: a triangle names its sorted
                 # vertices and least missing edge, a square its given order and the
                 # first missing edge along it
-                shown, e = (c, min(missing)) if n == 3 else (cell, missing[0])
-                raise CellError(i, f"{self._noun} {shown} misses edge {e}")
-            store.add(c)
+                e = next(e for e in along if e not in edges)
+                raise CellError(i, f"{self._noun} {c if n == 3 else cell} misses edge {e}")
+            store.append(c)
+        store.sort()  # near linear on the sorted lists most callers pass
         self._graph = graph
         self._cells: frozenset[tuple[int, ...]] = frozenset(store)
-        cells_at: dict[int, list[tuple[int, ...]]] = {}
-        for c in sorted(self._cells):
+        if len(self._cells) < len(store):
+            store = sorted(self._cells)
+        cells_at: dict[int, list[tuple[int, ...]]] = {v: [] for v in graph.vertices}
+        for c in store:
             for v in c:
-                cells_at.setdefault(v, []).append(c)
+                cells_at[v].append(c)
         self._cells_at = {v: tuple(cs) for v, cs in cells_at.items()}
 
     @property
@@ -174,9 +186,10 @@ class _CellComplex:
         return self._graph
 
     def _at(self, v: int) -> tuple[tuple[int, ...], ...]:
-        if not self._graph.has_vertex(v):
-            raise ValueError(f"unknown vertex {v}")
-        return self._cells_at.get(v, ())
+        try:
+            return self._cells_at[v]
+        except KeyError:
+            raise ValueError(f"unknown vertex {v}") from None
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -378,9 +391,14 @@ def h1_rank_mod2(c: SimplicialComplex2 | SquareComplex) -> int:
     and simple connectedness itself is not decided here). Raises on
     disconnected input.
     """
-    g = c.graph
-    if not is_connected(g):
+    if not is_connected(c.graph):
         raise ValueError("h1_rank_mod2 requires a connected complex")
+    return _h1_rank_connected(c)
+
+
+def _h1_rank_connected(c: SimplicialComplex2 | SquareComplex) -> int:
+    """``h1_rank_mod2`` of a complex the caller has found connected."""
+    g = c.graph
     edges = sorted(g.edges)
     eidx = {e: i for i, e in enumerate(edges)}
     rows = [sum(1 << eidx[e] for e in _boundary_edges(cell)) for cell in sorted(c._cells)]

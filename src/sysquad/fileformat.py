@@ -1,6 +1,6 @@
 """Line-based UTF-8 complex files.
 
-Record types, one per line, ids are nonnegative integers:
+Record types, one per line, ids are nonnegative integers of any size:
 
     v <id>                  vertex
     e <id> <id>             edge
@@ -11,17 +11,39 @@ Record types, one per line, ids are nonnegative integers:
 
 Files mix freely with blank lines. A file may carry triangles or squares
 but not both; one with neither reads as a ``SimplicialComplex2`` with no
-triangles. Parsing checks the syntax of the whole file, then declares the
-vertices, then reads every other record in file order, so record order
-does not matter. The cell store checks each cell's boundary edges, in file
-order, as it is built. Every rejection carries the offending line number.
+triangles. Record order does not matter.
+
+A file is read in one bulk pass: each line is split once, every id token
+goes through one ``int`` pass, and each declared id is replaced by its rank
+among the declared ids (its dense index). The record checks then run as
+numpy passes over those indices. Ranks keep the order of the ids, so a
+canonical form over indices is the canonical form over ids, and no id,
+however large, is ever cast to a fixed-width integer.
+
+Every rejection carries the offending line number. A file with several
+faults reports the first of:
+
+1. a syntax fault (unknown record type, wrong number of ids, an invalid or
+   negative id), at the first faulty line of the whole file;
+2. a duplicate vertex, at the first ``v`` line repeating an earlier one;
+3. among the other records, in file order, the first line that names an
+   undeclared vertex, is a loop edge or repeats an edge, repeats a vertex
+   of its cell or a whole cell, or is a second base record (checked in
+   that order within a line);
+4. a file mixing triangles and squares, at the first cell of the kind
+   that appears second;
+5. a cell missing a boundary edge, the first such cell in file order; the
+   cell store checks this as it is built.
 """
 
 from __future__ import annotations
 
 import io
+from itertools import combinations, repeat
 
-from .complexes import CellError, Graph, SimplicialComplex2, SquareComplex, canonical_cycle
+import numpy as np
+
+from .complexes import CellError, Graph, SimplicialComplex2, SquareComplex
 
 _ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
 _CELL = {"t": "triangle", "q": "square"}
@@ -35,84 +57,131 @@ class ComplexFileError(ValueError):
         self.lineno = lineno
 
 
-def _records(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+def _syntax_error(raws: list[str]) -> ComplexFileError:
+    """The first syntax fault among lines (comments cut) the bulk pass found one in."""
+    for lineno, raw in enumerate(raws, start=1):
+        kind, *toks = raw.split() or ("",)
+        if not kind:
             continue
-        parts = line.split()
-        kind = parts[0]
         if kind not in _ARITY:
-            raise ComplexFileError(lineno, f"unknown record type {kind!r}")
-        if len(parts) - 1 != _ARITY[kind]:
-            raise ComplexFileError(
-                lineno, f"{kind} record needs {_ARITY[kind]} ids, got {len(parts) - 1}"
-            )
-        ids = []
-        for tok in parts[1:]:
+            return ComplexFileError(lineno, f"unknown record type {kind!r}")
+        if len(toks) != _ARITY[kind]:
+            return ComplexFileError(lineno, f"{kind} record needs {_ARITY[kind]} ids, got {len(toks)}")
+        for tok in toks:
             try:
                 value = int(tok)
             except ValueError:
-                raise ComplexFileError(lineno, f"invalid id {tok!r}") from None
+                return ComplexFileError(lineno, f"invalid id {tok!r}")
             if value < 0:
-                raise ComplexFileError(lineno, f"negative id {value}")
-            ids.append(value)
-        yield lineno, kind, ids
+                return ComplexFileError(lineno, f"negative id {value}")
+    raise AssertionError("no syntax fault found")
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows equal to an earlier row."""
+    order = np.lexsort(rows.T)  # stable: equal rows stay in file order
+    ranked = rows[order]
+    mask = np.zeros(len(rows), dtype=bool)
+    mask[order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]] = True
+    return mask
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Canonical forms of edge, triangle or square index rows.
+
+    An edge's or triangle's is its sorted vertices. A square's starts at
+    its least vertex and steps to the smaller of that vertex's two
+    neighbours, as ``canonical_cycle`` does.
+    """
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    if rows.shape[1] == 2:
+        return np.stack([lo, hi], axis=1)
+    if rows.shape[1] == 3:
+        return np.stack([lo, rows.sum(axis=1) - lo - hi, hi], axis=1)
+    at = rows.argmin(axis=1)[:, None] + np.arange(4)
+    a, b, c, d = np.take_along_axis(rows, at % 4, axis=1).T
+    return np.stack([a, np.minimum(b, d), c, np.maximum(b, d)], axis=1)
+
+
+def _first_fault(kind, lines, ids, index, order):
+    """(line number, message) of the first faulty record of one kind, or None."""
+    width = _ARITY[kind]
+    rows = np.fromiter(map(index.get, ids, repeat(-1)), np.intp, len(ids)).reshape(-1, width)
+    # an undeclared id is -1, which can only spoil the checks of its own line
+    undeclared = (rows < 0).any(axis=1)
+    own = np.zeros(len(rows), dtype=bool)  # a loop edge, or a cell repeating a vertex
+    for i, j in combinations(range(width), 2):
+        own |= rows[:, i] == rows[:, j]
+    if kind == "base":
+        repeated = np.arange(len(rows)) > 0
+    else:
+        keys = _keys(rows)
+        repeated = _repeats(keys)
+    bad = np.flatnonzero(undeclared | own | repeated)
+    if not len(bad):
+        return None
+    r = int(bad[0])
+    rec = ids[r * width:(r + 1) * width]
+    if undeclared[r]:
+        message = f"undeclared vertex {next(x for x in rec if x not in index)}"
+    elif kind == "base":
+        message = "second base record"
+    elif kind == "e":
+        u, w = rec
+        message = f"loop edge ({u}, {w})" if own[r] else f"duplicate edge {(min(u, w), max(u, w))}"
+    elif own[r]:
+        message = f"{_CELL[kind]} {tuple(rec)} repeats a vertex"
+    else:
+        message = f"duplicate {_CELL[kind]} {tuple(order[i] for i in keys[r].tolist())}"
+    return lines[r], message
 
 
 def parse_complex(text: str) -> tuple[SimplicialComplex2 | SquareComplex, int | None]:
     """The complex a file describes, and its basepoint (None without a base record)."""
-    recs = list(_records(text))
-
-    vertices: set[int] = set()
-    for lineno, kind, ids in recs:
-        if kind == "v":
-            if ids[0] in vertices:
-                raise ComplexFileError(lineno, f"duplicate vertex {ids[0]}")
-            vertices.add(ids[0])
-
-    edges: set[tuple[int, int]] = set()
-    seen: set[tuple[int, ...]] = set()
-    cells: dict[int, list[int]] = {}  # line number -> ids, in file order
-    basepoint: int | None = None
-    first_line: dict[str, int] = {}
-
-    for lineno, kind, ids in recs:
-        if kind == "v":
-            continue
-        for value in ids:
-            if value not in vertices:
-                raise ComplexFileError(lineno, f"undeclared vertex {value}")
-        if kind == "e":
-            u, w = ids
-            if u == w:
-                raise ComplexFileError(lineno, f"loop edge ({u}, {w})")
-            e = (min(u, w), max(u, w))
-            if e in edges:
-                raise ComplexFileError(lineno, f"duplicate edge {e}")
-            edges.add(e)
-        elif kind in _CELL:
-            first_line.setdefault(kind, lineno)
-            if len(set(ids)) != len(ids):
-                raise ComplexFileError(lineno, f"{_CELL[kind]} {tuple(ids)} repeats a vertex")
-            cell = canonical_cycle(ids)
-            if cell in seen:
-                raise ComplexFileError(lineno, f"duplicate {_CELL[kind]} {cell}")
-            seen.add(cell)
-            cells[lineno] = ids
-        else:  # base
-            if basepoint is not None:
-                raise ComplexFileError(lineno, "second base record")
-            basepoint = ids[0]
-
-    if len(first_line) == 2:
-        raise ComplexFileError(max(first_line.values()), "file mixes triangles and squares")
-
-    cls = SquareComplex if "q" in first_line else SimplicialComplex2
+    lines: dict[str, list[int]] = {kind: [] for kind in _ARITY}  # line numbers per record type
+    toks: dict[str, list[str]] = {kind: [] for kind in _ARITY}  # their id tokens, in file order
+    sinks = {kind: (n + 1, lines[kind].append, toks[kind].extend) for kind, n in _ARITY.items()}
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    for lineno, parts in enumerate(map(str.split, raws), start=1):
+        if parts:
+            width, add_line, add_toks = sinks.get(parts[0], (0, None, None))
+            if len(parts) != width:
+                raise _syntax_error(raws)
+            add_line(lineno)
+            add_toks(parts[1:])
     try:
-        return cls(Graph(vertices, edges), cells.values()), basepoint
+        ids = {kind: list(map(int, ts)) for kind, ts in toks.items()}
+    except ValueError:
+        raise _syntax_error(raws) from None
+    if any(min(values, default=0) < 0 for values in ids.values()):
+        raise _syntax_error(raws)
+
+    order = sorted(set(ids["v"]))
+    index = dict(zip(order, range(len(order))))
+    if len(order) < len(ids["v"]):
+        rows = np.fromiter(map(index.get, ids["v"]), np.intp, len(ids["v"]))
+        r = int(np.argmax(_repeats(rows[:, None])))
+        raise ComplexFileError(lines["v"][r], f"duplicate vertex {ids['v'][r]}")
+    faults = [
+        _first_fault(kind, lines[kind], ids[kind], index, order)
+        for kind in ("e", "t", "q", "base") if ids[kind]
+    ]
+    first = min(filter(None, faults), default=None)
+    if first is not None:
+        raise ComplexFileError(*first)
+    if lines["t"] and lines["q"]:
+        raise ComplexFileError(max(lines["t"][0], lines["q"][0]), "file mixes triangles and squares")
+
+    kind = "q" if lines["q"] else "t"
+    cls = SquareComplex if kind == "q" else SimplicialComplex2
+    e, cells, width = ids["e"], ids[kind], _ARITY[kind]
+    try:
+        complex = cls(Graph(order, zip(e[::2], e[1::2])), zip(*(cells[i::width] for i in range(width))))
     except CellError as exc:  # a cell misses a boundary edge
-        raise ComplexFileError(list(cells)[exc.index], str(exc)) from None
+        raise ComplexFileError(lines[kind][exc.index], str(exc)) from None
+    return complex, (ids["base"][0] if ids["base"] else None)
 
 
 def read_complex(path) -> tuple[SimplicialComplex2 | SquareComplex, int | None]:
@@ -137,4 +206,3 @@ def format_complex(
             raise ValueError(f"basepoint {basepoint} is not a vertex")
         out.write(f"base {basepoint}\n")
     return out.getvalue()
-

@@ -42,8 +42,8 @@ import numpy as np
 from .complexes import (
     BasedComplex,
     SimplicialComplex2,
+    _h1_rank_connected,
     bfs_levels,
-    h1_rank_mod2,
 )
 from .metrics import vertex_order
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
@@ -284,7 +284,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb.uncertified(count - len(rows))
 
     if connected:
-        rank = h1_rank_mod2(c)
+        rank = _h1_rank_connected(c)  # the search above found c connected
         rb.set_stat("h1_rank_mod2", rank)
         if rank != 0:
             rb.violation("h1", (), f"rank={rank}")

@@ -668,6 +668,57 @@ def brute_flat_intervals_text(c, base, cap):
     return rb.build().to_text()
 
 
+def brute_graph(vertices, edges):
+    """(adjacency, edge set) of a ``Graph``, built one edge at a time.
+
+    Raises the ``ValueError`` of the first loop or undeclared endpoint in
+    the given order. Each vertex's neighbours are sorted on their own.
+    """
+    vs = frozenset(vertices)
+    es = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop edge ({u}, {v}) is not allowed")
+        e = (min(u, v), max(u, v))
+        if e[0] not in vs or e[1] not in vs:
+            raise ValueError(f"edge {e} has an undeclared endpoint")
+        es.add(e)
+    adj = {v: [] for v in vs}
+    for u, v in es:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: tuple(sorted(ns)) for v, ns in adj.items()}, frozenset(es)
+
+
+def brute_cell_store(graph, cells, length, noun):
+    """(cells, cells at each vertex) of a cell store, built one cell at a time.
+
+    Raises the ``CellError`` of the first cell, in the given order, that
+    lacks ``length`` distinct vertices or misses a boundary edge: a
+    triangle names its sorted vertices and least missing edge, a square
+    its given order and first missing edge along it.
+    """
+    from sysquad.complexes import CellError
+
+    store = set()
+    for i, cell in enumerate(cells):
+        cell = tuple(cell)
+        c = brute_canonical_cycle(cell)
+        if len(c) != length or len(set(c)) != length:
+            raise CellError(i, f"{noun} {cell} must have {length} distinct vertices")
+        along = [(min(a, b), max(a, b)) for a, b in zip(cell, cell[1:] + cell[:1])]
+        missing = [e for e in along if not graph.has_edge(*e)]
+        if missing:
+            shown, e = (c, min(missing)) if length == 3 else (cell, missing[0])
+            raise CellError(i, f"{noun} {shown} misses edge {e}")
+        store.add(c)
+    at = {}
+    for c in sorted(store):
+        for v in c:
+            at.setdefault(v, []).append(c)
+    return frozenset(store), {v: tuple(cs) for v, cs in at.items()}
+
+
 _ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
 _CELL = {"t": "triangle", "q": "square"}
 

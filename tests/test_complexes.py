@@ -4,6 +4,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sysquad import (
     Graph,
@@ -21,6 +22,8 @@ from sysquad.complexes import CellError
 from bruteforce import (
     bfs_dist,
     adjacency,
+    brute_cell_store,
+    brute_graph,
     brute_girth,
     brute_h1_rank_mod2,
     brute_k23,
@@ -254,6 +257,64 @@ def test_cell_error_names_the_cell_and_its_index():
     with pytest.raises(CellError) as ei:
         SquareComplex(g, [(3, 2, 1, 0), (5, 4, 1, 0)])
     assert (ei.value.index, str(ei.value)) == (1, "square (5, 4, 1, 0) misses edge (1, 4)")
+
+
+@st.composite
+def graph_and_cells(draw):
+    """Vertices among 0..7, edges and cells among 0..8: loops, undeclared
+    endpoints, repeated edges, cells of the wrong length, repeated vertices
+    and missing boundary edges all occur, and so do stores that build."""
+    verts = draw(st.sets(st.integers(0, 7), min_size=4))
+    pool = sorted(verts)
+    some = st.sampled_from(pool)
+    endpoint = st.one_of(some, some, st.integers(0, 8))
+    complete = [(u, w) for u in pool for w in pool if u < w]
+    edges = draw(st.one_of(
+        st.lists(st.tuples(endpoint, endpoint), max_size=24),
+        # all but k edges among the vertices, two of them given twice reversed,
+        # so most cells are glued
+        st.tuples(st.permutations(complete), st.integers(0, 3)).map(
+            lambda t: t[0][t[1]:] + [(w, u) for u, w in t[0][t[1]:t[1] + 2]]),
+    ))
+    length = draw(st.sampled_from([3, 4]))
+    distinct = st.permutations(pool).map(lambda p: p[:length])
+    cell = st.one_of(
+        distinct,
+        st.lists(some, min_size=length, max_size=length),
+        st.lists(endpoint, min_size=2, max_size=5),
+    )
+    return verts, edges, length, draw(st.one_of(
+        st.lists(distinct, min_size=1, max_size=10), st.lists(cell, max_size=10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_cells())
+def test_constructors_match_their_loop_oracles(case):
+    verts, edges, length, cells = case
+    try:
+        adj, want_edges = brute_graph(verts, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            Graph(verts, edges)
+        assert str(ei.value) == str(exc)
+        return
+    g = Graph(verts, iter(edges))
+    assert g.edges == want_edges
+    assert {v: g.neighbors(v) for v in verts} == adj
+    assert all(g.neighbor_set(v) == set(adj[v]) for v in verts)
+
+    cls, noun, at = ((SimplicialComplex2, "triangle", "triangles_at") if length == 3
+                     else (SquareComplex, "square", "squares_at"))
+    try:
+        want_cells, want_at = brute_cell_store(g, cells, length, noun)
+    except CellError as exc:
+        with pytest.raises(CellError) as ei:
+            cls(g, iter(cells))
+        assert (ei.value.index, str(ei.value)) == (exc.index, str(exc))
+        return
+    c = cls(g, iter(cells))
+    assert c._cells == want_cells
+    assert {v: getattr(c, at)(v) for v in verts} == {v: want_at.get(v, ()) for v in verts}
 
 
 def test_triangle_and_square_complexes_differ():

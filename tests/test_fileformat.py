@@ -1,7 +1,7 @@
 """Text serialization: roundtrips, validation errors, determinism."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sysquad import (
     BasedComplex,
@@ -224,43 +224,74 @@ def test_cellless_file_reads_as_triangle_complex(tmp_path, capsys):
 
 # --------------------------------------------------------------------- fuzzing
 
-_id = st.integers(min_value=0, max_value=4).map(str)
+# Texts are drawn over five vertex slots and rendered with a label per slot.
+# Labels mix small ids with ids at and beyond 2**63 and 2**64, so the
+# reader's dense indices carry the work and no fixed-width cast survives.
+_LABELS = (0, 1, 2, 3, 4, 2**63 - 1, 2**63, 2**64, 2**64 + 1, 2**70, 2**70 + 1, 2**70 + 2)
+_slot = st.integers(min_value=0, max_value=4)
 _records = st.one_of(*(
-    st.lists(_id, min_size=arity, max_size=arity).map(lambda ids, kind=kind: " ".join((kind, *ids)))
+    st.tuples(st.just(kind), st.lists(_slot, min_size=arity, max_size=arity))
     for kind, arity in (("v", 1), ("e", 2), ("t", 3), ("q", 4), ("base", 1))
 ))
-_noise = st.lists(st.one_of(_id, st.sampled_from(["v", "e", "x", "-1", "1.5", "#", ""])), max_size=5)
+_noise = st.lists(st.one_of(_slot, st.sampled_from(["v", "e", "x", "-1", "1.5", "#", ""])), max_size=5)
+# a record whose last id is not a valid id (or, like -0 and 1_0, is one)
+_bad_ids = st.tuples(_records, st.sampled_from(["-1", "1.5", "x", "-0", "+2", "1_0"])).map(
+    lambda t: (t[0][0], t[0][1][:-1] + [t[1]]))
 
 
 def _distinct(kind, arity):
-    """A cell record on ``arity`` distinct ids among the five."""
-    return st.permutations(range(5)).map(lambda ids: " ".join((kind, *map(str, ids[:arity]))))
+    """A cell record on ``arity`` distinct slots among the five."""
+    return st.permutations(range(5)).map(lambda slots: (kind, slots[:arity]))
 
 
-_five = "".join(f"v {v}\n" for v in range(5))
+_five = [("v", [v]) for v in range(5)]
 _prefixes = st.sampled_from([
-    "", _five,
-    # every edge among the five ids, so any cell on distinct ids is glued
-    _five + "".join(f"e {u} {w}\n" for u in range(5) for w in range(u + 1, 5)),
+    [], _five,
+    # every edge among the five slots, so any cell on distinct slots is glued
+    _five + [("e", [u, w]) for u in range(5) for w in range(u + 1, 5)],
     # a 5-cycle, so most cells miss an edge
-    _five + "".join(f"e {u} {(u + 1) % 5}\n" for u in range(5)),
+    _five + [("e", [u, (u + 1) % 5]) for u in range(5)],
 ])
-# mostly well-formed records over five ids, mixed with comments, malformed
-# token lists and arbitrary text; or cells of one kind on distinct ids, which
-# often parse
-_texts = st.one_of(
-    st.tuples(_prefixes, st.lists(st.one_of(
-        _records, _records.map(lambda r: r + "  # note"),
-        _noise.map(" ".join), st.text(max_size=12),
-    ), max_size=12)),
-    st.tuples(_prefixes, st.one_of(
-        st.lists(_distinct("t", 3), max_size=6), st.lists(_distinct("q", 4), max_size=6),
-    ).map(lambda cells: cells + ["base 0"])),
-).map(lambda t: t[0] + "\n".join(t[1]))
+
+
+@st.composite
+def _texts(draw):
+    """Mostly well-formed records over five slots, mixed with comments,
+    malformed token lists and arbitrary text; or cells on distinct slots,
+    which often parse when they are of one kind. Tokens are joined by
+    spaces or tabs, and lines end in LF, CR LF or CR."""
+    labels = draw(st.lists(st.sampled_from(_LABELS), min_size=5, max_size=5, unique=True))
+    gap = draw(st.sampled_from([" ", "\t", " \t  "]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = draw(_prefixes) + draw(st.one_of(
+        st.lists(st.one_of(
+            _records, _records.map(lambda r: (*r, "# note")), _bad_ids,
+            _noise, st.text(max_size=12), st.just("# comment only"),
+        ), max_size=12),
+        st.one_of(
+            st.lists(_distinct("t", 3), max_size=6), st.lists(_distinct("q", 4), max_size=6),
+            st.lists(st.one_of(_distinct("t", 3), _distinct("q", 4)), max_size=6),
+        ).map(lambda cells: cells + [("base", [0])]),
+    ))
+
+    def render(line):
+        if isinstance(line, str):
+            return line
+        if isinstance(line, tuple):  # a record, maybe with a trailing comment
+            kind, slots, *note = line
+            line = [kind, *slots, *note]
+        return gap.join(str(labels[t]) if isinstance(t, int) else t for t in line)
+
+    return end.join(map(render, lines))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_texts)
+@given(_texts())
+# 2**64 and 0 agree modulo 2**64, and neither 2**63 nor 2**64 fits an int64
+@example("v 0\nv 18446744073709551616\nv 9223372036854775808\n"
+         "e 0 18446744073709551616\ne 0 9223372036854775808\n"
+         "e 9223372036854775808 18446744073709551616\n"
+         "t 18446744073709551616 0 9223372036854775808\nbase 18446744073709551616\n")
 def test_fuzzed_text_parses_or_names_its_line(text):
     # exact agreement with the three-pass oracle: the same first error, or
     # equal complexes of the same type and the same basepoint

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sysquad import systolic
+from sysquad import complexes, systolic
 from sysquad import (
     BasedComplex,
     Graph,
@@ -95,6 +95,22 @@ def test_disconnected_input_rejected():
     ):
         assert not rep.passed
         assert [(x.kind, x.vertices, x.info) for x in rep.counterexamples] == want
+
+
+def test_verify_systolic_searches_the_graph_once(monkeypatch, small_disk):
+    # the search for disconnected certificates also lets h1 skip its own
+    sources = []
+
+    def counted(g, source):
+        sources.append(source)
+        return bfs(g, source)
+
+    bfs = complexes.bfs_levels
+    monkeypatch.setattr(complexes, "bfs_levels", counted)
+    monkeypatch.setattr(systolic, "bfs_levels", counted)
+    rep = verify_systolic(small_disk.complex)
+    assert rep.passed and rep.stats["h1_rank_mod2"] == 0
+    assert sources == [min(small_disk.complex.graph.vertices)]
 
 
 def complex_of(triangles, edges=()):
