@@ -17,7 +17,6 @@ from .complexes import (
     bfs_levels,
     canonical_cycle,
     distance,
-    enumerate_embedded_4cycles,
     h1_rank_mod2,
     is_connected,
 )
@@ -39,7 +38,12 @@ from .quadric import (
     check_replacement_rule_B,
 )
 from .reports import Certificate, CheckReport
-from .squaring import SquaringResult, check_quasi_isometry, squaring
+from .squaring import (
+    SquaringResult,
+    check_quasi_isometry,
+    enumerate_embedded_4cycles,
+    squaring,
+)
 from .systolic import (
     check_ball_neighbours,
     check_spheres_triangle_free,

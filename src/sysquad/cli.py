@@ -101,20 +101,43 @@ def _interval_pairs(s: Subject) -> Iterable[tuple[int, int]]:
     pair, then the new pairs among 2,000 random draws: each draw takes two
     vertices from an RNG seeded with --seed, and an unordered pair not yet
     listed is appended in draw order.
+
+    The draws are ``Random.choice(verts)`` calls, taken in bulk. A call is
+    verts[r] for the first r = getrandbits(k) below n = len(verts), with
+    k = n.bit_length(). For k <= 32 (any complex that fits in memory) each
+    getrandbits(k) is the top k bits of the next 32-bit word of the
+    generator, and getrandbits(32 m) is the next m words, least
+    significant first. So the 4,000 choices are the first 4,000 words
+    that fall below n once shifted right by 32 - k.
     """
     verts = sorted(s.complex.graph.vertices)
     if s.args.exhaustive:
         return combinations_with_replacement(verts, 2)
-    pairs = [(s.based.basepoint, v) for v in verts]
-    seen = {(min(p), max(p)) for p in pairs}
+    n, base = len(verts), s.based.basepoint
     rng = random.Random(s.args.seed)
-    for _ in range(2000):
-        u, v = rng.choice(verts), rng.choice(verts)
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    return pairs
+    picks, need = [], 4000
+    while need:
+        m = 2 * need  # more than half of the words fall below n
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        words = words >> (32 - n.bit_length())
+        picks.append(words[words < n][:need])
+        need -= len(picks[-1])
+    pick = np.concatenate(picks).astype(np.intp)
+    lo = np.minimum(pick[0::2], pick[1::2])
+    hi = np.maximum(pick[0::2], pick[1::2])
+    # the pairs through the basepoint are listed already
+    b = verts.index(base)
+    new = np.flatnonzero((lo != b) & (hi != b))
+    key = lo[new] * n + hi[new]
+    by = np.argsort(key, kind="stable")  # equal keys stay in draw order
+    first = np.ones(len(by), dtype=bool)
+    first[1:] = key[by[1:]] != key[by[:-1]]
+    drawn = np.zeros(len(new), dtype=bool)
+    drawn[by[first]] = True  # the first draw of each pair
+    new = new[drawn]
+    return [(base, v) for v in verts] + [
+        (verts[i], verts[j]) for i, j in zip(lo[new].tolist(), hi[new].tolist())
+    ]
 
 
 # Canonical order: verify and all run the selected checks in this order.

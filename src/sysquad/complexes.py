@@ -3,8 +3,7 @@
 Finite simple graphs on integer vertex ids, triangle and square complexes
 (one store of cells glued along embedded cycles), and basepointed variants,
 together with the graph operations everything else is built on: BFS
-distances, embedded 4-cycle enumeration, common neighbours, and mod-2
-first-homology rank.
+distances and the mod-2 first-homology rank.
 
 All containers are frozen after construction and every enumeration is
 returned in a canonical sorted order, so identical inputs always produce
@@ -15,8 +14,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 INF = math.inf
 
@@ -54,7 +55,7 @@ def _boundary_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
 class Graph:
     """Finite simple graph. Vertices are opaque nonnegative integer ids."""
 
-    __slots__ = ("_vertices", "_edges", "_adj")
+    __slots__ = ("_vertices", "_edges", "_sorted_edges", "_adj")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
         vs = frozenset(vertices)
@@ -81,6 +82,7 @@ class Graph:
                     raise ValueError(f"edge {(u, v)} has an undeclared endpoint")
         self._vertices: frozenset[int] = vs
         self._edges: frozenset[tuple[int, int]] = es
+        self._sorted_edges: tuple[tuple[int, int], ...] = tuple(ordered)
         self._adj = {v: tuple(ns) for v, ns in adj.items()}
 
     @property
@@ -138,10 +140,11 @@ class _CellComplex:
     as its sorted vertices), so no two cells are glued to the same cycle.
     The store is the one place that checks a cell's boundary edges; cells
     are checked in the given order and the first bad one raises a
-    ``CellError`` carrying its index.
+    ``CellError`` carrying its index. ``_sorted_cells`` keeps the cells in
+    sorted order, as ``Graph._sorted_edges`` keeps the edges.
     """
 
-    __slots__ = ("_graph", "_cells", "_cells_at")
+    __slots__ = ("_graph", "_cells", "_sorted_cells", "_cells_at")
     _length: int
     _noun: str
 
@@ -175,6 +178,7 @@ class _CellComplex:
         self._cells: frozenset[tuple[int, ...]] = frozenset(store)
         if len(self._cells) < len(store):
             store = sorted(self._cells)
+        self._sorted_cells: tuple[tuple[int, ...], ...] = tuple(store)
         cells_at: dict[int, list[tuple[int, ...]]] = {v: [] for v in graph.vertices}
         for c in store:
             for v in c:
@@ -340,34 +344,6 @@ def is_connected(g: Graph) -> bool:
     return len(bfs_levels(g, source)) == len(g.vertices)
 
 
-def _common_neighbour_pairs(g: Graph) -> dict[tuple[int, int], list[int]]:
-    """Map each pair u < w with a common neighbour to their common neighbours, sorted."""
-    commons: dict[tuple[int, int], list[int]] = {}
-    for z in sorted(g.vertices):
-        nbs = g.neighbors(z)
-        for u, w in combinations(nbs, 2):
-            commons.setdefault((u, w), []).append(z)
-    return commons
-
-
-def enumerate_embedded_4cycles(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All embedded 4-cycles of g, each once, in canonical form, sorted.
-
-    A 4-cycle is recovered from a diagonal pair (u, w) together with two of
-    their common neighbours; keeping only the lexicographically smaller of
-    the two diagonal pairs counts each cycle exactly once.
-    """
-    cycles = []
-    for (u, w), mids in _common_neighbour_pairs(g).items():
-        if len(mids) < 2:
-            continue
-        for x, y in combinations(mids, 2):
-            if (u, w) < (x, y):
-                cycles.append(canonical_cycle((u, x, w, y)))
-    cycles.sort()
-    return cycles
-
-
 def _gf2_rank(rows: list[int]) -> int:
     """Rank over GF(2) of rows given as arbitrary-precision bitmask integers."""
     basis: dict[int, int] = {}
@@ -384,24 +360,60 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
+def _index_rows(order: tuple[int, ...], rows, width: int) -> np.ndarray:
+    """Rows of vertex ids as rows of their indices in ``order``."""
+    idx = {v: i for i, v in enumerate(order)}
+    flat = np.fromiter(map(idx.__getitem__, chain.from_iterable(rows)), dtype=np.intp)
+    return flat.reshape(-1, width)
+
+
 def h1_rank_mod2(c: SimplicialComplex2 | SquareComplex) -> int:
     """Mod-2 rank of the first homology: cycle-space rank minus boundary rank.
 
-    Zero is a necessary condition for simple connectedness (not sufficient,
-    and simple connectedness itself is not decided here). Raises on
-    disconnected input.
+    Zero is a necessary condition for simple connectedness; see
+    ``_h1_rank`` for when it also proves it. Raises on disconnected input.
     """
     if not is_connected(c.graph):
         raise ValueError("h1_rank_mod2 requires a connected complex")
-    return _h1_rank_connected(c)
+    order = tuple(sorted(c.graph.vertices))
+    cells = _index_rows(order, c._sorted_cells, c._length)
+    return _h1_rank(cells, _index_rows(order, c.graph._sorted_edges, 2), len(order))
 
 
-def _h1_rank_connected(c: SimplicialComplex2 | SquareComplex) -> int:
-    """``h1_rank_mod2`` of a complex the caller has found connected."""
-    g = c.graph
-    edges = sorted(g.edges)
-    eidx = {e: i for i, e in enumerate(edges)}
-    rows = [sum(1 << eidx[e] for e in _boundary_edges(cell)) for cell in sorted(c._cells)]
+def _h1_rank(cells: np.ndarray, edges: np.ndarray, n: int) -> int:
+    """``h1_rank_mod2`` of a connected complex on the vertex indices 0..n-1.
+
+    ``cells`` holds one row of indices per cell in boundary order, and
+    ``edges`` one row u < w per edge, sorted.
+
+    The boundary rank comes from peeling free faces. In rounds, every
+    remaining cell with an edge that lies in no other remaining cell is
+    removed. Such a private edge is a column that is 1 in that cell's row
+    and 0 in every row still left, so the removed rows are independent of
+    each other and of the rest: rank d2 = (number peeled) + rank(residue).
+    So h1 = (E - V + 1) - (number peeled) - rank(residue), and GF(2)
+    elimination runs only on the residue, the cells that no round frees
+    (an octahedron, a dunce hat, the K_{2,3} spheres of a squaring).
+
+    Removing a cell with its private edge is an elementary collapse. A
+    full peel therefore collapses the complex onto a connected graph, whose
+    fundamental group is free of rank h1: then a zero rank also proves the
+    complex simply connected.
+    """
+    keys = edges[:, 0] * n + edges[:, 1]
+    nxt = np.roll(cells, -1, axis=1)
+    bd = np.searchsorted(keys, np.minimum(cells, nxt) * n + np.maximum(cells, nxt))
+    count = np.bincount(bd.ravel(), minlength=len(keys))  # cells left on each edge
+    left = np.arange(len(cells))
+    while len(left):
+        free = (count[bd[left]] == 1).any(axis=1)
+        if not free.any():
+            break
+        count -= np.bincount(bd[left[free]].ravel(), minlength=len(keys))
+        left = left[~free]
+    # the residue's edges, renumbered densely, as bits of one integer per cell
+    column = np.cumsum(count > 0) - 1
+    rows = [sum(1 << e for e in row) for row in column[bd[left]].tolist()]
     # E - V + (number of components): one for a connected graph, none for the empty one
-    cycle_rank = len(edges) - len(g.vertices) + min(1, len(g.vertices))
-    return cycle_rank - _gf2_rank(rows)
+    cycle_rank = len(keys) - n + min(1, n)
+    return cycle_rank - (len(cells) - len(left)) - _gf2_rank(rows)

@@ -197,9 +197,9 @@ def format_complex(
     out = io.StringIO()
     for v in sorted(g.vertices):
         out.write(f"v {v}\n")
-    for u, w in sorted(g.edges):
+    for u, w in g._sorted_edges:
         out.write(f"e {u} {w}\n")
-    for cell in sorted(complex._cells):
+    for cell in complex._sorted_cells:
         out.write(("t %d %d %d\n", "q %d %d %d %d\n")[len(cell) - 3] % cell)
     if basepoint is not None:
         if not g.has_vertex(basepoint):

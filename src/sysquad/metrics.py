@@ -1,4 +1,4 @@
-"""All-pairs distances by one bit-parallel, level-synchronous BFS.
+"""Vertex-indexed adjacency arrays, common neighbours, and all-pairs distances.
 
 Every distance matrix in the package comes from ``_bfs``. It runs the
 breadth-first searches from all sources at once: vertex v holds a bitset
@@ -9,6 +9,8 @@ the padding points at an extra all-zero frontier row, which adds nothing.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +25,48 @@ def vertex_order(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(g.vertices))
 
 
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with lo[i] <= j < hi[i], grouped by i, each group ascending."""
+    cnt = hi - lo
+    row = np.repeat(np.arange(len(lo)), cnt)
+    return row, lo[row] + np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row]
+
+
+def adjacency(g: Graph, order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric edge list (rows, cols) of ``g`` on the indices in ``order``.
+
+    Sorted by row; a row follows ``g.neighbors`` (ascending ids), so it
+    ascends when ``order`` is sorted.
+    """
+    idx = {v: i for i, v in enumerate(order)}
+    nbrs = list(map(g.neighbors, order))
+    rows = np.repeat(np.arange(len(order)), list(map(len, nbrs)))
+    cols = np.fromiter(map(idx.__getitem__, chain.from_iterable(nbrs)),
+                       dtype=np.intp, count=len(rows))
+    return rows, cols
+
+
+def common_neighbours(rows: np.ndarray, cols: np.ndarray, n: int):
+    """Every pair v < w with a common neighbour, and those neighbours.
+
+    ``rows`` and ``cols`` are an ``adjacency`` of a sorted order on
+    0..n-1. Each vertex c contributes the pairs of its neighbours, so the
+    work is the sum of d(c) (d(c) - 1) / 2, whatever the largest degree.
+    Returns (v, w, ptr, common): pair p is (v[p], w[p]), the pairs ascend,
+    and the common neighbours of pair p, ascending, are
+    common[ptr[p]:ptr[p + 1]].
+    """
+    ends = np.searchsorted(rows, rows, side="right")  # where each slot's row ends
+    i, j = _expand(np.arange(1, len(rows) + 1), ends)  # slots i < j of one row
+    keys = cols[i] * n + cols[j]
+    # a stable argsort keeps each pair's neighbours in row order, ascending
+    by = np.argsort(keys, kind="stable")
+    keys, common = keys[by], rows[i[by]]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    v, w = np.divmod(keys[first], n)
+    return v, w, np.append(first, len(keys)), common
+
+
 def _table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Neighbour table of the graph on 0..n-1 with symmetric edge list (rows, cols).
 
@@ -33,19 +77,6 @@ def _table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     nbr = np.full((n, max(deg.max(initial=0), 1)), n, dtype=np.intp)
     nbr[rows, np.arange(len(rows)) - (np.cumsum(deg) - deg)[rows]] = cols
     return nbr
-
-
-def neighbour_table(g: Graph, order: tuple[int, ...]) -> np.ndarray:
-    """Row i holds the indices in ``order`` of the neighbours of order[i].
-
-    A row follows ``g.neighbors`` (ascending ids), so it ascends when
-    ``order`` is sorted, and is padded with n = len(order) up to the
-    largest degree (at least one column).
-    """
-    idx = {v: i for i, v in enumerate(order)}
-    rows = np.repeat(np.arange(len(order)), [g.degree(v) for v in order])
-    cols = np.array([idx[w] for v in order for w in g.neighbors(v)], dtype=np.intp)
-    return _table(rows, cols, len(order))
 
 
 def _bfs(nbr: np.ndarray) -> np.ndarray:
@@ -90,7 +121,8 @@ def all_pairs(g: Graph, order: tuple[int, ...] | None = None) -> np.ndarray:
     (at most n - 1). The dtype holds 2n, so sums such as D[u] + D[v] and
     D[k] + 1 never wrap; a difference such as D[x] - 1 can.
     """
-    return _bfs(neighbour_table(g, order or vertex_order(g)))
+    order = order or vertex_order(g)
+    return _bfs(_table(*adjacency(g, order), len(order)))
 
 
 def induced_distances(dist: np.ndarray, sub: np.ndarray) -> np.ndarray:

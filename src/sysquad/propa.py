@@ -198,7 +198,7 @@ def property_a_report(b: BasedComplex, n_max: int,
         rb.violation("weight-norm", (verts[i],), f"n={n} sum={sums[i, n]} expected={want_norm[n]}")
 
     # l1 = both masses minus twice the minima on the common support (see above)
-    edges = sorted(g.edges)
+    edges = g._sorted_edges
     eu, ev = np.searchsorted(verts, np.array(edges, dtype=np.int64).reshape(-1, 2)).T
     diffs = sums[eu] + sums[ev] - 2 * _class_sums(bits, starts, shift, lev, eu, ev)
     max_diff = diffs.max(axis=0, initial=0)

@@ -10,7 +10,7 @@ embed isometrically, and that every basepoint interval is K_{2,3}-free
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -18,11 +18,18 @@ from .complexes import (
     BasedComplex,
     Graph,
     SquareComplex,
-    _common_neighbour_pairs,
+    _index_rows,
     canonical_cycle,
 )
-from .metrics import all_pairs, induced_distances, neighbour_table, vertex_order
+from .metrics import (
+    adjacency,
+    all_pairs,
+    common_neighbours,
+    induced_distances,
+    vertex_order,
+)
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
+from .systolic import _link_girths
 
 
 def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
@@ -41,17 +48,29 @@ def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
     return frozenset(verts)
 
 
-def _diagonal_index(c: SquareComplex) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Map each diagonal pair of a square to the sorted middle pairs seen with it."""
+def _shared_diagonals(c: SquareComplex, order: tuple[int, ...]) -> dict[tuple[int, int], list]:
+    """Each diagonal that two or more squares carry, with their sorted middle pairs.
+
+    A canonical square (a, b, c, d) has a < c and b < d, so its diagonals
+    are (a, c) with middles (b, d) and (b, d) with (a, c), both sorted.
+    One stable argsort of the 2F diagonal keys (F squares) groups equal
+    diagonals; the groups come out in ascending diagonal order.
+    """
+    n = len(order)
+    sq = _index_rows(order, c._sorted_cells, 4)
+    ends = np.concatenate([sq[:, [0, 2]], sq[:, [1, 3]]])
+    middle = np.concatenate([sq[:, [1, 3]], sq[:, [0, 2]]])
+    by = np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")
+    ends, middle = ends[by], middle[by]
+    twice = (ends[1:] == ends[:-1]).all(axis=1)
+    shared = np.zeros(len(by), dtype=bool)
+    shared[1:] |= twice
+    shared[:-1] |= twice
     diags: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s in sorted(c.squares):
-        a, b, cc, d = s
-        for diag, mid in ((((a, cc)), (b, d)), (((b, d)), (a, cc))):
-            key = (min(diag), max(diag))
-            val = (min(mid), max(mid))
-            diags.setdefault(key, []).append(val)
-    for key in diags:
-        diags[key].sort()
+    for (u0, u1), (m0, m1) in zip(ends[shared].tolist(), middle[shared].tolist()):
+        diags.setdefault((order[u0], order[u1]), []).append((order[m0], order[m1]))
+    for mids in diags.values():
+        mids.sort()
     return diags
 
 
@@ -61,9 +80,15 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     Whenever squares sit on (u0 v0 u1 v1) and (u0 v1 u1 v2), the pattern
     is a K_{2,3} with sides {u0,u1} and {v0,v1,v2}; the rule demands a
     square on (u0 v0 u1 v2) as well.
+
+    Both squares of a pattern carry the diagonal {u0, u1}, so a diagonal
+    that only one square carries holds no pattern. The scan over pairs of
+    middles therefore runs only on ``_shared_diagonals``, in ascending
+    diagonal order, and meets every pattern in the order a scan of all
+    diagonals would.
     """
     rb = ReportBuilder("rule-a", cap)
-    for (u0, u1), mids in sorted(_diagonal_index(c).items()):
+    for (u0, u1), mids in _shared_diagonals(c, vertex_order(c.graph)).items():
         for m1, m2 in combinations(mids, 2):
             shared = set(m1) & set(m2)
             if len(shared) != 1:
@@ -89,6 +114,20 @@ def _corner_entries(c: SquareComplex, u: int) -> list[tuple[tuple[int, int], int
     return entries
 
 
+def _square_link_triangles(c: SquareComplex, order: tuple[int, ...]) -> list[int]:
+    """The vertices, ascending, whose square-link has a triangle.
+
+    The square-link of u is the simple graph on u's neighbours with an
+    edge for the two wings of each square at u; corner i of a square row
+    has wings i - 1 and i + 1. Two squares with the same corner and wings
+    give one link edge twice, which the triangle search of
+    ``_link_girths`` allows.
+    """
+    sq = _index_rows(order, c._sorted_cells, 4)
+    links = sq[:, [[0, 3, 1], [1, 0, 2], [2, 1, 3], [3, 2, 0]]].reshape(-1, 3)
+    return [order[u] for u in np.flatnonzero(_link_girths(links, len(order), longest=3)).tolist()]
+
+
 def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Three squares around a vertex force a chorded hexagon.
 
@@ -96,13 +135,18 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     the hexagon (a0 b0 a1 b1 a2 b2) is embedded, some antipodal pair of
     the hexagon must be joined by an edge with squares on both resulting
     4-cycles. Degenerate (non-embedded) hexagons are skipped.
+
+    Three squares at u pass the wing test below only when their wings
+    {a0,a1}, {a1,a2}, {a2,a0}, with the a's distinct, form a triangle in
+    the square-link of u. The scan over triples of squares therefore runs
+    only at the vertices of ``_square_link_triangles``, in ascending
+    order, and meets every hexagon in the order a scan of all vertices
+    would.
     """
     rb = ReportBuilder("rule-b", cap)
     g = c.graph
-    for u in sorted(g.vertices):
+    for u in _square_link_triangles(c, vertex_order(g)):
         entries = _corner_entries(c, u)
-        if len(entries) < 3:
-            continue
         seen = set()  # two square triples can glue to the same hexagon
         for (w0, o0), (w1, o1), (w2, o2) in combinations(entries, 3):
             s01 = set(w0) & set(w1)
@@ -160,6 +204,11 @@ def check_quadrangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> 
 _BLOCK_ENTRIES = 1 << 15
 
 
+# pairs per gather in check_interval_isometry on modular input: 64K pairs
+# hold 1 MB of indices, while --exhaustive can list hundreds of millions
+_PAIR_BLOCK = 1 << 16
+
+
 def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
     """Whether every connected component of ``g`` is a modular graph.
 
@@ -208,7 +257,7 @@ def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
     every x in I(a,b).
 
     Work: one gather per edge, then one row test per pair (v, w) with a
-    common neighbour. The common neighbours form one table, a row per
+    common neighbour. The ``common_neighbours`` form one table, a row per
     pair, padded with the pair's first common neighbour up to the largest
     multiplicity; the padding repeats a member of C, so the minimum over
     a row is the minimum over C. The rows go in blocks of
@@ -216,30 +265,19 @@ def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
     of ``D`` per table column, folded in place by ``np.minimum``.
     """
     n = len(order)
-    nbr = neighbour_table(g, order)
+    rows, cols = adjacency(g, order)
     root = np.full(n, -1, dtype=np.intp)
     for i in range(n):
         if root[i] < 0:
             root[D[i] < n] = i
-    v, j = np.nonzero(nbr < n)
-    r = root[v]
-    if (D[r, v] == D[r, nbr[v, j]]).any():
+    r = root[rows]
+    if (D[r, rows] == D[r, cols]).any():
         return False
-    # (v, w, c) for each common neighbour c of v < w (``order`` is sorted,
-    # so table rows ascend), grouped by (v, w); within a group c ascends
-    a, b = np.triu_indices(nbr.shape[1], 1)
-    has = nbr[:, b] < n
-    keys = (nbr[:, a] * n + nbr[:, b])[has]
-    common = np.nonzero(has)[0]
-    by_pair = np.argsort(keys, kind="stable")
-    keys, common = keys[by_pair], common[by_pair]
-    new_pair = np.diff(keys, prepend=-1) != 0
-    first = np.flatnonzero(new_pair)
-    pair = np.cumsum(new_pair) - 1
-    width = np.diff(first, append=len(keys)).max(initial=1)  # largest multiplicity
-    table = np.repeat(common[first][:, None], width, axis=1)
-    table[pair, np.arange(len(keys)) - first[pair]] = common
-    vs, ws = np.divmod(keys[first], n)
+    vs, ws, ptr, common = common_neighbours(rows, cols, n)
+    first, mult = ptr[:-1], np.diff(ptr)
+    pair = np.repeat(np.arange(len(first)), mult)
+    table = np.repeat(common[first][:, None], mult.max(initial=1), axis=1)
+    table[pair, np.arange(len(common)) - first[pair]] = common
     step = max(1, _BLOCK_ENTRIES // max(n, 1))
     nearest = np.empty((min(step, len(first)), n), dtype=D.dtype)
     row = np.empty_like(nearest)
@@ -352,8 +390,9 @@ def check_interval_isometry(
     computed; every pair x < y where they differ is certified.
 
     In a modular graph every interval satisfies the local form
-    (``is_modular``, step 3). When that certificate passes, each pair
-    costs only its ``disconnected`` test.
+    (``is_modular``, step 3). When that certificate passes, only the
+    ``disconnected`` test runs, one gather of ``D`` per block of
+    ``_PAIR_BLOCK`` pairs.
 
     ``dist`` is ``all_pairs`` of the graph and ``modular`` its
     ``is_modular`` verdict, when the caller already has them; None
@@ -361,19 +400,30 @@ def check_interval_isometry(
     """
     g = c if isinstance(c, Graph) else c.graph
     order = vertex_order(g)
+    n = len(order)
     idx = {v: i for i, v in enumerate(order)}
     D = all_pairs(g, order) if dist is None else dist
     if modular is None:
         modular = is_modular(g, order, D)
     rb = ReportBuilder("interval-isometry", cap)
+    if modular:  # only the disconnected test: one gather per block of pairs
+        pairs, total = iter(pairs), 0
+        while block := list(islice(pairs, _PAIR_BLOCK)):
+            total += len(block)
+            ij = np.fromiter(map(idx.__getitem__, chain.from_iterable(block)),
+                             dtype=np.intp, count=2 * len(block))
+            for k in np.flatnonzero(D[ij[0::2], ij[1::2]] == n).tolist():
+                u, v = block[k]
+                rb.violation("disconnected", (u, v), "no-path")
+        if total:
+            rb.set_stat("intervals", total)
+        return rb.build()
     for u, v in pairs:
         rb.count("intervals")
         iu = idx[u]
         iv = idx[v]
-        if D[iu, iv] == len(order):
+        if D[iu, iv] == n:
             rb.violation("disconnected", (u, v), "no-path")
-            continue
-        if modular:
             continue
         sub = np.flatnonzero(D[iu] + D[iv] == D[iu, iv])
         S = D[np.ix_(sub, sub)]
@@ -408,7 +458,7 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
     of the interval with three common neighbours in the whole graph that
     all lie in the interval. The pairs with at least three common
     neighbours are therefore found once, on the whole graph, sorted, each
-    with its sorted common neighbours. For each interval, every such pair
+    with its sorted common neighbours (``common_neighbours``). For each interval, every such pair
     with both ends inside emits the 3-subsets of its common neighbours
     inside, in lexicographic order. These are exactly the K_{2,3}
     occurrences of the induced interval, sorted as (pair, triple), so the
@@ -421,9 +471,12 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     g = b.graph
-    pairs = sorted(
-        (pair, mids) for pair, mids in _common_neighbour_pairs(g).items() if len(mids) >= 3
-    )
+    order = vertex_order(g)
+    v, w, ptr, common = common_neighbours(*adjacency(g, order), len(order))
+    pairs = [
+        ((order[v[p]], order[w[p]]), [order[z] for z in common[ptr[p]:ptr[p + 1]].tolist()])
+        for p in np.flatnonzero(np.diff(ptr) >= 3).tolist()
+    ]
     rb.set_stat("intervals", len(g.vertices))
     if not pairs:  # no K_{2,3} in the graph, so none in an interval
         return rb.build()

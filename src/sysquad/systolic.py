@@ -35,28 +35,22 @@ an equidistant edge see a common neighbour one step closer.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
 from .complexes import (
     BasedComplex,
     SimplicialComplex2,
-    _h1_rank_connected,
+    _h1_rank,
+    _index_rows,
     bfs_levels,
 )
-from .metrics import vertex_order
+from .metrics import _expand, vertex_order
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 # one block of the link and clique searches expands about this many entries
 _BLOCK_ENTRIES = 1 << 12
-
-
-def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (i, j) with lo[i] <= j < hi[i], grouped by i, each group ascending."""
-    cnt = hi - lo
-    row = np.repeat(np.arange(len(lo)), cnt)
-    return row, lo[row] + np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row]
 
 
 def _blocks(cum: np.ndarray, budget: int):
@@ -81,11 +75,13 @@ def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return keys[np.searchsorted(keys, queries)] == queries
 
 
-def _link_girths(tri: np.ndarray, n: int) -> np.ndarray:
-    """The girth of link(v) at index v when it is below 6, else 0.
+def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
+    """The girth of link(v) at index v when it is at most ``longest``, else 0.
 
-    ``tri`` holds one row of vertex indices per triangle; corner v of
-    triangle (v, p, q) makes p and q adjacent in link(v). A root is a
+    ``links`` holds one row (v, p, q) of vertex indices per edge pq of
+    link(v), p != q, no edge twice, so each link is a simple graph. The
+    triangle search alone (``longest`` 3) also takes an edge twice: a
+    repeat adds no two-step path that the simple link lacks. A root is a
     vertex s of link(v) with a link neighbour, and the search from it
     looks two steps out in link(v) for the least of
 
@@ -108,13 +104,12 @@ def _link_girths(tri: np.ndarray, n: int) -> np.ndarray:
     Roots go in blocks of about ``_BLOCK_ENTRIES`` two-step paths, and the
     search for 5 in blocks of as many neighbours; a block larger than that
     holds one item. The search for 5 skips links whose girth is already
-    known.
+    known. With ``longest`` 3 only the triangles are searched.
     """
     girth = np.full(n, 6, dtype=np.intp)  # 6: no cycle of length <= 5 found
-    a, b, c = tri.T
     # link edges (v: s -> x); edges 2k and 2k + 1 are one edge both ways
-    key = np.stack([a, a, b, b, c, c], axis=1).ravel() * n
-    key += np.stack([b, c, a, c, a, b], axis=1).ravel()
+    key = np.repeat(links[:, 0], 2) * n
+    key += links[:, 1:].ravel()
     # one run of link edges per root (v, s); a stable argsort, because the
     # default kind maps 256 KB more of numpy's sort code into the process
     by = np.argsort(key, kind="stable")
@@ -139,6 +134,8 @@ def _link_girths(tri: np.ndarray, n: int) -> np.ndarray:
         r, y = r[far], y[far]
         near = _contains(adjacent, r * R + y)
         girth[root_v[r[near]]] = 3
+        if longest == 3:
+            continue
         reach = np.sort(r[~near] * R + y[~near])
         twice = root_v[reach[1:][reach[1:] == reach[:-1]] // R]
         girth[twice] = np.minimum(girth[twice], 4)
@@ -235,13 +232,6 @@ def _scan_order(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _index_rows(order: tuple[int, ...], rows, width: int) -> np.ndarray:
-    """Rows of vertex ids as rows of their indices in ``order``."""
-    idx = {v: i for i, v in enumerate(order)}
-    flat = np.fromiter(map(idx.__getitem__, chain.from_iterable(rows)), dtype=np.intp)
-    return flat.reshape(-1, width)
-
-
 def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Link girth, flagness, and the mod-2 simple-connectedness test.
 
@@ -265,14 +255,16 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
 
     order = vertex_order(g)
     n = len(order)
-    tri = _index_rows(order, c.triangles, 3)
+    tri = _index_rows(order, c._sorted_cells, 3)
     if n:
         rb.set_stat("links", n)
-    girth = _link_girths(tri, n)
+    # corner v of triangle (v, p, q) makes p and q adjacent in link(v)
+    girth = _link_girths(np.concatenate([tri, tri[:, [1, 0, 2]], tri[:, [2, 0, 1]]]), n)
     for v in np.flatnonzero(girth).tolist():
         rb.violation("link-girth", (order[v],), f"girth={girth[v]}")
 
-    blocks = _flag_blocks(_index_rows(order, g.edges, 2), tri, n)
+    edges = _index_rows(order, g._sorted_edges, 2)
+    blocks = _flag_blocks(edges, tri, n)
     cliques, count, rows = _first_violations(blocks, cap)
     if cliques:
         rb.set_stat("cliques3", cliques)
@@ -284,7 +276,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb.uncertified(count - len(rows))
 
     if connected:
-        rank = _h1_rank_connected(c)  # the search above found c connected
+        rank = _h1_rank(tri, edges, n)  # the search above found c connected
         rb.set_stat("h1_rank_mod2", rank)
         if rank != 0:
             rb.violation("h1", (), f"rank={rank}")
@@ -302,7 +294,7 @@ def check_spheres_triangle_free(
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     levels = b.levels
-    for t in sorted(b.complex.triangles):
+    for t in b.complex._sorted_cells:
         rb.count("triangles")
         la, lb, lc = (levels[v] for v in t)
         if la == lb == lc:
@@ -330,7 +322,7 @@ def check_triangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Ch
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     levels = b.levels
-    for v, w in sorted(b.graph.edges):
+    for v, w in b.graph._sorted_edges:
         if levels[v] != levels[w]:
             continue
         rb.count("equidistant_edges")

@@ -519,12 +519,42 @@ def random_k23_complex(n, p, plants, seed):
     return SquareComplex(g, chosen)
 
 
+def common_neighbour_pairs(g):
+    """Map each pair u < w with a common neighbour to their common neighbours, sorted."""
+    commons = {}
+    for z in sorted(g.vertices):
+        nbs = g.neighbors(z)
+        for u, w in combinations(nbs, 2):
+            commons.setdefault((u, w), []).append(z)
+    return commons
+
+
+def brute_embedded_4cycles(g):
+    """All embedded 4-cycles of g in canonical form, sorted, from every
+    diagonal pair and two of its common neighbours, each cycle kept from
+    its smaller diagonal."""
+    from sysquad import canonical_cycle
+
+    cycles = []
+    for (u, w), mids in common_neighbour_pairs(g).items():
+        for x, y in combinations(mids, 2):
+            if (u, w) < (x, y):
+                cycles.append(canonical_cycle((u, x, w, y)))
+    return sorted(cycles)
+
+
+def relabelled(c, f):
+    """The square complex ``c`` with every vertex id v replaced by f(v)."""
+    from sysquad import Graph, SquareComplex
+
+    g = Graph(map(f, c.graph.vertices), [(f(u), f(w)) for u, w in c.graph.edges])
+    return SquareComplex(g, [tuple(map(f, s)) for s in c.squares])
+
+
 def find_K23(g):
     """All K_{2,3} subgraph occurrences as (2-side pair, 3-side triple), sorted."""
-    from sysquad.complexes import _common_neighbour_pairs
-
     found = []
-    for (u, w), mids in _common_neighbour_pairs(g).items():
+    for (u, w), mids in common_neighbour_pairs(g).items():
         if len(mids) < 3:
             continue
         for triple in combinations(mids, 3):
@@ -893,3 +923,118 @@ def brute_triangulated_disk(spec):
         center=0,
         layers=tuple(tuple(layer) for layer in layers),
     )
+
+
+def brute_rule_a_report(c, cap):
+    """The ``rule-a`` report from a scan of every diagonal of every square."""
+    from sysquad.reports import ReportBuilder
+
+    diags = {}
+    for s in sorted(c.squares):
+        a, b, cc, d = s
+        for diag, mid in (((a, cc), (b, d)), ((b, d), (a, cc))):
+            key = (min(diag), max(diag))
+            diags.setdefault(key, []).append((min(mid), max(mid)))
+    rb = ReportBuilder("rule-a", cap)
+    for (u0, u1), mids in sorted(diags.items()):
+        for m1, m2 in combinations(sorted(mids), 2):
+            shared = set(m1) & set(m2)
+            if len(shared) != 1:
+                continue
+            rb.count("patterns")
+            v1 = shared.pop()
+            v0 = m1[0] if m1[1] == v1 else m1[1]
+            v2 = m2[0] if m2[1] == v1 else m2[1]
+            if not c.has_square((u0, v0, u1, v2)):
+                rb.violation("rule-a", (u0, u1, min(v0, v2), v1, max(v0, v2)),
+                             "missing-outer-square")
+    return rb.build()
+
+
+def brute_rule_b_report(c, cap):
+    """The ``rule-b`` report from a scan of every triple of squares at every vertex."""
+    from sysquad import canonical_cycle
+    from sysquad.reports import ReportBuilder
+
+    rb = ReportBuilder("rule-b", cap)
+    g = c.graph
+    for u in sorted(g.vertices):
+        entries = []
+        for s in c.squares_at(u):
+            i = s.index(u)
+            wing = (s[i - 1], s[(i + 1) % 4])
+            entries.append(((min(wing), max(wing)), s[(i + 2) % 4]))
+        entries.sort()
+        seen = set()
+        for (w0, b0), (w1, b1), (w2, b2) in combinations(entries, 3):
+            s01, s12, s02 = set(w0) & set(w1), set(w1) & set(w2), set(w0) & set(w2)
+            if len(s01) != 1 or len(s12) != 1 or len(s02) != 1:
+                continue
+            a1, a2, a0 = s01.pop(), s12.pop(), s02.pop()
+            if len({a0, a1, a2}) != 3:
+                continue
+            hexagon = (a0, b0, a1, b1, a2, b2)
+            if len(set(hexagon)) != 6:
+                rb.count("degenerate")
+                continue
+            key = canonical_cycle(hexagon)
+            if key in seen:
+                continue
+            seen.add(key)
+            rb.count("hexagons")
+            options = (
+                ((a0, b1), (a0, b0, a1, b1), (b1, a2, b2, a0)),
+                ((b0, a2), (b0, a1, b1, a2), (a2, b2, a0, b0)),
+                ((a1, b2), (a1, b1, a2, b2), (b2, a0, b0, a1)),
+            )
+            if not any(g.has_edge(*chord) and c.has_square(c1) and c.has_square(c2)
+                       for chord, c1, c2 in options):
+                rb.violation("rule-b", (u,) + key, "no-chorded-antipode")
+    return rb.build()
+
+
+def brute_quasi_isometry_report(result, cap):
+    """The ``quasi-isometry`` report from one edge test per edge of each
+    graph and a search from the least vertex, every distance computed."""
+    from sysquad import bfs_levels, distance
+    from sysquad.reports import ReportBuilder
+
+    rb = ReportBuilder("quasi-isometry", cap)
+    gy, gx = result.source.graph, result.squared.graph
+    order = sorted(gy.vertices)
+    if sorted(gx.vertices) != order:
+        raise ValueError("squaring must preserve the vertex set")
+    n = len(order)
+    rb.set_stat("pairs", n * n)
+    for u, w in sorted(gx.edges):
+        if not gy.has_edge(u, w):
+            rb.violation("stretch-low", (u, w), f"d_source={distance(gy, u, w)} d_squared=1")
+    dropped = [(u, w) for u, w in sorted(gy.edges) if not gx.has_edge(u, w)]
+    for u, w in dropped:
+        if gx.neighbor_set(u).isdisjoint(gx.neighbor_set(w)):
+            rb.violation("stretch-high", (u, w), f"d_source=1 d_squared={distance(gx, u, w)}")
+    if n:
+        reached = bfs_levels(gx, order[0])
+        for v in order:
+            if v not in reached:
+                rb.violation("disconnected", (order[0], v), "d_squared=inf")
+    rb.set_stat("max_ratio", "0/1" if n < 2 else "2/1" if dropped else "1/1")
+    return rb.build()
+
+
+def brute_interval_pairs(s):
+    """``cli._interval_pairs`` of a subject without --exhaustive, one
+    ``Random.choice`` per drawn vertex."""
+    import random
+
+    verts = sorted(s.complex.graph.vertices)
+    pairs = [(s.based.basepoint, v) for v in verts]
+    seen = {(min(p), max(p)) for p in pairs}
+    rng = random.Random(s.args.seed)
+    for _ in range(2000):
+        u, v = rng.choice(verts), rng.choice(verts)
+        key = (min(u, v), max(u, v))
+        if key not in seen:
+            seen.add(key)
+            pairs.append(key)
+    return pairs

@@ -21,7 +21,7 @@ import sysquad.cli
 import sysquad.quadric
 from sysquad.cli import CHECKS, main
 
-from bruteforce import non_systolic_counterexamples
+from bruteforce import brute_interval_pairs, non_systolic_counterexamples
 
 
 def run_cli(*argv):
@@ -379,6 +379,21 @@ def test_verify_interval_sample_is_seeded(tmp_path, capsys):
         assert outs.setdefault(seed, out) == out
     assert "stat intervals 2128\n" in outs["0"]
     assert "stat intervals 2145\n" in outs["1"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 100, 469, 617, 1024, 1025, 11173])
+def test_interval_sample_matches_one_choice_per_draw(n):
+    from types import SimpleNamespace
+
+    from sysquad import Graph
+
+    # ids spaced and shifted past 64 bits; the base in the middle
+    verts = [2**70 + 7 * i for i in range(n)]
+    c = SimplicialComplex2(Graph(verts), [])
+    for seed in range(20):
+        s = SimpleNamespace(complex=c, based=SimpleNamespace(basepoint=verts[n // 2]),
+                            args=SimpleNamespace(exhaustive=False, seed=seed))
+        assert sysquad.cli._interval_pairs(s) == brute_interval_pairs(s), (n, seed)
 
 
 NUMPY_OOM = "Unable to allocate 21.9 GiB for an array with shape (76742, 76742)"

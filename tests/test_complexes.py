@@ -390,6 +390,56 @@ def test_h1_of_disk_is_zero(small_disk):
     assert h1_rank_mod2(small_disk.complex) == 0
 
 
+def triangulated(triangles):
+    """The simplicial complex spanned by the given triangles."""
+    edges = {(min(a, b), max(a, b)) for t in triangles for a, b in zip(t, t[1:] + t[:1])}
+    return SimplicialComplex2(Graph({v for t in triangles for v in t}, edges), triangles)
+
+
+def dunce_hat():
+    """A disk whose boundary, three arcs of three edges each, is glued by
+    the word x x x^-1 onto one arc P q1 q2 P, with a ring of nine vertices
+    and a center inside: every edge lies in two or three triangles."""
+    p, q1, q2 = 0, 1, 2
+    rim = [p, q1, q2, p, q1, q2, p, q2, q1]  # the boundary, corners at 0, 3, 6
+    ring = list(range(3, 12))
+    tris = []
+    for i in range(9):
+        j = (i + 1) % 9
+        tris += [(rim[i], rim[j], ring[i]), (rim[j], ring[i], ring[j]), (ring[i], ring[j], 12)]
+    return triangulated(tris)
+
+
+def free_edges(c):
+    """Edges of c that lie in exactly one cell."""
+    count = {}
+    for cell in c._sorted_cells:
+        for a, b in zip(cell, cell[1:] + cell[:1]):
+            e = (min(a, b), max(a, b))
+            count[e] = count.get(e, 0) + 1
+    return [e for e, k in count.items() if k == 1]
+
+
+PEEL_CASES = {
+    # name: (complex, h1, whether some edge is free)
+    "annulus": (triangulated([(0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)]), 1, True),
+    "moebius": (triangulated([(i, (i + 1) % 5, (i + 2) % 5) for i in range(5)]), 1, True),
+    "torus": (triangulated([t for i in range(7) for t in (
+        (i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7))]), 2, False),
+    "octahedron": (triangulated([(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]), 0, False),
+    "dunce-hat": (dunce_hat(), 0, False),
+    "theta": (SquareComplex(k23_graph(), [(0, 2, 1, 3), (0, 3, 1, 4), (0, 2, 1, 4)]), 0, False),
+    "fan": (triangulated([(0, v, v + 1) for v in range(1, 30)]), 0, True),
+}
+
+
+@pytest.mark.parametrize("name", PEEL_CASES)
+def test_h1_peels_to_the_oracle_rank(name):
+    c, h1, free = PEEL_CASES[name]
+    assert bool(free_edges(c)) == free
+    assert h1_rank_mod2(c) == brute_h1_rank_mod2(c) == h1
+
+
 def test_h1_matches_oracle_on_triangulations():
     # random graphs with every triangle filled, connected samples only
     filled = 0

@@ -34,6 +34,7 @@ from bruteforce import (
     bfs_dist,
     brute_ball_isometry_violations,
     brute_canonical_cycle,
+    brute_embedded_4cycles,
     brute_flat_intervals_text,
     brute_girth,
     brute_h1_rank_mod2,
@@ -41,7 +42,9 @@ from bruteforce import (
     brute_interval_vertices,
     brute_is_modular,
     brute_k23,
+    brute_rule_a_report,
     brute_rule_a_violations,
+    brute_rule_b_report,
     brute_rule_b_violations,
     cycle_edges,
     find_K23,
@@ -51,6 +54,7 @@ from bruteforce import (
     random_graph,
     random_k23_complex,
     random_square_complex,
+    relabelled,
 )
 from conftest import k23_complex_based, rule_a_mutant, rule_b_mutant
 
@@ -81,6 +85,16 @@ def test_four_cycles_agree(params):
     g = random_graph(*params)
     got = {cycle_edges(c) for c in enumerate_embedded_4cycles(g)}
     assert got == four_cycles_by_subsets(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_params)
+def test_four_cycles_match_the_common_neighbour_loop(params):
+    g = random_graph(*params)
+    assert enumerate_embedded_4cycles(g) == brute_embedded_4cycles(g)
+    # ids of any size, in reverse order: the canonical forms change
+    big = Graph((2**70 - v for v in g.vertices), ((2**70 - u, 2**70 - w) for u, w in g.edges))
+    assert enumerate_embedded_4cycles(big) == brute_embedded_4cycles(big)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,6 +337,38 @@ def test_rule_b_agrees(params):
     assert rep.passed == (not brute)
     got = sorted(cert.vertices for cert in rep.counterexamples)
     assert got == brute
+
+
+def assert_rule_reports_match(c):
+    """Rules A and B report byte for byte what the full scans report."""
+    for cap in (0, 2, 25):
+        assert check_replacement_rule_A(c, cap).to_text() == brute_rule_a_report(c, cap).to_text()
+        assert check_replacement_rule_B(c, cap).to_text() == brute_rule_b_report(c, cap).to_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_params, st.sampled_from([None, lambda v: 2**70 + 3 * v, lambda v: 100 - v]))
+def test_rule_reports_match_full_scans(params, relabel):
+    c = random_square_complex(*params)
+    assert_rule_reports_match(c if relabel is None else relabelled(c, relabel))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k23_params)
+def test_rule_reports_match_full_scans_over_planted_k23s(params):
+    assert_rule_reports_match(random_k23_complex(*params))
+
+
+def test_rule_reports_match_full_scans_on_mutants_and_squarings():
+    import sysquad as sq
+
+    assert_rule_reports_match(rule_a_mutant())
+    assert_rule_reports_match(rule_b_mutant())
+    assert_rule_reports_match(k23_complex_based().complex)
+    for degrees, radius in ((6, 3), (7, 3), (frozenset({6, 7, 8}), 3)):
+        disk = sq.triangulated_disk(sq.DiskSpec(radius=radius, degrees=degrees, seed=2))
+        res = sq.squaring(BasedComplex(disk.complex, disk.center))
+        assert_rule_reports_match(res.squared.complex)
 
 
 def test_rule_oracles_agree_on_the_mutants():

@@ -454,3 +454,18 @@ def test_certificate_keeps_mutant_reports():
     ]
     pairs = list(combinations(range(7), 2))
     assert check_interval_isometry(bmut, pairs=pairs).passed
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_modular_interval_pairs_gather_in_blocks(monkeypatch, block):
+    # two filled squares apart: modular, and half the pairs are disconnected;
+    # the gather per block reports what the per-pair loop reports
+    monkeypatch.setattr(quadric, "_PAIR_BLOCK", block)
+    g = Graph(range(8), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    c = SquareComplex(g, [(0, 1, 2, 3), (4, 5, 6, 7)])
+    pairs = [(u, v) for u in range(8) for v in range(u, 8)]
+    for cap in (0, 2, 25):
+        got = check_interval_isometry(c, iter(pairs), cap, modular=True)
+        assert got == check_interval_isometry(c, pairs, cap, modular=False)
+        assert got.violations == 16 and got.stats == {"intervals": 36}
+    assert check_interval_isometry(c, [], modular=True).stats == {}

@@ -22,7 +22,7 @@ from sysquad import (
     squaring,
 )
 
-from bruteforce import brute_quasi_isometry_ok, random_graph
+from bruteforce import brute_quasi_isometry_ok, brute_quasi_isometry_report, random_graph
 
 
 def single_triangle_based():
@@ -198,9 +198,56 @@ def test_quasi_isometry_agrees_with_bruteforce():
             squared=BasedComplex(SquareComplex(sub, []), 0)))
         assert rep.passed == brute_quasi_isometry_ok(g, sub), f"seed={seed}"
         assert rep.stats["pairs"] == n * n
+        # the report, whichever vertex the squared side is based at
+        res = SquaringResult(
+            source=BasedComplex(SimplicialComplex2(g, []), 0),
+            squared=BasedComplex(SquareComplex(sub, []), rng.randrange(n)))
+        assert_quasi_isometry_matches(res)
         verdicts.add(rep.passed)
     assert verdicts == {True, False}
     assert disconnected > 0
+
+
+def assert_quasi_isometry_matches(res):
+    """The report is byte for byte the one of a scan of every edge."""
+    for cap in (0, 2, 25):
+        want = brute_quasi_isometry_report(res, cap).to_text()
+        assert check_quasi_isometry(res, cap).to_text() == want, cap
+
+
+def squared_mutant(res, add=(), remove=()):
+    """``res`` with its squared graph's edges changed, based where it was."""
+    gx = res.squared.graph
+    edges = (set(gx.edges) | set(add)) - set(remove)
+    g = Graph(gx.vertices, edges)
+    return SquaringResult(source=res.source, squared=BasedComplex(SquareComplex(g, []), res.squared.basepoint))
+
+
+def test_quasi_isometry_mutants_match_the_full_scan(lemma_disks):
+    d = lemma_disks[0]
+    res = squaring(BasedComplex(d.complex, d.center))
+    gy, gx = res.source.graph, res.squared.graph
+    assert_quasi_isometry_matches(res)
+    # an extra squared edge between two vertices at source distance 2
+    levels = res.source.levels
+    far = next((u, w) for u in sorted(gy.vertices) for w in sorted(gy.vertices)
+               if u < w and distance(gy, u, w) == 2)
+    low = squared_mutant(res, add=[far])
+    assert check_quasi_isometry(low).counterexamples[0].kind == "stretch-low"
+    assert_quasi_isometry_matches(low)
+    # a dropped edge whose ends keep no common squared neighbour
+    u, w = min(e for e in gy.edges if levels[e[0]] == levels[e[1]])
+    cut = [tuple(sorted((u, x))) for x in set(gx.neighbors(u)) & set(gx.neighbors(w))]
+    high = squared_mutant(res, remove=cut)
+    assert any(c.kind == "stretch-high" and c.vertices == (u, w)
+               for c in check_quasi_isometry(high, 10**6).counterexamples)
+    assert_quasi_isometry_matches(high)
+    # a disconnected squaring: the basepoint, then another vertex, cut off
+    for v in (res.squared.basepoint, max(gx.vertices)):
+        cut = [tuple(sorted((v, x))) for x in gx.neighbors(v)]
+        apart = squared_mutant(res, remove=cut)
+        assert any(c.kind == "disconnected" for c in check_quasi_isometry(apart, 10**6).counterexamples)
+        assert_quasi_isometry_matches(apart)
 
 
 def test_vertex_set_must_match():
