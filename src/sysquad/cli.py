@@ -110,7 +110,7 @@ def _interval_pairs(s: Subject) -> Iterable[tuple[int, int]]:
     significant first. So the 4,000 choices are the first 4,000 words
     that fall below n once shifted right by 32 - k.
     """
-    verts = sorted(s.complex.graph.vertices)
+    verts = vertex_order(s.complex.graph)
     if s.args.exhaustive:
         return combinations_with_replacement(verts, 2)
     n, base = len(verts), s.based.basepoint
@@ -196,9 +196,8 @@ def _run_checks(checks: list[Check], c, based: BasedComplex | None,
     """Run ``checks`` on one complex; reports keep table order whatever --jobs is."""
     dist = modular = None
     if any(check.uses_dist for check in checks):
-        order = vertex_order(c.graph)
-        dist = all_pairs(c.graph, order)
-        modular = is_modular(c.graph, order, dist)
+        dist = all_pairs(c.graph)
+        modular = is_modular(c.graph, vertex_order(c.graph), dist)
     subject = Subject(c, based, dist, modular, args)
     if args.jobs == 1 or len(checks) <= 1:
         return [check.run(subject) for check in checks]
@@ -292,7 +291,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if isinstance(c, SquareComplex):
         kind = label = "square"
     else:  # a file with neither triangles nor squares gets the simplicial battery
-        kind, label = "simplicial", "simplicial" if c.triangles else "graph"
+        kind, label = "simplicial", "simplicial" if len(c._rows) else "graph"
     checks = _select(args, kind, label)
     skipped: list[str] = []
     if base is None:
@@ -312,7 +311,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_propa(args: argparse.Namespace) -> int:
     c, base = read_complex(args.input)
     if isinstance(c, SimplicialComplex2):
-        if c.triangles:
+        if len(c._rows):
             raise UsageError("propa needs a square complex (run square first)")
         c = SquareComplex(c.graph)  # a file without cells: its graph, no squares
     if base is None:

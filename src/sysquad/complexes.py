@@ -5,6 +5,33 @@ Finite simple graphs on integer vertex ids, triangle and square complexes
 together with the graph operations everything else is built on: BFS
 distances and the mod-2 first-homology rank.
 
+Representation. A complex lives as dense vertex indices: the index of a
+vertex is its rank among the sorted vertex ids, so index order is id order
+and a canonical form over indices is the canonical form over ids. No id,
+however large, is ever cast to a fixed-width integer.
+
+- A ``Graph`` holds its sorted ids (``_order``), its edges as index rows
+  u < w sorted lexicographically (``_ends``, with the sorted keys
+  u * n + w in ``_keys``), and a CSR neighbour array: slot k is the
+  directed edge ``_src[k] -> _nbr[k]``, and the neighbours of index i,
+  ascending, are ``_nbr[_ptr[i]:_ptr[i + 1]]``.
+- A cell store holds its cells as canonical index rows, sorted and
+  distinct (``_rows``), and checks their boundary edges with one
+  ``np.searchsorted`` over the edge keys.
+- A ``BasedComplex`` holds one BFS level per index (``_lev``, -1 when the
+  basepoint does not reach it) from one level-synchronous search over the
+  CSR, and the CSR of the neighbours one level down (``_down_ptr``,
+  ``_down_nbr``).
+
+The public constructors map ids to indices once and then take the same
+path as the file reader, the disk generator and squaring, which hand their
+index arrays over directly. The checks read these arrays and map indices
+back to ids only for certificates and output. The id views (``vertices``,
+``edges``, ``neighbors``, the cells, ``*_at``, ``levels``, ``down``) and
+the map from ids to indices (``Graph._indices``, for inputs that name ids)
+are built on first use, each one whole and then assigned, so two threads
+sharing a complex at worst build one twice.
+
 All containers are frozen after construction and every enumeration is
 returned in a canonical sorted order, so identical inputs always produce
 identical outputs.
@@ -13,8 +40,8 @@ identical outputs.
 from __future__ import annotations
 
 import math
-from collections import deque
-from itertools import chain
+from bisect import bisect_left
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +69,28 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
     return t[i::-1] + t[:i:-1]
 
 
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """``canonical_cycle`` of each edge, triangle or square index row.
+
+    An edge's or triangle's is its sorted vertices. A square's starts at
+    its least vertex and steps to the smaller of that vertex's two
+    neighbours, which is its canonical form when the vertices are distinct.
+    """
+    if rows.shape[1] <= 3:
+        return np.sort(rows, axis=1)
+    at = rows.argmin(axis=1)[:, None] + np.arange(4)
+    a, b, c, d = np.take_along_axis(rows, at % 4, axis=1).T
+    return np.stack([a, np.minimum(b, d), c, np.maximum(b, d)], axis=1)
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, sorted lexicographically."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def _boundary_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
     """The edges between consecutive vertices of a cycle, the last joined to the first."""
     edges = []
@@ -52,50 +101,125 @@ def _boundary_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with lo[i] <= j < hi[i], grouped by i, each group ascending."""
+    cnt = hi - lo
+    row = np.repeat(np.arange(len(lo)), cnt)
+    return row, lo[row] + np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row]
+
+
+def _isin_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Which queries occur in the sorted array ``keys``."""
+    if not len(keys):
+        return np.zeros(np.shape(queries), dtype=bool)
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return keys[at] == queries
+
+
+def _intersects(ptr: np.ndarray, nbr: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether CSR rows a[p] and b[p] share an entry, for each p.
+
+    Row i is ``nbr[ptr[i]:ptr[i + 1]]``, ascending; each side becomes the
+    sorted keys p * m + x, m above every entry.
+    """
+    m = len(ptr)
+    pa, sa = _expand(ptr[a], ptr[a + 1])
+    pb, sb = _expand(ptr[b], ptr[b + 1])
+    hit = _isin_sorted(pa * m + nbr[sa], pb * m + nbr[sb])
+    out = np.zeros(len(a), dtype=bool)
+    out[pb[hit]] = True
+    return out
+
+
 class Graph:
     """Finite simple graph. Vertices are opaque nonnegative integer ids."""
 
-    __slots__ = ("_vertices", "_edges", "_sorted_edges", "_adj")
+    __slots__ = ("_order", "_ends", "_keys", "_ptr", "_src", "_nbr",
+                 "_index", "_vertices", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
-        vs = frozenset(vertices)
+        order = tuple(sorted(set(vertices)))
+        n = len(order)
+        index = dict(zip(order, range(n)))
         pairs = [(u, v) if u < v else (v, u) for u, v in edges]
-        ordered = sorted(pairs)  # near linear on the sorted lists most callers pass
-        es = frozenset(ordered)
-        if len(es) < len(ordered):
-            ordered = sorted(es)
-        adj: dict[int, list[int]] = {v: [] for v in vs}
-        # in sorted edge order each vertex meets its smaller neighbours, in
-        # order, before its larger ones, so every list comes out sorted
+        rows = np.fromiter(map(index.get, chain.from_iterable(pairs), repeat(-1)),
+                           dtype=np.intp, count=2 * len(pairs)).reshape(-1, 2)
+        bad = (rows < 0).any(axis=1) | (rows[:, 0] == rows[:, 1])
+        if bad.any():  # raise for the first bad edge in the given order
+            u, v = pairs[int(np.argmax(bad))]
+            if u == v:
+                raise ValueError(f"loop edge ({u}, {v}) is not allowed")
+            raise ValueError(f"edge {(u, v)} has an undeclared endpoint")
+        self._set(order, rows, index)
+
+    @classmethod
+    def _of(cls, order: tuple[int, ...], rows: np.ndarray) -> Graph:
+        """The graph on the sorted ids ``order`` with edges given as index rows u < w.
+
+        The rows may come in any order and repeat.
+        """
+        g = cls.__new__(cls)
+        g._set(order, rows, None)
+        return g
+
+    def _set(self, order, rows, index) -> None:
+        n = len(order)
+        keys = np.sort(rows[:, 0] * n + rows[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        ends = np.stack(np.divmod(keys, max(n, 1)), axis=1)
+        # slot k is the edge src -> nbr; both directions sorted by source, and
+        # within a source the smaller neighbours (from w -> u) come first
+        src = np.concatenate([ends[:, 1], ends[:, 0]])
+        by = np.argsort(src, kind="stable")
+        self._order = order
+        self._ends = ends
+        self._keys = keys
+        self._src = src[by]
+        self._nbr = np.concatenate([ends[:, 0], ends[:, 1]])[by]
+        self._ptr = np.searchsorted(self._src, np.arange(n + 1))
+        self._index = index
+        self._vertices = self._edges = self._adj = None
+
+    def _position(self, v) -> int:
+        """The index of vertex v, -1 when v is not a vertex."""
+        order = self._order
         try:
-            for u, v in ordered:
-                adj[u].append(v)
-                adj[v].append(u)
-            valid = not any(u == v for u, v in ordered)
-        except KeyError:
-            valid = False
-        if not valid:  # raise for the first bad edge in the given order
-            for u, v in pairs:
-                if u == v:
-                    raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-                if u not in vs or v not in vs:
-                    raise ValueError(f"edge {(u, v)} has an undeclared endpoint")
-        self._vertices: frozenset[int] = vs
-        self._edges: frozenset[tuple[int, int]] = es
-        self._sorted_edges: tuple[tuple[int, int], ...] = tuple(ordered)
-        self._adj = {v: tuple(ns) for v, ns in adj.items()}
+            i = bisect_left(order, v)
+        except TypeError:
+            return -1
+        return i if i < len(order) and order[i] == v else -1
+
+    def _indices(self) -> dict[int, int]:
+        """Each vertex id's index, built on first use."""
+        index = self._index
+        if index is None:
+            index = self._index = dict(zip(self._order, range(len(self._order))))
+        return index
 
     @property
     def vertices(self) -> frozenset[int]:
-        return self._vertices
+        vs = self._vertices
+        if vs is None:
+            vs = self._vertices = frozenset(self._order)
+        return vs
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return self._edges
+        es = self._edges
+        if es is None:
+            order = self._order
+            es = self._edges = frozenset((order[u], order[w]) for u, w in self._ends.tolist())
+        return es
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        adj = self._adj
+        if adj is None:
+            order = self._order
+            ids = [order[j] for j in self._nbr.tolist()]
+            ptr = self._ptr.tolist()
+            adj = self._adj = {v: tuple(ids[ptr[i]:ptr[i + 1]]) for i, v in enumerate(order)}
         try:
-            return self._adj[v]
+            return adj[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
 
@@ -106,23 +230,26 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._vertices
+        return self._position(v) >= 0
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
+        i, j = sorted((self._position(u), self._position(v)))
+        if i < 0 or i == j:
             return False
-        return (min(u, v), max(u, v)) in self._edges
+        key = i * len(self._order) + j
+        at = int(np.searchsorted(self._keys, key))
+        return at < len(self._keys) and bool(self._keys[at] == key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._order == other._order and np.array_equal(self._ends, other._ends)
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges))
+        return hash((self._order, self._ends.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        return f"Graph({len(self._order)} vertices, {len(self._ends)} edges)"
 
 
 class CellError(ValueError):
@@ -140,73 +267,123 @@ class _CellComplex:
     as its sorted vertices), so no two cells are glued to the same cycle.
     The store is the one place that checks a cell's boundary edges; cells
     are checked in the given order and the first bad one raises a
-    ``CellError`` carrying its index. ``_sorted_cells`` keeps the cells in
-    sorted order, as ``Graph._sorted_edges`` keeps the edges.
+    ``CellError`` carrying its index.
     """
 
-    __slots__ = ("_graph", "_cells", "_sorted_cells", "_cells_at")
+    __slots__ = ("_graph", "_rows", "_cells", "_cells_at")
     _length: int
     _noun: str
 
     def __init__(self, graph: Graph, cells: Iterable[Sequence[int]] = ()):
         n = self._length
-        edges = graph.edges
-        store = []
-        for i, cell in enumerate(cells):
-            cell = tuple(cell)
-            # a triangle's canonical form is its sorted vertices, and its least
-            # boundary edge comes first; a square's edges follow the given order
-            if n == 3:
-                c = tuple(sorted(cell))
-                valid = len(c) == 3 and c[0] < c[1] < c[2]
-                along = ((c[0], c[1]), (c[0], c[2]), (c[1], c[2])) if valid else ()
-            else:
-                c = canonical_cycle(cell)
-                valid = len(c) == n and len(set(c)) == n
-                along = _boundary_edges(cell) if valid else ()
-            if not valid:
-                raise CellError(i, f"{self._noun} {cell} must have {n} distinct vertices")
-            if not edges.issuperset(along):
-                # complex files quote this byte for byte: a triangle names its sorted
-                # vertices and least missing edge, a square its given order and the
-                # first missing edge along it
-                e = next(e for e in along if e not in edges)
-                raise CellError(i, f"{self._noun} {c if n == 3 else cell} misses edge {e}")
-            store.append(c)
-        store.sort()  # near linear on the sorted lists most callers pass
+        cells = [tuple(cell) for cell in cells]
+        # the cells before the first one of the wrong length become index rows,
+        # an unknown vertex -1
+        k = next((i for i, cell in enumerate(cells) if len(cell) != n), len(cells))
+        index = graph._indices()
+        rows = np.fromiter(map(index.get, chain.from_iterable(cells[:k]), repeat(-1)),
+                           dtype=np.intp, count=k * n).reshape(k, n)
+        self._check(graph, rows, cells.__getitem__)
+        if k < len(cells):
+            raise self._error(graph, k, cells[k])
+        self._set(graph, _canonical_rows(rows))
+
+    @classmethod
+    def _of(cls, graph: Graph, canonical: np.ndarray):
+        """The store of cells given as canonical index rows, glued, in any order."""
+        store = cls.__new__(cls)
+        store._set(graph, canonical)
+        return store
+
+    @classmethod
+    def _from_rows(cls, graph: Graph, rows: np.ndarray, canonical: np.ndarray):
+        """The store of cells given as index rows, checked as the constructor checks them.
+
+        ``canonical`` is ``_canonical_rows(rows)``.
+        """
+        order = graph._order
+        cls._check(graph, rows, lambda i: tuple(order[v] for v in rows[i].tolist()))
+        return cls._of(graph, canonical)
+
+    def _set(self, graph: Graph, canonical: np.ndarray) -> None:
         self._graph = graph
-        self._cells: frozenset[tuple[int, ...]] = frozenset(store)
-        if len(self._cells) < len(store):
-            store = sorted(self._cells)
-        self._sorted_cells: tuple[tuple[int, ...], ...] = tuple(store)
-        cells_at: dict[int, list[tuple[int, ...]]] = {v: [] for v in graph.vertices}
-        for c in store:
-            for v in c:
-                cells_at[v].append(c)
-        self._cells_at = {v: tuple(cs) for v, cs in cells_at.items()}
+        self._rows = _sorted_rows(canonical)
+        self._cells = self._cells_at = None
+
+    @classmethod
+    def _check(cls, graph: Graph, rows: np.ndarray, given) -> None:
+        """Raise for the first row with a repeated vertex or with a boundary edge
+        missing from the graph; ``given(i)`` is cell i as given.
+
+        An unknown vertex is -1, and every boundary edge at it has a negative
+        key, which no edge has.
+        """
+        n = len(graph._order)
+        srt = np.sort(rows, axis=1)
+        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        nxt = np.roll(rows, -1, axis=1)
+        along = np.minimum(rows, nxt) * n + np.maximum(rows, nxt)
+        bad |= ~_isin_sorted(graph._keys, along).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise cls._error(graph, i, given(i))
+
+    @classmethod
+    def _error(cls, graph: Graph, i: int, cell: tuple[int, ...]) -> CellError:
+        """The rejection of cell i, which lacks distinct vertices or a boundary edge."""
+        n = cls._length
+        # a triangle's canonical form is its sorted vertices, and its least
+        # boundary edge comes first; a square's edges follow the given order
+        c = tuple(sorted(cell)) if n == 3 else canonical_cycle(cell)
+        if len(c) != n or len(set(c)) != n:
+            return CellError(i, f"{cls._noun} {cell} must have {n} distinct vertices")
+        along = ((c[0], c[1]), (c[0], c[2]), (c[1], c[2])) if n == 3 else _boundary_edges(cell)
+        # complex files quote this byte for byte: a triangle names its sorted
+        # vertices and least missing edge, a square its given order and the
+        # first missing edge along it
+        e = next(e for e in along if not graph.has_edge(*e))
+        return CellError(i, f"{cls._noun} {c if n == 3 else cell} misses edge {e}")
 
     @property
     def graph(self) -> Graph:
         return self._graph
 
+    def _id_cells(self) -> frozenset[tuple[int, ...]]:
+        cells = self._cells
+        if cells is None:
+            order = self._graph._order
+            cells = self._cells = frozenset(
+                tuple(order[v] for v in row) for row in self._rows.tolist())
+        return cells
+
     def _at(self, v: int) -> tuple[tuple[int, ...], ...]:
+        cells_at = self._cells_at
+        if cells_at is None:
+            order = self._graph._order
+            at: dict[int, list[tuple[int, ...]]] = {u: [] for u in order}
+            for row in self._rows.tolist():
+                c = tuple(order[i] for i in row)
+                for u in c:
+                    at[u].append(c)
+            cells_at = self._cells_at = {u: tuple(cs) for u, cs in at.items()}
         try:
-            return self._cells_at[v]
+            return cells_at[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._graph == other._graph and self._cells == other._cells
+        return self._graph == other._graph and np.array_equal(self._rows, other._rows)
 
     def __hash__(self) -> int:
-        return hash((self._graph, self._cells))
+        return hash((self._graph, self._rows.tobytes()))
 
     def __repr__(self) -> str:
+        g = self._graph
         return (
-            f"{type(self).__name__}({len(self._graph.vertices)} vertices, "
-            f"{len(self._graph.edges)} edges, {len(self._cells)} {self._noun}s)"
+            f"{type(self).__name__}({len(g._order)} vertices, "
+            f"{len(g._ends)} edges, {len(self._rows)} {self._noun}s)"
         )
 
 
@@ -219,13 +396,13 @@ class SimplicialComplex2(_CellComplex):
 
     @property
     def triangles(self) -> frozenset[tuple[int, int, int]]:
-        return self._cells
+        return self._id_cells()
 
     def triangles_at(self, v: int) -> tuple[tuple[int, int, int], ...]:
         return self._at(v)
 
     def has_triangle(self, tri: Sequence[int]) -> bool:
-        return canonical_cycle(tri) in self._cells
+        return canonical_cycle(tri) in self._id_cells()
 
 
 class SquareComplex(_CellComplex):
@@ -237,13 +414,13 @@ class SquareComplex(_CellComplex):
 
     @property
     def squares(self) -> frozenset[tuple[int, int, int, int]]:
-        return self._cells
+        return self._id_cells()
 
     def squares_at(self, v: int) -> tuple[tuple[int, int, int, int], ...]:
         return self._at(v)
 
     def has_square(self, cycle: Sequence[int]) -> bool:
-        return canonical_cycle(cycle) in self._cells
+        return canonical_cycle(cycle) in self._id_cells()
 
 
 class BasedComplex:
@@ -254,20 +431,34 @@ class BasedComplex:
     the neighbours of a reached v one level closer to the basepoint.
     """
 
-    __slots__ = ("_complex", "_basepoint", "_levels", "_down")
+    __slots__ = ("_complex", "_basepoint", "_lev", "_down_ptr", "_down_nbr",
+                 "_levels", "_down")
 
     def __init__(self, complex: SimplicialComplex2 | SquareComplex, basepoint: int):
         g = complex.graph
-        if not g.has_vertex(basepoint):
+        s = g._position(basepoint)
+        if s < 0:
             raise ValueError(f"basepoint {basepoint} is not a vertex")
+        self._set(complex, basepoint, _levels(g, s))
+
+    @classmethod
+    def _of(cls, complex, basepoint: int, lev: np.ndarray) -> BasedComplex:
+        """The based complex whose BFS levels, by index, are already known."""
+        b = cls.__new__(cls)
+        b._set(complex, basepoint, lev)
+        return b
+
+    def _set(self, complex, basepoint, lev) -> None:
+        g = complex.graph
+        # an unreached vertex (-1) has only unreached neighbours, none at -2
+        down = lev[g._nbr] == lev[g._src] - 1
         self._complex = complex
         self._basepoint = basepoint
-        levels = self._levels = bfs_levels(g, basepoint)
-        # a reached vertex has only reached neighbours
-        self._down = {
-            v: tuple(x for x in g.neighbors(v) if levels[x] == lv - 1)
-            for v, lv in levels.items()
-        }
+        self._lev = lev
+        self._down_nbr = g._nbr[down]
+        self._down_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(g._src[down], minlength=len(lev)))))
+        self._levels = self._down = None
 
     @property
     def complex(self) -> SimplicialComplex2 | SquareComplex:
@@ -283,24 +474,43 @@ class BasedComplex:
 
     @property
     def levels(self) -> dict[int, int]:
-        return self._levels
+        levels = self._levels
+        if levels is None:
+            order = self.graph._order
+            levels = self._levels = {
+                order[i]: d for i, d in enumerate(self._lev.tolist()) if d >= 0}
+        return levels
 
     def down(self, v: int) -> tuple[int, ...]:
         """The neighbours of v one level closer to the basepoint, sorted.
 
         Every step of a geodesic from v to the basepoint goes to one of them.
         """
+        down = self._down
+        if down is None:
+            order = self.graph._order
+            ids = [order[j] for j in self._down_nbr.tolist()]
+            ptr = self._down_ptr.tolist()
+            down = self._down = {
+                order[i]: tuple(ids[ptr[i]:ptr[i + 1]])
+                for i, d in enumerate(self._lev.tolist()) if d >= 0}
         try:
-            return self._down[v]
+            return down[v]
         except KeyError:
             raise ValueError(f"vertex {v} is unreachable from the basepoint") from None
 
     @property
     def unreached(self) -> tuple[int, ...]:
         """The vertices the basepoint does not reach, sorted."""
-        if len(self._levels) == len(self.graph.vertices):
-            return ()
-        return tuple(sorted(self.graph.vertices.difference(self._levels)))
+        order = self.graph._order
+        return tuple(order[i] for i in np.flatnonzero(self._lev < 0).tolist())
+
+    def _down_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (x, v, w) with v < w both in down(x), by x, then as ``combinations``."""
+        ptr = self._down_ptr
+        owner = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+        s, t = _expand(np.arange(1, len(owner) + 1), ptr[owner + 1])
+        return owner[s], self._down_nbr[s], self._down_nbr[t]
 
     def __repr__(self) -> str:
         return f"BasedComplex(basepoint={self._basepoint}, {self._complex!r})"
@@ -312,20 +522,35 @@ def _graph_of(obj) -> Graph:
     return obj.graph
 
 
+def _levels(g: Graph, s: int) -> np.ndarray:
+    """Distance from index s to every index, -1 where unreached; one pass per level."""
+    n = len(g._order)
+    ptr, nbr = g._ptr, g._nbr
+    lev = np.full(n, -1, dtype=np.intp)
+    lev[s] = 0
+    slot = np.empty(n, dtype=np.intp)
+    frontier = np.array([s])
+    depth = 0
+    while len(frontier):
+        depth += 1
+        _, k = _expand(ptr[frontier], ptr[frontier + 1])
+        reached = nbr[k]
+        reached = reached[lev[reached] < 0]
+        # each reached index once: keep the entry that wrote its slot last
+        at = np.arange(len(reached))
+        slot[reached] = at
+        frontier = reached[slot[reached] == at]
+        lev[frontier] = depth
+    return lev
+
+
 def bfs_levels(g: Graph, source: int) -> dict[int, int]:
     """Distance from source to every reachable vertex."""
-    if not g.has_vertex(source):
+    s = g._position(source)
+    if s < 0:
         raise ValueError(f"unknown vertex {source}")
-    dist = {source: 0}
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = du + 1
-                q.append(w)
-    return dist
+    order = g._order
+    return {order[i]: d for i, d in enumerate(_levels(g, s).tolist()) if d >= 0}
 
 
 def distance(obj, u: int, v: int) -> int | float:
@@ -338,10 +563,9 @@ def distance(obj, u: int, v: int) -> int | float:
 
 
 def is_connected(g: Graph) -> bool:
-    if not g.vertices:
+    if not g._order:
         return True
-    source = min(g.vertices)
-    return len(bfs_levels(g, source)) == len(g.vertices)
+    return bool((_levels(g, 0) >= 0).all())
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -360,13 +584,6 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _index_rows(order: tuple[int, ...], rows, width: int) -> np.ndarray:
-    """Rows of vertex ids as rows of their indices in ``order``."""
-    idx = {v: i for i, v in enumerate(order)}
-    flat = np.fromiter(map(idx.__getitem__, chain.from_iterable(rows)), dtype=np.intp)
-    return flat.reshape(-1, width)
-
-
 def h1_rank_mod2(c: SimplicialComplex2 | SquareComplex) -> int:
     """Mod-2 rank of the first homology: cycle-space rank minus boundary rank.
 
@@ -375,9 +592,8 @@ def h1_rank_mod2(c: SimplicialComplex2 | SquareComplex) -> int:
     """
     if not is_connected(c.graph):
         raise ValueError("h1_rank_mod2 requires a connected complex")
-    order = tuple(sorted(c.graph.vertices))
-    cells = _index_rows(order, c._sorted_cells, c._length)
-    return _h1_rank(cells, _index_rows(order, c.graph._sorted_edges, 2), len(order))
+    g = c.graph
+    return _h1_rank(c._rows, g._ends, len(g._order))
 
 
 def _h1_rank(cells: np.ndarray, edges: np.ndarray, n: int) -> int:

@@ -38,12 +38,17 @@ faults reports the first of:
 
 from __future__ import annotations
 
-import io
 from itertools import combinations, repeat
 
 import numpy as np
 
-from .complexes import CellError, Graph, SimplicialComplex2, SquareComplex
+from .complexes import (
+    CellError,
+    Graph,
+    SimplicialComplex2,
+    SquareComplex,
+    _canonical_rows,
+)
 
 _ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
 _CELL = {"t": "triangle", "q": "square"}
@@ -86,25 +91,9 @@ def _repeats(rows: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Canonical forms of edge, triangle or square index rows.
-
-    An edge's or triangle's is its sorted vertices. A square's starts at
-    its least vertex and steps to the smaller of that vertex's two
-    neighbours, as ``canonical_cycle`` does.
-    """
-    lo, hi = rows.min(axis=1), rows.max(axis=1)
-    if rows.shape[1] == 2:
-        return np.stack([lo, hi], axis=1)
-    if rows.shape[1] == 3:
-        return np.stack([lo, rows.sum(axis=1) - lo - hi, hi], axis=1)
-    at = rows.argmin(axis=1)[:, None] + np.arange(4)
-    a, b, c, d = np.take_along_axis(rows, at % 4, axis=1).T
-    return np.stack([a, np.minimum(b, d), c, np.maximum(b, d)], axis=1)
-
-
 def _first_fault(kind, lines, ids, index, order):
-    """(line number, message) of the first faulty record of one kind, or None."""
+    """The index rows of one record type, their canonical forms, and the
+    (line number, message) of the first faulty record, or None."""
     width = _ARITY[kind]
     rows = np.fromiter(map(index.get, ids, repeat(-1)), np.intp, len(ids)).reshape(-1, width)
     # an undeclared id is -1, which can only spoil the checks of its own line
@@ -113,13 +102,14 @@ def _first_fault(kind, lines, ids, index, order):
     for i, j in combinations(range(width), 2):
         own |= rows[:, i] == rows[:, j]
     if kind == "base":
+        keys = rows
         repeated = np.arange(len(rows)) > 0
     else:
-        keys = _keys(rows)
+        keys = _canonical_rows(rows)
         repeated = _repeats(keys)
     bad = np.flatnonzero(undeclared | own | repeated)
     if not len(bad):
-        return None
+        return rows, keys, None
     r = int(bad[0])
     rec = ids[r * width:(r + 1) * width]
     if undeclared[r]:
@@ -133,7 +123,7 @@ def _first_fault(kind, lines, ids, index, order):
         message = f"{_CELL[kind]} {tuple(rec)} repeats a vertex"
     else:
         message = f"duplicate {_CELL[kind]} {tuple(order[i] for i in keys[r].tolist())}"
-    return lines[r], message
+    return rows, keys, (lines[r], message)
 
 
 def parse_complex(text: str) -> tuple[SimplicialComplex2 | SquareComplex, int | None]:
@@ -164,21 +154,23 @@ def parse_complex(text: str) -> tuple[SimplicialComplex2 | SquareComplex, int | 
         rows = np.fromiter(map(index.get, ids["v"]), np.intp, len(ids["v"]))
         r = int(np.argmax(_repeats(rows[:, None])))
         raise ComplexFileError(lines["v"][r], f"duplicate vertex {ids['v'][r]}")
-    faults = [
-        _first_fault(kind, lines[kind], ids[kind], index, order)
-        for kind in ("e", "t", "q", "base") if ids[kind]
-    ]
-    first = min(filter(None, faults), default=None)
+    scans = {kind: _first_fault(kind, lines[kind], ids[kind], index, order)
+             for kind in ("e", "t", "q", "base")}
+    first = min((fault for _, _, fault in scans.values() if fault is not None), default=None)
     if first is not None:
         raise ComplexFileError(*first)
     if lines["t"] and lines["q"]:
         raise ComplexFileError(max(lines["t"][0], lines["q"][0]), "file mixes triangles and squares")
 
+    # the scan has the index rows: edges are distinct and cells glued to
+    # distinct cycles of distinct declared vertices, so only the cells'
+    # boundary edges are left to check
     kind = "q" if lines["q"] else "t"
     cls = SquareComplex if kind == "q" else SimplicialComplex2
-    e, cells, width = ids["e"], ids[kind], _ARITY[kind]
+    graph = Graph._of(tuple(order), scans["e"][1])
+    rows, keys, _ = scans[kind]
     try:
-        complex = cls(Graph(order, zip(e[::2], e[1::2])), zip(*(cells[i::width] for i in range(width))))
+        complex = cls._from_rows(graph, rows, keys)
     except CellError as exc:  # a cell misses a boundary edge
         raise ComplexFileError(lines[kind][exc.index], str(exc)) from None
     return complex, (ids["base"][0] if ids["base"] else None)
@@ -192,17 +184,19 @@ def read_complex(path) -> tuple[SimplicialComplex2 | SquareComplex, int | None]:
 def format_complex(
     complex: SimplicialComplex2 | SquareComplex, basepoint: int | None = None
 ) -> str:
-    """Deterministic text form: sorted records, no comments."""
+    """Deterministic text form: sorted records, no comments.
+
+    Each id is turned into text once; the records gather those strings by
+    the sorted index rows.
+    """
     g = complex.graph
-    out = io.StringIO()
-    for v in sorted(g.vertices):
-        out.write(f"v {v}\n")
-    for u, w in g._sorted_edges:
-        out.write(f"e {u} {w}\n")
-    for cell in complex._sorted_cells:
-        out.write(("t %d %d %d\n", "q %d %d %d %d\n")[len(cell) - 3] % cell)
+    if basepoint is not None and not g.has_vertex(basepoint):
+        raise ValueError(f"basepoint {basepoint} is not a vertex")
+    names = np.array(list(map(str, g._order)), dtype=object)
+    kind = "tq"[complex._length - 3]
+    lines = ["v " + v + "\n" for v in names.tolist()]
+    lines += [" ".join(("e", *row)) + "\n" for row in names[g._ends].tolist()]
+    lines += [" ".join((kind, *row)) + "\n" for row in names[complex._rows].tolist()]
     if basepoint is not None:
-        if not g.has_vertex(basepoint):
-            raise ValueError(f"basepoint {basepoint} is not a vertex")
-        out.write(f"base {basepoint}\n")
-    return out.getvalue()
+        lines.append(f"base {basepoint}\n")
+    return "".join(lines)

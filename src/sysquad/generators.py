@@ -22,12 +22,19 @@ exceeds every window: no window holds a ring entry twice.
 Interior links come out as single cycles whose length equals the
 prescribed degree, so any rule with all degrees >= 6 produces a complex
 whose vertex links have girth >= 6.
+
+The ids are 0, 1, 2, ... in layer order, so they are their own vertex
+indices, and the edges and triangles go to the complex as index rows. By
+construction every triangle's edges are among the edges, so the rows are
+only put in canonical form, a triangle as its sorted vertices.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .complexes import Graph, SimplicialComplex2
 
@@ -83,13 +90,11 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
         c = SimplicialComplex2(Graph([0]), [])
         return Disk(complex=c, center=0, layers=((0,),))
 
-    vertices = [0]
     edges: list[tuple[int, int]] = []
     triangles: list[tuple[int, int, int]] = []
 
     d0 = rng.choice(choices)
     first_layer = list(range(1, d0 + 1))
-    vertices.extend(first_layer)
     for i, v in enumerate(first_layer):
         w = first_layer[(i + 1) % d0]
         edges.append((0, v))
@@ -119,12 +124,11 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
                 edges.append((a, b))
                 triangles.append((v, a, b))
             triangles.append((v, layer[(i + 1) % m], window[-1]))
-        vertices.extend(ring)
         layers.append(ring)
         parents = new_parents
 
-    graph = Graph(vertices, edges)
-    complex = SimplicialComplex2(graph, triangles)
+    graph = Graph._of(tuple(range(next_id)), np.sort(edges, axis=1))
+    complex = SimplicialComplex2._of(graph, np.sort(triangles, axis=1))
     return Disk(
         complex=complex,
         center=0,

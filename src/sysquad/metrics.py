@@ -1,4 +1,4 @@
-"""Vertex-indexed adjacency arrays, common neighbours, and all-pairs distances.
+"""Common neighbours and all-pairs distances on a graph's vertex indices.
 
 Every distance matrix in the package comes from ``_bfs``. It runs the
 breadth-first searches from all sources at once: vertex v holds a bitset
@@ -10,11 +10,9 @@ the padding points at an extra all-zero frontier row, which adds nothing.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-from .complexes import Graph
+from .complexes import Graph, _expand
 
 # frontier rows unpacked at a time: a block of 1024 x n booleans stays far
 # below the n x n matrix, so the unpacking adds little to peak memory
@@ -22,42 +20,26 @@ _UNPACK_ROWS = 1024
 
 
 def vertex_order(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted(g.vertices))
+    """The sorted vertex ids of ``g``: index i of every array is ``vertex_order(g)[i]``."""
+    return g._order
 
 
-def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (i, j) with lo[i] <= j < hi[i], grouped by i, each group ascending."""
-    cnt = hi - lo
-    row = np.repeat(np.arange(len(lo)), cnt)
-    return row, lo[row] + np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row]
+def _checked_order(g: Graph, order: tuple[int, ...] | None) -> None:
+    if order is not None and order != g._order:
+        raise ValueError("order must be vertex_order(g)")
 
 
-def adjacency(g: Graph, order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric edge list (rows, cols) of ``g`` on the indices in ``order``.
+def common_neighbours(g: Graph):
+    """Every pair v < w of indices with a common neighbour, and those neighbours.
 
-    Sorted by row; a row follows ``g.neighbors`` (ascending ids), so it
-    ascends when ``order`` is sorted.
+    Each vertex c contributes the pairs of its neighbours, so the work is
+    the sum of d(c) (d(c) - 1) / 2, whatever the largest degree. Returns
+    (v, w, ptr, common): pair p is (v[p], w[p]), the pairs ascend, and the
+    common neighbours of pair p, ascending, are common[ptr[p]:ptr[p + 1]].
     """
-    idx = {v: i for i, v in enumerate(order)}
-    nbrs = list(map(g.neighbors, order))
-    rows = np.repeat(np.arange(len(order)), list(map(len, nbrs)))
-    cols = np.fromiter(map(idx.__getitem__, chain.from_iterable(nbrs)),
-                       dtype=np.intp, count=len(rows))
-    return rows, cols
-
-
-def common_neighbours(rows: np.ndarray, cols: np.ndarray, n: int):
-    """Every pair v < w with a common neighbour, and those neighbours.
-
-    ``rows`` and ``cols`` are an ``adjacency`` of a sorted order on
-    0..n-1. Each vertex c contributes the pairs of its neighbours, so the
-    work is the sum of d(c) (d(c) - 1) / 2, whatever the largest degree.
-    Returns (v, w, ptr, common): pair p is (v[p], w[p]), the pairs ascend,
-    and the common neighbours of pair p, ascending, are
-    common[ptr[p]:ptr[p + 1]].
-    """
-    ends = np.searchsorted(rows, rows, side="right")  # where each slot's row ends
-    i, j = _expand(np.arange(1, len(rows) + 1), ends)  # slots i < j of one row
+    n, rows, cols = len(g._order), g._src, g._nbr
+    # CSR slots i < j of one row
+    i, j = _expand(np.arange(1, len(rows) + 1), g._ptr[rows + 1])
     keys = cols[i] * n + cols[j]
     # a stable argsort keeps each pair's neighbours in row order, ascending
     by = np.argsort(keys, kind="stable")
@@ -114,15 +96,17 @@ def _bfs(nbr: np.ndarray) -> np.ndarray:
 
 
 def all_pairs(g: Graph, order: tuple[int, ...] | None = None) -> np.ndarray:
-    """Full distance matrix of ``g``; rows and columns follow ``order``.
+    """Full distance matrix of ``g``; rows and columns follow ``vertex_order(g)``.
+
+    ``order``, when given, must be that order.
 
     With n vertices the dtype is ``np.min_scalar_type(2 * n)`` and an
     unreachable pair holds the sentinel n, larger than every distance
     (at most n - 1). The dtype holds 2n, so sums such as D[u] + D[v] and
     D[k] + 1 never wrap; a difference such as D[x] - 1 can.
     """
-    order = order or vertex_order(g)
-    return _bfs(_table(*adjacency(g, order), len(order)))
+    _checked_order(g, order)
+    return _bfs(_table(g._src, g._nbr, len(g._order)))
 
 
 def induced_distances(dist: np.ndarray, sub: np.ndarray) -> np.ndarray:

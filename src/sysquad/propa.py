@@ -161,61 +161,61 @@ def property_a_report(b: BasedComplex, n_max: int,
     if rb.disconnected(b.basepoint, b.unreached):
         return PropertyAReport(rows=(), check=rb.build())
     g = b.graph
-    verts = sorted(g.vertices)
-    downs = [b.down(w) for w in verts]
-    for w, d in zip(verts, downs):
-        if len(d) > 2:
-            rb.violation("non-flat", (w,), f"downward-degree={len(d)}")
+    order = g._order
+    ptr, lev = b._down_ptr, b._lev
+    count = np.diff(ptr)  # the downward degree of each vertex
+    rb.each_violation("non-flat", np.flatnonzero(count > 2).tolist(), lambda i: (
+        (order[i],), f"downward-degree={count[i]}"))
     # stop before any weight: deficiency -1 would read row 2 of the table
     if rb.violations:
         return PropertyAReport(rows=(), check=rb.build())
-    rb.set_stat("vertices", len(verts))
-    rb.set_stat("edges", len(g.edges))
+    ends = g._ends
+    rb.set_stat("vertices", len(order))
+    rb.set_stat("edges", len(ends))
     rb.set_stat("n_max", n_max)
     ns = np.arange(n_max + 1)
-    index = {v: i for i, v in enumerate(verts)}
-    lev = np.array([b.levels[v] for v in verts], dtype=np.intp)
     # both downward neighbours, the one twice when there is one (the base's row is not read)
-    down = np.array([(index[d[0]], index[d[-1]]) if d else (i, i) for i, d in enumerate(downs)],
-                    dtype=np.intp)
+    every = np.arange(len(order))
+    has = count > 0
+    down = np.stack([every, every], axis=1)
+    down[has, 0] = b._down_nbr[ptr[:-1][has]]
+    down[has, 1] = b._down_nbr[ptr[1:][has] - 1]
     # columns hold the classes 3 * level + deficiency in order, each a contiguous range
-    cls = 3 * lev + 2 - np.array([len(d) for d in downs], dtype=np.intp)
+    cls = 3 * lev + 2 - count
     by_class = np.argsort(cls, kind="stable")
     col = np.empty_like(by_class)
-    col[by_class] = np.arange(len(verts))
+    col[by_class] = every
     keys, starts = np.unique(cls[by_class], return_index=True)
     # shift[d, c, n] = T[delta_c, n - (d - level_c)], the weight a center on level d gives class c
     m = ns - (np.arange(lev.max() + 1)[:, None, None] - keys[:, None] // 3)
     shift = np.where(m >= 0, _weight_table(n_max)[keys[:, None] % 3, np.clip(m, 0, n_max)], 0)
     bits = _interval_bits(lev, down, col)
 
-    # sums[i, n]: the mass of f_{n, verts[i]}
-    every = np.arange(len(verts))
+    # sums[i, n]: the mass of f_{n, order[i]}
     sums = _class_sums(bits, starts, shift, lev, every, every)
     max_norm = sums.max(axis=0)
     want_norm = (ns + 2) * (ns + 1) // 2
     for i, n in zip(*np.nonzero(sums != want_norm)):
-        rb.violation("weight-norm", (verts[i],), f"n={n} sum={sums[i, n]} expected={want_norm[n]}")
+        rb.violation("weight-norm", (order[i],), f"n={n} sum={sums[i, n]} expected={want_norm[n]}")
 
     # l1 = both masses minus twice the minima on the common support (see above)
-    edges = g._sorted_edges
-    eu, ev = np.searchsorted(verts, np.array(edges, dtype=np.int64).reshape(-1, 2)).T
+    eu, ev = ends.T
     diffs = sums[eu] + sums[ev] - 2 * _class_sums(bits, starts, shift, lev, eu, ev)
     max_diff = diffs.max(axis=0, initial=0)
     want_diff = 2 * (ns + 1)
     for k, n in zip(*np.nonzero(diffs != want_diff)):
-        rb.violation("weight-difference", edges[k],
+        rb.violation("weight-difference", (order[eu[k]], order[ev[k]]),
                      f"n={n} diff={diffs[k, n]} expected={want_diff[n]}")
 
     rows: list[PropertyARow] = []
     for n in range(n_max + 1):
         # the basepoint's mass is positive, so no norm is 0
         ratio = Fraction(int(max_diff[n]), int(max_norm[n]))
-        if edges:
+        if len(ends):
             want = Fraction(4, n + 2)
             if ratio != want:
                 rb.violation("ratio", (n,), f"ratio={ratio} expected={want}")
             if rows and not ratio < rows[-1].ratio:
                 rb.violation("ratio-monotone", (n,), f"ratio={ratio} previous={rows[-1].ratio}")
-        rows.append(PropertyARow(n, int(max_norm[n]), int(max_diff[n]), ratio, len(edges)))
+        rows.append(PropertyARow(n, int(max_norm[n]), int(max_diff[n]), ratio, len(ends)))
     return PropertyAReport(rows=tuple(rows), check=rb.build())

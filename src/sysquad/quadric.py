@@ -18,15 +18,14 @@ from .complexes import (
     BasedComplex,
     Graph,
     SquareComplex,
-    _index_rows,
+    _intersects,
     canonical_cycle,
 )
 from .metrics import (
-    adjacency,
+    _checked_order,
     all_pairs,
     common_neighbours,
     induced_distances,
-    vertex_order,
 )
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import _link_girths
@@ -48,7 +47,7 @@ def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
     return frozenset(verts)
 
 
-def _shared_diagonals(c: SquareComplex, order: tuple[int, ...]) -> dict[tuple[int, int], list]:
+def _shared_diagonals(c: SquareComplex) -> dict[tuple[int, int], list]:
     """Each diagonal that two or more squares carry, with their sorted middle pairs.
 
     A canonical square (a, b, c, d) has a < c and b < d, so its diagonals
@@ -56,8 +55,9 @@ def _shared_diagonals(c: SquareComplex, order: tuple[int, ...]) -> dict[tuple[in
     One stable argsort of the 2F diagonal keys (F squares) groups equal
     diagonals; the groups come out in ascending diagonal order.
     """
+    order = c.graph._order
     n = len(order)
-    sq = _index_rows(order, c._sorted_cells, 4)
+    sq = c._rows
     ends = np.concatenate([sq[:, [0, 2]], sq[:, [1, 3]]])
     middle = np.concatenate([sq[:, [1, 3]], sq[:, [0, 2]]])
     by = np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")
@@ -88,7 +88,7 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     diagonals would.
     """
     rb = ReportBuilder("rule-a", cap)
-    for (u0, u1), mids in _shared_diagonals(c, vertex_order(c.graph)).items():
+    for (u0, u1), mids in _shared_diagonals(c).items():
         for m1, m2 in combinations(mids, 2):
             shared = set(m1) & set(m2)
             if len(shared) != 1:
@@ -114,7 +114,7 @@ def _corner_entries(c: SquareComplex, u: int) -> list[tuple[tuple[int, int], int
     return entries
 
 
-def _square_link_triangles(c: SquareComplex, order: tuple[int, ...]) -> list[int]:
+def _square_link_triangles(c: SquareComplex) -> list[int]:
     """The vertices, ascending, whose square-link has a triangle.
 
     The square-link of u is the simple graph on u's neighbours with an
@@ -123,8 +123,8 @@ def _square_link_triangles(c: SquareComplex, order: tuple[int, ...]) -> list[int
     give one link edge twice, which the triangle search of
     ``_link_girths`` allows.
     """
-    sq = _index_rows(order, c._sorted_cells, 4)
-    links = sq[:, [[0, 3, 1], [1, 0, 2], [2, 1, 3], [3, 2, 0]]].reshape(-1, 3)
+    order = c.graph._order
+    links = c._rows[:, [[0, 3, 1], [1, 0, 2], [2, 1, 3], [3, 2, 0]]].reshape(-1, 3)
     return [order[u] for u in np.flatnonzero(_link_girths(links, len(order), longest=3)).tolist()]
 
 
@@ -145,7 +145,7 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     """
     rb = ReportBuilder("rule-b", cap)
     g = c.graph
-    for u in _square_link_triangles(c, vertex_order(g)):
+    for u in _square_link_triangles(c):
         entries = _corner_entries(c, u)
         seen = set()  # two square triples can glue to the same hexagon
         for (w0, o0), (w1, o1), (w2, o2) in combinations(entries, 3):
@@ -189,11 +189,13 @@ def check_quadrangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> 
     rb = ReportBuilder("quadrangle", cap)
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
-    for x in sorted(b.graph.vertices):
-        for v, w in combinations(b.down(x), 2):
-            rb.count("pairs")
-            if set(b.down(v)).isdisjoint(b.down(w)):
-                rb.violation("quadrangle", (x, v, w), f"level={b.levels[x]}")
+    x, v, w = b._down_pairs()
+    if len(x):
+        rb.set_stat("pairs", len(x))
+    bad = ~_intersects(b._down_ptr, b._down_nbr, v, w)
+    order = b.graph._order
+    rb.each_violation("quadrangle", np.column_stack([x, v, w])[bad].tolist(), lambda t: (
+        tuple(order[i] for i in t), f"level={b._lev[t[0]]}"))
     return rb.build()
 
 
@@ -212,10 +214,11 @@ _PAIR_BLOCK = 1 << 16
 def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
     """Whether every connected component of ``g`` is a modular graph.
 
-    ``D`` is ``all_pairs(g, order)``. I(a, b) is the set of vertices on
-    geodesics from a to b. A connected graph is modular when every triple
-    u, x, y has a median: a vertex in I(u,x), I(u,y) and I(x,y). Per
-    component the test checks two conditions:
+    ``order`` is ``vertex_order(g)`` and ``D`` is ``all_pairs(g)``.
+    I(a, b) is the set of vertices on geodesics from a to b. A connected
+    graph is modular when every triple u, x, y has a median: a vertex in
+    I(u,x), I(u,y) and I(x,y). Per component the test checks two
+    conditions:
 
     (B) Bipartite. The ends of each edge lie at different distances from
         the component's first vertex, so every edge changes the distance
@@ -264,8 +267,9 @@ def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
     ``_BLOCK_ENTRIES // n`` pairs, and a block's minimum is one row gather
     of ``D`` per table column, folded in place by ``np.minimum``.
     """
+    _checked_order(g, order)
     n = len(order)
-    rows, cols = adjacency(g, order)
+    rows, cols = g._src, g._nbr
     root = np.full(n, -1, dtype=np.intp)
     for i in range(n):
         if root[i] < 0:
@@ -273,7 +277,7 @@ def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
     r = root[rows]
     if (D[r, rows] == D[r, cols]).any():
         return False
-    vs, ws, ptr, common = common_neighbours(rows, cols, n)
+    vs, ws, ptr, common = common_neighbours(g)
     first, mult = ptr[:-1], np.diff(ptr)
     pair = np.repeat(np.arange(len(first)), mult)
     table = np.repeat(common[first][:, None], mult.max(initial=1), axis=1)
@@ -331,12 +335,11 @@ def check_ball_isometry(
     computes them here.
     """
     g = c if isinstance(c, Graph) else c.graph
-    order = vertex_order(g)
+    order = g._order
     n = len(order)
-    idx = {v: i for i, v in enumerate(order)}
     rb = ReportBuilder("ball-isometry", cap)
     rb.set_stat("centers", n)
-    D = all_pairs(g, order) if dist is None else dist
+    D = all_pairs(g) if dist is None else dist
     # component sizes, one distance row per component: no n x n mask
     size = np.zeros(n, dtype=np.int64)
     for u in range(n):
@@ -353,8 +356,7 @@ def check_ball_isometry(
         bad = D <= D[:, x][:, None]
         bad &= (D[:, x] < n)[:, None]
         bad[:, x] = False
-        for z in g.neighbors(order[x]):
-            k = idx[z]
+        for k in g._nbr[g._ptr[x]:g._ptr[x + 1]].tolist():
             bad &= ~np.logical_and.outer(D[:, k] <= D[:, x], D[k] + 1 == D[x])
         if not bad.any():
             continue
@@ -399,10 +401,10 @@ def check_interval_isometry(
     computes them here.
     """
     g = c if isinstance(c, Graph) else c.graph
-    order = vertex_order(g)
+    order = g._order
     n = len(order)
-    idx = {v: i for i, v in enumerate(order)}
-    D = all_pairs(g, order) if dist is None else dist
+    index = g._indices()  # the pairs name ids
+    D = all_pairs(g) if dist is None else dist
     if modular is None:
         modular = is_modular(g, order, D)
     rb = ReportBuilder("interval-isometry", cap)
@@ -410,7 +412,7 @@ def check_interval_isometry(
         pairs, total = iter(pairs), 0
         while block := list(islice(pairs, _PAIR_BLOCK)):
             total += len(block)
-            ij = np.fromiter(map(idx.__getitem__, chain.from_iterable(block)),
+            ij = np.fromiter(map(index.__getitem__, chain.from_iterable(block)),
                              dtype=np.intp, count=2 * len(block))
             for k in np.flatnonzero(D[ij[0::2], ij[1::2]] == n).tolist():
                 u, v = block[k]
@@ -420,8 +422,8 @@ def check_interval_isometry(
         return rb.build()
     for u, v in pairs:
         rb.count("intervals")
-        iu = idx[u]
-        iv = idx[v]
+        iu = index[u]
+        iv = index[v]
         if D[iu, iv] == n:
             rb.violation("disconnected", (u, v), "no-path")
             continue
@@ -471,16 +473,16 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     g = b.graph
-    order = vertex_order(g)
-    v, w, ptr, common = common_neighbours(*adjacency(g, order), len(order))
+    order = g._order
+    v, w, ptr, common = common_neighbours(g)
     pairs = [
         ((order[v[p]], order[w[p]]), [order[z] for z in common[ptr[p]:ptr[p + 1]].tolist()])
         for p in np.flatnonzero(np.diff(ptr) >= 3).tolist()
     ]
-    rb.set_stat("intervals", len(g.vertices))
+    rb.set_stat("intervals", len(order))
     if not pairs:  # no K_{2,3} in the graph, so none in an interval
         return rb.build()
-    for v in sorted(g.vertices):
+    for v in order:
         verts = based_interval(b, v)
         for (u0, u1), mids in pairs:
             if u0 in verts and u1 in verts:

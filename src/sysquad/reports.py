@@ -8,6 +8,7 @@ text/CSV serializations are byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 DEFAULT_CERT_CAP = 25
 
@@ -90,6 +91,16 @@ class ReportBuilder:
         self._violations += 1
         if len(self._certs) < self.cap:
             self._certs.append(Certificate(kind, vertices, info))
+
+    def each_violation(self, kind: str, items: Sequence, cert: Callable) -> None:
+        """One violation per item, in order; ``cert(item)`` is (vertices, info).
+
+        ``cert`` runs only for the items whose certificates the cap keeps.
+        """
+        room = max(0, self.cap - len(self._certs))
+        for item in items[:room]:
+            self.violation(kind, *cert(item))
+        self.uncertified(len(items) - min(room, len(items)))
 
     def uncertified(self, k: int) -> None:
         """Count ``k`` violations whose certificates fall past the cap."""

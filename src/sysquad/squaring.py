@@ -18,10 +18,14 @@ from .complexes import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
+    _expand,
+    _intersects,
+    _isin_sorted,
+    _sorted_rows,
     bfs_levels,
     distance,
 )
-from .metrics import _expand, adjacency, common_neighbours, vertex_order
+from .metrics import common_neighbours
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import verify_systolic
 
@@ -35,7 +39,14 @@ class SquaringResult:
 
 
 def enumerate_embedded_4cycles(g: Graph) -> list[tuple[int, int, int, int]]:
-    """All embedded 4-cycles of g, each once, in canonical form, sorted.
+    """All embedded 4-cycles of g, each once, in canonical form, sorted."""
+    order = g._order
+    return [(order[a], order[b], order[c], order[d])
+            for a, b, c, d in _sorted_rows(_embedded_4cycles(g)).tolist()]
+
+
+def _embedded_4cycles(g: Graph) -> np.ndarray:
+    """The embedded 4-cycles of g, each once, as canonical index rows.
 
     The diagonals {v, w} and {x, y} of a 4-cycle v x w y each have the
     other's ends as common neighbours, so every cycle comes from a pair
@@ -46,15 +57,12 @@ def enumerate_embedded_4cycles(g: Graph) -> list[tuple[int, int, int, int]]:
     canonical form. Indices keep the order of ids, so sorting the index
     rows sorts the cycles.
     """
-    order = vertex_order(g)
-    v, w, ptr, common = common_neighbours(*adjacency(g, order), len(order))
+    v, w, ptr, common = common_neighbours(g)
     pair = np.repeat(np.arange(len(v)), np.diff(ptr))
     i, j = _expand(np.arange(1, len(common) + 1), ptr[pair + 1])  # x, y of one pair
     v, w, x, y = v[pair[i]], w[pair[i]], common[i], common[j]
     keep = v < x
-    rows = np.stack([v[keep], x[keep], w[keep], y[keep]], axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return [(order[a], order[b], order[c], order[d]) for a, b, c, d in rows.tolist()]
+    return np.stack([v[keep], x[keep], w[keep], y[keep]], axis=1)
 
 
 def squaring(b: BasedComplex, precheck: bool = True) -> SquaringResult:
@@ -63,6 +71,11 @@ def squaring(b: BasedComplex, precheck: bool = True) -> SquaringResult:
     With ``precheck`` (the default) the source is verified systolic first
     and a failing source raises ValueError. Callers that have already run
     verify_systolic may pass precheck=False.
+
+    The squared graph keeps the source levels: a kept edge joins levels
+    that differ by one, and every vertex keeps its edge to a neighbour one
+    level down. So the squared complex takes the source's level array, and
+    its squares are the canonical rows of ``_embedded_4cycles``.
     """
     if not isinstance(b.complex, SimplicialComplex2):
         raise ValueError("squaring expects a simplicial complex")
@@ -71,15 +84,14 @@ def squaring(b: BasedComplex, precheck: bool = True) -> SquaringResult:
         if not rep.passed:  # the default cap keeps the first certificate
             raise ValueError(
                 f"source complex is not systolic: {rep.counterexamples[0]}")
-    if b.unreached:
+    lev = b._lev
+    if (lev < 0).any():
         raise ValueError("basepoint does not reach every vertex")
-    levels = b.levels
     g = b.graph
-    kept = [(u, w) for u, w in g._sorted_edges if levels[u] != levels[w]]
-    gx = Graph(g.vertices, kept)
-    squares = enumerate_embedded_4cycles(gx)
-    sx = SquareComplex(gx, squares)
-    return SquaringResult(source=b, squared=BasedComplex(sx, b.basepoint))
+    ends = g._ends
+    gx = Graph._of(g._order, ends[lev[ends[:, 0]] != lev[ends[:, 1]]])
+    sx = SquareComplex._of(gx, _embedded_4cycles(gx))
+    return SquaringResult(source=b, squared=BasedComplex._of(sx, b.basepoint, lev))
 
 
 def check_quasi_isometry(
@@ -98,7 +110,7 @@ def check_quasi_isometry(
     (disconnected). On a pass ``max_ratio`` is exact: 2/1 once an edge was
     dropped, else 1/1 (0/1 below two vertices).
 
-    The candidates come from two set differences of the edge sets, so
+    The candidates come from two differences of the sorted edge keys, so
     only dropped edges get a neighbour test. The squared graph is
     connected exactly when its basepoint reaches every vertex, which the
     based complex already knows; only a disconnected one gets the search
@@ -108,23 +120,24 @@ def check_quasi_isometry(
     rb = ReportBuilder("quasi-isometry", cap)
     gy = result.source.graph
     gx = result.squared.graph
-    if gx.vertices != gy.vertices:
+    order = gy._order
+    if gx._order != order:
         raise ValueError("squaring must preserve the vertex set")
-    n = len(gy.vertices)
+    n = len(order)
     rb.set_stat("pairs", n * n)
-    for u, w in sorted(gx.edges - gy.edges):
-        info = f"d_source={distance(gy, u, w)} d_squared=1" if rb.violations < cap else ""
-        rb.violation("stretch-low", (u, w), info)
-    dropped = sorted(gy.edges - gx.edges)
-    for u, w in dropped:
-        if set(gx.neighbors(u)).isdisjoint(gx.neighbors(w)):
-            info = f"d_source=1 d_squared={distance(gx, u, w)}" if rb.violations < cap else ""
-            rb.violation("stretch-high", (u, w), info)
-    if result.squared.unreached:
-        order = vertex_order(gx)
+    low = gx._ends[~_isin_sorted(gy._keys, gx._keys)]
+    rb.each_violation("stretch-low", low.tolist(), lambda e: (
+        (order[e[0]], order[e[1]]),
+        f"d_source={distance(gy, order[e[0]], order[e[1]])} d_squared=1"))
+    dropped = gy._ends[~_isin_sorted(gx._keys, gy._keys)]
+    high = dropped[~_intersects(gx._ptr, gx._nbr, dropped[:, 0], dropped[:, 1])]
+    rb.each_violation("stretch-high", high.tolist(), lambda e: (
+        (order[e[0]], order[e[1]]),
+        f"d_source=1 d_squared={distance(gx, order[e[0]], order[e[1]])}"))
+    if (result.squared._lev < 0).any():
         reached = bfs_levels(gx, order[0])
         for v in order:
             if v not in reached:
                 rb.violation("disconnected", (order[0], v), "d_squared=inf")
-    rb.set_stat("max_ratio", "0/1" if n < 2 else "2/1" if dropped else "1/1")
+    rb.set_stat("max_ratio", "0/1" if n < 2 else "2/1" if len(dropped) else "1/1")
     return rb.build()

@@ -3,8 +3,8 @@
 verify_systolic covers the structural conditions: every vertex link has
 girth >= 6, the complex is flag (each 3-clique spans a triangle, no
 4-clique), and the mod-2 cycle test for simple connectedness passes.
-Link girth and flagness are array passes over one triangle array and
-the sorted edge keys, vertices indexed by ``vertex_order``:
+Link girth and flagness are array passes over the complex's triangle
+and edge index rows:
 
 - Link girth searches two steps out from every vertex s of every link
   link(v), where corner v of triangle (v, p, q) makes p and q adjacent:
@@ -30,23 +30,24 @@ in scan order and counts the rest.
 The three basepointed checks cover the sphere geometry that squaring
 relies on: spheres are triangle-free, two neighbours of a vertex that
 are both one step closer to the basepoint are adjacent, and both ends of
-an equidistant edge see a common neighbour one step closer.
+an equidistant edge see a common neighbour one step closer. Each is one
+array pass over the based complex's level array and its CSR of downward
+neighbours, in the order of a scan by sorted triangle, vertex or edge.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
 from .complexes import (
     BasedComplex,
     SimplicialComplex2,
+    _expand,
     _h1_rank,
-    _index_rows,
+    _intersects,
+    _isin_sorted,
     bfs_levels,
 )
-from .metrics import _expand, vertex_order
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 # one block of the link and clique searches expands about this many entries
@@ -243,19 +244,20 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     (u, w, x, y) it extends, by y.
     """
     g = c.graph
+    order = g._order
+    n = len(order)
     rb = ReportBuilder("systolic", cap)
     connected = True
-    if g.vertices:
-        source = min(g.vertices)
-        reached = bfs_levels(g, source)
-        connected = not rb.disconnected(source, tuple(sorted(g.vertices.difference(reached))))
-    rb.set_stat("vertices", len(g.vertices))
-    rb.set_stat("edges", len(g.edges))
-    rb.set_stat("triangles", len(c.triangles))
+    if n:
+        reached = bfs_levels(g, order[0])
+        if len(reached) < n:
+            connected = not rb.disconnected(
+                order[0], tuple(v for v in order if v not in reached))
+    rb.set_stat("vertices", n)
+    rb.set_stat("edges", len(g._ends))
+    rb.set_stat("triangles", len(c._rows))
 
-    order = vertex_order(g)
-    n = len(order)
-    tri = _index_rows(order, c._sorted_cells, 3)
+    tri = c._rows
     if n:
         rb.set_stat("links", n)
     # corner v of triangle (v, p, q) makes p and q adjacent in link(v)
@@ -263,7 +265,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     for v in np.flatnonzero(girth).tolist():
         rb.violation("link-girth", (order[v],), f"girth={girth[v]}")
 
-    edges = _index_rows(order, g._sorted_edges, 2)
+    edges = g._ends
     blocks = _flag_blocks(edges, tri, n)
     cliques, count, rows = _first_violations(blocks, cap)
     if cliques:
@@ -293,12 +295,14 @@ def check_spheres_triangle_free(
     rb = ReportBuilder("spheres-triangle-free", cap)
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
-    levels = b.levels
-    for t in b.complex._sorted_cells:
-        rb.count("triangles")
-        la, lb, lc = (levels[v] for v in t)
-        if la == lb == lc:
-            rb.violation("sphere-triangle", t, f"r={la}")
+    rows = b.complex._rows
+    if len(rows):
+        rb.set_stat("triangles", len(rows))
+    lev = b._lev[rows]
+    bad = rows[(lev[:, 0] == lev[:, 1]) & (lev[:, 1] == lev[:, 2])]
+    order = b.graph._order
+    rb.each_violation("sphere-triangle", bad.tolist(), lambda t: (
+        tuple(order[v] for v in t), f"r={b._lev[t[0]]}"))
     return rb.build()
 
 
@@ -308,11 +312,13 @@ def check_ball_neighbours(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Check
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     g = b.graph
-    for v in sorted(g.vertices):
-        for w, x in combinations(b.down(v), 2):
-            rb.count("pairs")
-            if not g.has_edge(w, x):
-                rb.violation("ball-neighbours", (v, w, x), f"level={b.levels[v]}")
+    x, v, w = b._down_pairs()
+    if len(x):
+        rb.set_stat("pairs", len(x))
+    bad = ~_isin_sorted(g._keys, v * len(g._order) + w)
+    order = g._order
+    rb.each_violation("ball-neighbours", np.column_stack([x, v, w])[bad].tolist(), lambda t: (
+        tuple(order[i] for i in t), f"level={b._lev[t[0]]}"))
     return rb.build()
 
 
@@ -321,11 +327,12 @@ def check_triangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Ch
     rb = ReportBuilder("triangle-condition", cap)
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
-    levels = b.levels
-    for v, w in b.graph._sorted_edges:
-        if levels[v] != levels[w]:
-            continue
-        rb.count("equidistant_edges")
-        if set(b.down(v)).isdisjoint(b.down(w)):
-            rb.violation("triangle-condition", (v, w), f"level={levels[v]}")
+    ends, lev = b.graph._ends, b._lev
+    ends = ends[lev[ends[:, 0]] == lev[ends[:, 1]]]
+    if len(ends):
+        rb.set_stat("equidistant_edges", len(ends))
+    bad = ends[~_intersects(b._down_ptr, b._down_nbr, ends[:, 0], ends[:, 1])]
+    order = b.graph._order
+    rb.each_violation("triangle-condition", bad.tolist(), lambda e: (
+        (order[e[0]], order[e[1]]), f"level={lev[e[0]]}"))
     return rb.build()

@@ -749,6 +749,21 @@ def brute_cell_store(graph, cells, length, noun):
     return frozenset(store), {v: tuple(cs) for v, cs in at.items()}
 
 
+def brute_based_complex(adj, basepoint):
+    """(levels, down) of a ``BasedComplex`` on the adjacency dict ``adj``.
+
+    A queue BFS from the basepoint gives the levels of the reached vertices,
+    in BFS order, and each reached vertex's neighbours one level closer,
+    in adjacency order. Raises the constructor's ``ValueError`` when the
+    basepoint is not a vertex.
+    """
+    if basepoint not in adj:
+        raise ValueError(f"basepoint {basepoint} is not a vertex")
+    levels = bfs_dist(adj, basepoint)
+    down = {v: tuple(x for x in adj[v] if levels[x] == lv - 1) for v, lv in levels.items()}
+    return levels, down
+
+
 _ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
 _CELL = {"t": "triangle", "q": "square"}
 
@@ -1038,3 +1053,69 @@ def brute_interval_pairs(s):
             seen.add(key)
             pairs.append(key)
     return pairs
+
+
+def brute_spheres_report(b, cap):
+    """The ``spheres-triangle-free`` report from one level test per sorted triangle."""
+    from sysquad.reports import ReportBuilder
+
+    rb = ReportBuilder("spheres-triangle-free", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    levels = b.levels
+    for t in sorted(b.complex.triangles):
+        rb.count("triangles")
+        la, lb, lc = (levels[v] for v in t)
+        if la == lb == lc:
+            rb.violation("sphere-triangle", t, f"r={la}")
+    return rb.build()
+
+
+def brute_ball_neighbours_report(b, cap):
+    """The ``ball-neighbours`` report from one edge test per pair of a down list."""
+    from sysquad.reports import ReportBuilder
+
+    rb = ReportBuilder("ball-neighbours", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    g = b.graph
+    for v in sorted(g.vertices):
+        for w, x in combinations(b.down(v), 2):
+            rb.count("pairs")
+            if not g.has_edge(w, x):
+                rb.violation("ball-neighbours", (v, w, x), f"level={b.levels[v]}")
+    return rb.build()
+
+
+def brute_triangle_condition_report(b, cap):
+    """The ``triangle-condition`` report from one down-list intersection per
+    sorted equidistant edge."""
+    from sysquad.reports import ReportBuilder
+
+    rb = ReportBuilder("triangle-condition", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    levels = b.levels
+    for v, w in sorted(b.graph.edges):
+        if levels[v] != levels[w]:
+            continue
+        rb.count("equidistant_edges")
+        if set(b.down(v)).isdisjoint(b.down(w)):
+            rb.violation("triangle-condition", (v, w), f"level={levels[v]}")
+    return rb.build()
+
+
+def brute_quadrangle_report(b, cap):
+    """The ``quadrangle`` report from one down-list intersection per pair of a
+    down list."""
+    from sysquad.reports import ReportBuilder
+
+    rb = ReportBuilder("quadrangle", cap)
+    if rb.disconnected(b.basepoint, b.unreached):
+        return rb.build()
+    for x in sorted(b.graph.vertices):
+        for v, w in combinations(b.down(x), 2):
+            rb.count("pairs")
+            if set(b.down(v)).isdisjoint(b.down(w)):
+                rb.violation("quadrangle", (x, v, w), f"level={b.levels[x]}")
+    return rb.build()

@@ -355,6 +355,29 @@ def test_verify_jobs_do_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
+# files whose checks build lazy id views: rule A reads the squares, rule B
+# the squares at a vertex, and on the theta flat-intervals reads ``down``
+LAZY_VIEW_FILES = {
+    "rule-a": "v 0\nv 1\nv 2\nv 3\nv 4\ne 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\n"
+              "q 0 2 1 3\nq 0 3 1 4\n",
+    "rule-b": "v 0\nv 1\nv 2\nv 3\nv 4\nv 5\nv 6\ne 0 1\ne 0 2\ne 0 3\ne 1 4\ne 2 4\n"
+              "e 2 5\ne 3 5\ne 3 6\ne 1 6\nq 0 1 4 2\nq 0 2 5 3\nq 0 3 6 1\n",
+    "theta": "v 0\nv 1\nv 2\nv 3\nv 4\ne 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\n"
+             "q 0 2 1 3\nq 0 3 1 4\nq 0 2 1 4\nbase 0\n",
+}
+
+
+@pytest.mark.parametrize("name", LAZY_VIEW_FILES)
+def test_lazy_views_give_the_same_output_on_two_threads(tmp_path, capsys, name):
+    p = tmp_path / f"{name}.complex"
+    p.write_text(LAZY_VIEW_FILES[name])
+    want = (run_cli("verify", "--input", str(p)), capsys.readouterr())
+    assert want[0] == 1 and want[1].err
+    for _ in range(20):
+        got = (run_cli("verify", "--jobs", "2", "--input", str(p)), capsys.readouterr())
+        assert got == want
+
+
 def test_verify_exhaustive_flag(tmp_path):
     src = gen(tmp_path, radius=1)
     mid = tmp_path / "sq.complex"
@@ -483,6 +506,26 @@ def test_propa_non_flat_input_certifies(tmp_path, capsys):
     assert run_cli("propa", "--input", str(p), "--output", str(out)) == 1
     assert out.read_text() == "n,norm,max_diff,ratio_num,ratio_den,edges_checked\n"
     assert capsys.readouterr().err == "property-a: non-flat 1 :: downward-degree=3\n"
+
+
+@pytest.mark.parametrize("squared", [False, True])
+def test_propa_takes_ids_of_any_size(tmp_path, capsys, squared):
+    # the based path 2**70, 2**70 + 1, 2**70 + 2 reads as the path 0, 1, 2
+    csvs = []
+    for first in (2**70, 0):
+        a, b, c = first, first + 1, first + 2
+        p = tmp_path / f"path{first}.complex"
+        p.write_text(f"v {a}\nv {b}\nv {c}\ne {a} {b}\ne {b} {c}\nbase {a}\n")
+        if squared:
+            sq = tmp_path / f"path{first}-sq.complex"
+            assert run_cli("square", "--input", str(p), "--output", str(sq)) == 0
+            p = sq
+        out = tmp_path / f"propa{first}.csv"
+        assert run_cli("propa", "--input", str(p), "--output", str(out)) == 0
+        csvs.append(out.read_text())
+    assert capsys.readouterr().err == ""
+    assert csvs[0] == csvs[1]
+    assert csvs[0].splitlines()[1] == "0,1,2,2,1,2"
 
 
 # ------------------------------------------------------------------------- all

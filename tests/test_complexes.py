@@ -2,11 +2,15 @@
 
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sysquad import (
+    BasedComplex,
+    DiskSpec,
     Graph,
     SimplicialComplex2,
     SquareComplex,
@@ -16,12 +20,15 @@ from sysquad import (
     enumerate_embedded_4cycles,
     h1_rank_mod2,
     is_connected,
+    squaring,
+    triangulated_disk,
 )
 from sysquad.complexes import CellError
 
 from bruteforce import (
     bfs_dist,
     adjacency,
+    brute_based_complex,
     brute_cell_store,
     brute_graph,
     brute_girth,
@@ -263,7 +270,10 @@ def test_cell_error_names_the_cell_and_its_index():
 def graph_and_cells(draw):
     """Vertices among 0..7, edges and cells among 0..8: loops, undeclared
     endpoints, repeated edges, cells of the wrong length, repeated vertices
-    and missing boundary edges all occur, and so do stores that build."""
+    and cells, missing boundary edges and cells naming unknown vertices all
+    occur, and so do stores that build, isolated vertices and several
+    components. Half the cases move every id v to 2**64 + 7 v, which keeps
+    the order and the gaps; the basepoint may be no vertex."""
     verts = draw(st.sets(st.integers(0, 7), min_size=4))
     pool = sorted(verts)
     some = st.sampled_from(pool)
@@ -283,14 +293,21 @@ def graph_and_cells(draw):
         st.lists(some, min_size=length, max_size=length),
         st.lists(endpoint, min_size=2, max_size=5),
     )
-    return verts, edges, length, draw(st.one_of(
+    cells = draw(st.one_of(
         st.lists(distinct, min_size=1, max_size=10), st.lists(cell, max_size=10)))
+    base = draw(endpoint)
+    if draw(st.booleans()):
+        verts = {2**64 + 7 * v for v in verts}
+        edges, cells = ([tuple(2**64 + 7 * v for v in row) for row in rows]
+                        for rows in (edges, cells))
+        base = 2**64 + 7 * base
+    return verts, edges, length, cells, base
 
 
 @settings(max_examples=300, deadline=None)
 @given(graph_and_cells())
 def test_constructors_match_their_loop_oracles(case):
-    verts, edges, length, cells = case
+    verts, edges, length, cells, base = case
     try:
         adj, want_edges = brute_graph(verts, edges)
     except ValueError as exc:
@@ -299,12 +316,14 @@ def test_constructors_match_their_loop_oracles(case):
         assert str(ei.value) == str(exc)
         return
     g = Graph(verts, iter(edges))
+    assert g.vertices == frozenset(verts)
     assert g.edges == want_edges
     assert {v: g.neighbors(v) for v in verts} == adj
     assert all(g.neighbor_set(v) == set(adj[v]) for v in verts)
 
-    cls, noun, at = ((SimplicialComplex2, "triangle", "triangles_at") if length == 3
-                     else (SquareComplex, "square", "squares_at"))
+    cls, noun, at, cells_of = (
+        (SimplicialComplex2, "triangle", "triangles_at", "triangles") if length == 3
+        else (SquareComplex, "square", "squares_at", "squares"))
     try:
         want_cells, want_at = brute_cell_store(g, cells, length, noun)
     except CellError as exc:
@@ -313,8 +332,52 @@ def test_constructors_match_their_loop_oracles(case):
         assert (ei.value.index, str(ei.value)) == (exc.index, str(exc))
         return
     c = cls(g, iter(cells))
-    assert c._cells == want_cells
+    assert getattr(c, cells_of) == want_cells
     assert {v: getattr(c, at)(v) for v in verts} == {v: want_at.get(v, ()) for v in verts}
+
+    try:
+        want_levels, want_down = brute_based_complex(adj, base)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as ei:
+            BasedComplex(c, base)
+        assert str(ei.value) == str(exc)
+        return
+    b = BasedComplex(c, base)
+    assert b.levels == want_levels
+    assert b.unreached == tuple(sorted(set(verts) - want_levels.keys()))
+    for v in sorted(verts):
+        if v in want_down:
+            assert b.down(v) == want_down[v]
+        else:
+            with pytest.raises(ValueError, match="unreachable from the basepoint"):
+                b.down(v)
+
+
+def read_views(b):
+    """Every id view of a based square complex, read vertex by vertex."""
+    c, g = b.complex, b.graph
+    order = sorted(g.vertices)
+    return (g.vertices, g.edges, [g.neighbors(v) for v in order], c.squares,
+            [c.squares_at(v) for v in order], b.levels, [b.down(v) for v in order],
+            [g.has_edge(u, w) for u, w in zip(order, order[1:])])
+
+
+def test_lazy_views_are_built_whole_under_threads():
+    # more threads than cores, switching often: each reader sees whole views
+    # equal to a single-threaded read, however the first builds interleave
+    spec = DiskSpec(radius=4, degrees=frozenset({6, 7}), seed=3)
+    disk = triangulated_disk(spec)
+    want = read_views(squaring(BasedComplex(disk.complex, disk.center)).squared)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            b = squaring(BasedComplex(disk.complex, disk.center)).squared
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(read_views, b) for _ in range(8)]
+                assert all(f.result(timeout=60) == want for f in futures)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_triangle_and_square_complexes_differ():
@@ -413,7 +476,7 @@ def dunce_hat():
 def free_edges(c):
     """Edges of c that lie in exactly one cell."""
     count = {}
-    for cell in c._sorted_cells:
+    for cell in getattr(c, "triangles", None) or c.squares:
         for a, b in zip(cell, cell[1:] + cell[:1]):
             e = (min(a, b), max(a, b))
             count[e] = count.get(e, 0) + 1

@@ -12,12 +12,21 @@ from sysquad import (
     Graph,
     SimplicialComplex2,
     check_ball_neighbours,
+    check_quadrangle_condition,
     check_spheres_triangle_free,
     check_triangle_condition,
     verify_systolic,
 )
 
-from bruteforce import brute_verify_systolic, non_systolic_counterexamples
+from bruteforce import (
+    brute_ball_neighbours_report,
+    brute_quadrangle_report,
+    brute_spheres_report,
+    brute_triangle_condition_report,
+    brute_verify_systolic,
+    non_systolic_counterexamples,
+    random_graph,
+)
 
 
 def four_wheel():
@@ -432,3 +441,60 @@ def test_counterexample_corpus_is_connected_and_small():
         assert len(c.graph.vertices) <= 8
         rep = verify_systolic(c)
         assert not rep.passed
+
+
+# ------------------------------------------------------- level checks vs oracles
+
+
+LEVEL_CHECKS = {
+    "spheres": (check_spheres_triangle_free, brute_spheres_report),
+    "neighbours": (check_ball_neighbours, brute_ball_neighbours_report),
+    "triangle": (check_triangle_condition, brute_triangle_condition_report),
+    "quadrangle": (check_quadrangle_condition, brute_quadrangle_report),
+}
+
+
+def filled(g):
+    """The complex on g with every 3-clique filled."""
+    tris = [t for t in combinations(sorted(g.vertices), 3)
+            if all(g.has_edge(a, b) for a, b in combinations(t, 2))]
+    return SimplicialComplex2(g, tris)
+
+
+def level_check_cases(small_disk):
+    """(name, based complex): random graphs with every triangle filled, some
+    disconnected, based at each of three vertices; a mutant failing each
+    check; and a based path, on which every counted stat is zero."""
+    cases = []
+    for seed in range(30):
+        c = filled(random_graph(9, 0.25 + 0.02 * (seed % 10), seed=300 + seed))
+        cases += [(f"random{seed}@{v}", BasedComplex(c, v)) for v in (0, 4, 8)]
+    k4 = filled(Graph(range(4), list(combinations(range(4), 2))))
+    cases.append(("k4: triangle 1 2 3 on sphere 1", BasedComplex(k4, 0)))
+    hexagon = SimplicialComplex2(Graph(range(6), [(i, (i + 1) % 6) for i in range(6)]), [])
+    cases.append(("c6: 3 has down 2, 4, not adjacent, no common down", BasedComplex(hexagon, 0)))
+    pentagon = SimplicialComplex2(Graph(range(5), [(i, (i + 1) % 5) for i in range(5)]), [])
+    cases.append(("c5: edge 2 3 has no common down", BasedComplex(pentagon, 0)))
+    path = SimplicialComplex2(Graph(range(3), [(0, 1), (1, 2)]), [])
+    cases.append(("path: nothing counted", BasedComplex(path, 0)))
+    cases.append(("disk", BasedComplex(small_disk.complex, small_disk.center)))
+    return cases
+
+
+@pytest.mark.parametrize("name", LEVEL_CHECKS)
+def test_level_checks_match_their_loop_oracles(small_disk, name):
+    check, brute = LEVEL_CHECKS[name]
+    failed = 0
+    for label, b in level_check_cases(small_disk):
+        for cap in (0, 1, 25):
+            assert check(b, cap).to_text() == brute(b, cap).to_text(), (label, cap)
+        failed += not check(b).passed
+    assert failed >= 3
+
+
+def test_level_checks_leave_out_zero_counts():
+    # a counted stat that stays zero is not written, as ReportBuilder.count leaves it out
+    b = BasedComplex(SimplicialComplex2(Graph(range(3), [(0, 1), (1, 2)]), []), 0)
+    for check, _brute in LEVEL_CHECKS.values():
+        text = check(b).to_text()
+        assert "stat" not in text and "passed true" in text, text
