@@ -16,6 +16,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Iterable
@@ -197,7 +198,7 @@ def _run_checks(checks: list[Check], c, based: BasedComplex | None,
     dist = modular = None
     if any(check.uses_dist for check in checks):
         dist = all_pairs(c.graph)
-        modular = is_modular(c.graph, vertex_order(c.graph), dist)
+        modular = is_modular(c.graph, dist)
     subject = Subject(c, based, dist, modular, args)
     if args.jobs == 1 or len(checks) <= 1:
         return [check.run(subject) for check in checks]
@@ -410,7 +411,9 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and then shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="sysquad",
         description="Systolic disk generation, squaring, verification and "

@@ -28,9 +28,10 @@ path as the file reader, the disk generator and squaring, which hand their
 index arrays over directly. The checks read these arrays and map indices
 back to ids only for certificates and output. The id views (``vertices``,
 ``edges``, ``neighbors``, the cells, ``*_at``, ``levels``, ``down``) and
-the map from ids to indices (``Graph._indices``, for inputs that name ids)
-are built on first use, each one whole and then assigned, so two threads
-sharing a complex at worst build one twice.
+the map from ids to indices (``Graph._index``, for inputs that name ids)
+are cached properties (``functools.cached_property``), each built whole
+on first use. No view reads another while it is built, so threads sharing
+a complex never wait on two views at once.
 
 All containers are frozen after construction and every enumeration is
 returned in a canonical sorted order, so identical inputs always produce
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -108,6 +110,26 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, lo[row] + np.arange(len(row)) - (np.cumsum(cnt) - cnt)[row]
 
 
+def _padded(ptr: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """The CSR rows as one table: row i is ``values[ptr[i]:ptr[i + 1]]``, then ``fill``.
+
+    ``ptr[0]`` is 0 and ``fill`` is one value or one per row. The table has
+    one column at least.
+    """
+    cnt = np.diff(ptr)
+    table = np.empty((len(cnt), max(cnt.max(initial=0), 1)), dtype=values.dtype)
+    table[:] = np.reshape(fill, (-1, 1))
+    row = np.repeat(np.arange(len(cnt)), cnt)
+    table[row, np.arange(len(row)) - ptr[row]] = values
+    return table
+
+
+def _by_vertex(order: tuple[int, ...], ptr: np.ndarray, values: list) -> dict:
+    """Each vertex id ``order[i]`` with the tuple ``values[ptr[i]:ptr[i + 1]]``."""
+    ptr = ptr.tolist()
+    return {v: tuple(values[ptr[i]:ptr[i + 1]]) for i, v in enumerate(order)}
+
+
 def _isin_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Which queries occur in the sorted array ``keys``."""
     if not len(keys):
@@ -134,9 +156,6 @@ def _intersects(ptr: np.ndarray, nbr: np.ndarray, a: np.ndarray, b: np.ndarray) 
 class Graph:
     """Finite simple graph. Vertices are opaque nonnegative integer ids."""
 
-    __slots__ = ("_order", "_ends", "_keys", "_ptr", "_src", "_nbr",
-                 "_index", "_vertices", "_edges", "_adj")
-
     def __init__(self, vertices: Iterable[int], edges: Iterable[Sequence[int]] = ()):
         order = tuple(sorted(set(vertices)))
         n = len(order)
@@ -150,7 +169,8 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v}) is not allowed")
             raise ValueError(f"edge {(u, v)} has an undeclared endpoint")
-        self._set(order, rows, index)
+        self._set(order, rows)
+        self._index = index  # the cached view, already built
 
     @classmethod
     def _of(cls, order: tuple[int, ...], rows: np.ndarray) -> Graph:
@@ -159,10 +179,10 @@ class Graph:
         The rows may come in any order and repeat.
         """
         g = cls.__new__(cls)
-        g._set(order, rows, None)
+        g._set(order, rows)
         return g
 
-    def _set(self, order, rows, index) -> None:
+    def _set(self, order, rows) -> None:
         n = len(order)
         keys = np.sort(rows[:, 0] * n + rows[:, 1])
         keys = keys[np.diff(keys, prepend=-1) != 0]
@@ -177,8 +197,6 @@ class Graph:
         self._src = src[by]
         self._nbr = np.concatenate([ends[:, 0], ends[:, 1]])[by]
         self._ptr = np.searchsorted(self._src, np.arange(n + 1))
-        self._index = index
-        self._vertices = self._edges = self._adj = None
 
     def _position(self, v) -> int:
         """The index of vertex v, -1 when v is not a vertex."""
@@ -189,45 +207,38 @@ class Graph:
             return -1
         return i if i < len(order) and order[i] == v else -1
 
-    def _indices(self) -> dict[int, int]:
-        """Each vertex id's index, built on first use."""
-        index = self._index
-        if index is None:
-            index = self._index = dict(zip(self._order, range(len(self._order))))
-        return index
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        """Each vertex id's index."""
+        return dict(zip(self._order, range(len(self._order))))
+
+    @cached_property
+    def _vertices(self) -> frozenset[int]:
+        return frozenset(self._order)
+
+    @cached_property
+    def _edges(self) -> frozenset[tuple[int, int]]:
+        order = self._order
+        return frozenset((order[u], order[w]) for u, w in self._ends.tolist())
+
+    @cached_property
+    def _adj(self) -> dict[int, tuple[int, ...]]:
+        order = self._order
+        return _by_vertex(order, self._ptr, [order[j] for j in self._nbr.tolist()])
 
     @property
     def vertices(self) -> frozenset[int]:
-        vs = self._vertices
-        if vs is None:
-            vs = self._vertices = frozenset(self._order)
-        return vs
+        return self._vertices
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        es = self._edges
-        if es is None:
-            order = self._order
-            es = self._edges = frozenset((order[u], order[w]) for u, w in self._ends.tolist())
-        return es
+        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        adj = self._adj
-        if adj is None:
-            order = self._order
-            ids = [order[j] for j in self._nbr.tolist()]
-            ptr = self._ptr.tolist()
-            adj = self._adj = {v: tuple(ids[ptr[i]:ptr[i + 1]]) for i, v in enumerate(order)}
         try:
-            return adj[v]
+            return self._adj[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return frozenset(self.neighbors(v))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def has_vertex(self, v: int) -> bool:
         return self._position(v) >= 0
@@ -270,7 +281,6 @@ class _CellComplex:
     ``CellError`` carrying its index.
     """
 
-    __slots__ = ("_graph", "_rows", "_cells", "_cells_at")
     _length: int
     _noun: str
 
@@ -280,7 +290,7 @@ class _CellComplex:
         # the cells before the first one of the wrong length become index rows,
         # an unknown vertex -1
         k = next((i for i, cell in enumerate(cells) if len(cell) != n), len(cells))
-        index = graph._indices()
+        index = graph._index
         rows = np.fromiter(map(index.get, chain.from_iterable(cells[:k]), repeat(-1)),
                            dtype=np.intp, count=k * n).reshape(k, n)
         self._check(graph, rows, cells.__getitem__)
@@ -308,7 +318,6 @@ class _CellComplex:
     def _set(self, graph: Graph, canonical: np.ndarray) -> None:
         self._graph = graph
         self._rows = _sorted_rows(canonical)
-        self._cells = self._cells_at = None
 
     @classmethod
     def _check(cls, graph: Graph, rows: np.ndarray, given) -> None:
@@ -348,26 +357,25 @@ class _CellComplex:
     def graph(self) -> Graph:
         return self._graph
 
-    def _id_cells(self) -> frozenset[tuple[int, ...]]:
-        cells = self._cells
-        if cells is None:
-            order = self._graph._order
-            cells = self._cells = frozenset(
-                tuple(order[v] for v in row) for row in self._rows.tolist())
-        return cells
+    @cached_property
+    def _cells(self) -> frozenset[tuple[int, ...]]:
+        order = self._graph._order
+        return frozenset(tuple(order[v] for v in row) for row in self._rows.tolist())
+
+    @cached_property
+    def _cells_at(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The cells at each vertex, sorted."""
+        order = self._graph._order
+        cells = [tuple(order[v] for v in row) for row in self._rows.tolist()]
+        # a stable sort of the corners by vertex keeps each vertex's cells in row order
+        at = self._rows.ravel()
+        by = np.argsort(at, kind="stable")
+        ptr = np.searchsorted(at[by], np.arange(len(order) + 1))
+        return _by_vertex(order, ptr, [cells[k] for k in (by // self._length).tolist()])
 
     def _at(self, v: int) -> tuple[tuple[int, ...], ...]:
-        cells_at = self._cells_at
-        if cells_at is None:
-            order = self._graph._order
-            at: dict[int, list[tuple[int, ...]]] = {u: [] for u in order}
-            for row in self._rows.tolist():
-                c = tuple(order[i] for i in row)
-                for u in c:
-                    at[u].append(c)
-            cells_at = self._cells_at = {u: tuple(cs) for u, cs in at.items()}
         try:
-            return cells_at[v]
+            return self._cells_at[v]
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
 
@@ -390,37 +398,35 @@ class _CellComplex:
 class SimplicialComplex2(_CellComplex):
     """A graph plus a set of triangles, each spanning three pairwise adjacent vertices."""
 
-    __slots__ = ()
     _length = 3
     _noun = "triangle"
 
     @property
     def triangles(self) -> frozenset[tuple[int, int, int]]:
-        return self._id_cells()
+        return self._cells
 
     def triangles_at(self, v: int) -> tuple[tuple[int, int, int], ...]:
         return self._at(v)
 
     def has_triangle(self, tri: Sequence[int]) -> bool:
-        return canonical_cycle(tri) in self._id_cells()
+        return canonical_cycle(tri) in self._cells
 
 
 class SquareComplex(_CellComplex):
     """A graph plus a set of squares glued to embedded 4-cycles."""
 
-    __slots__ = ()
     _length = 4
     _noun = "square"
 
     @property
     def squares(self) -> frozenset[tuple[int, int, int, int]]:
-        return self._id_cells()
+        return self._cells
 
     def squares_at(self, v: int) -> tuple[tuple[int, int, int, int], ...]:
         return self._at(v)
 
     def has_square(self, cycle: Sequence[int]) -> bool:
-        return canonical_cycle(cycle) in self._id_cells()
+        return canonical_cycle(cycle) in self._cells
 
 
 class BasedComplex:
@@ -430,9 +436,6 @@ class BasedComplex:
     unreachable from the basepoint carry no level entry. ``down(v)`` holds
     the neighbours of a reached v one level closer to the basepoint.
     """
-
-    __slots__ = ("_complex", "_basepoint", "_lev", "_down_ptr", "_down_nbr",
-                 "_levels", "_down")
 
     def __init__(self, complex: SimplicialComplex2 | SquareComplex, basepoint: int):
         g = complex.graph
@@ -458,7 +461,6 @@ class BasedComplex:
         self._down_nbr = g._nbr[down]
         self._down_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(g._src[down], minlength=len(lev)))))
-        self._levels = self._down = None
 
     @property
     def complex(self) -> SimplicialComplex2 | SquareComplex:
@@ -472,32 +474,30 @@ class BasedComplex:
     def basepoint(self) -> int:
         return self._basepoint
 
+    @cached_property
+    def _levels(self) -> dict[int, int]:
+        order = self.graph._order
+        return {order[i]: d for i, d in enumerate(self._lev.tolist()) if d >= 0}
+
+    @cached_property
+    def _down(self) -> dict[int, tuple[int, ...]]:
+        order = self.graph._order
+        return _by_vertex(order, self._down_ptr, [order[j] for j in self._down_nbr.tolist()])
+
     @property
     def levels(self) -> dict[int, int]:
-        levels = self._levels
-        if levels is None:
-            order = self.graph._order
-            levels = self._levels = {
-                order[i]: d for i, d in enumerate(self._lev.tolist()) if d >= 0}
-        return levels
+        return self._levels
 
     def down(self, v: int) -> tuple[int, ...]:
         """The neighbours of v one level closer to the basepoint, sorted.
 
         Every step of a geodesic from v to the basepoint goes to one of them.
+        Only the basepoint and the vertices it does not reach have none.
         """
-        down = self._down
-        if down is None:
-            order = self.graph._order
-            ids = [order[j] for j in self._down_nbr.tolist()]
-            ptr = self._down_ptr.tolist()
-            down = self._down = {
-                order[i]: tuple(ids[ptr[i]:ptr[i + 1]])
-                for i, d in enumerate(self._lev.tolist()) if d >= 0}
-        try:
-            return down[v]
-        except KeyError:
-            raise ValueError(f"vertex {v} is unreachable from the basepoint") from None
+        row = self._down.get(v)
+        if not row and v != self._basepoint:
+            raise ValueError(f"vertex {v} is unreachable from the basepoint")
+        return row
 
     @property
     def unreached(self) -> tuple[int, ...]:

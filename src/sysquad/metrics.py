@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Graph, _expand
+from .complexes import Graph, _expand, _padded
 
 # frontier rows unpacked at a time: a block of 1024 x n booleans stays far
 # below the n x n matrix, so the unpacking adds little to peak memory
@@ -22,11 +22,6 @@ _UNPACK_ROWS = 1024
 def vertex_order(g: Graph) -> tuple[int, ...]:
     """The sorted vertex ids of ``g``: index i of every array is ``vertex_order(g)[i]``."""
     return g._order
-
-
-def _checked_order(g: Graph, order: tuple[int, ...] | None) -> None:
-    if order is not None and order != g._order:
-        raise ValueError("order must be vertex_order(g)")
 
 
 def common_neighbours(g: Graph):
@@ -47,18 +42,6 @@ def common_neighbours(g: Graph):
     first = np.flatnonzero(np.diff(keys, prepend=-1))
     v, w = np.divmod(keys[first], n)
     return v, w, np.append(first, len(keys)), common
-
-
-def _table(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Neighbour table of the graph on 0..n-1 with symmetric edge list (rows, cols).
-
-    ``rows`` must be sorted. Row v lists v's neighbours in edge-list order,
-    then the padding index n. The table has one column at least.
-    """
-    deg = np.bincount(rows, minlength=n)
-    nbr = np.full((n, max(deg.max(initial=0), 1)), n, dtype=np.intp)
-    nbr[rows, np.arange(len(rows)) - (np.cumsum(deg) - deg)[rows]] = cols
-    return nbr
 
 
 def _bfs(nbr: np.ndarray) -> np.ndarray:
@@ -105,8 +88,9 @@ def all_pairs(g: Graph, order: tuple[int, ...] | None = None) -> np.ndarray:
     (at most n - 1). The dtype holds 2n, so sums such as D[u] + D[v] and
     D[k] + 1 never wrap; a difference such as D[x] - 1 can.
     """
-    _checked_order(g, order)
-    return _bfs(_table(g._src, g._nbr, len(g._order)))
+    if order is not None and order != g._order:
+        raise ValueError("order must be vertex_order(g)")
+    return _bfs(_padded(g._ptr, g._nbr, len(g._order)))
 
 
 def induced_distances(dist: np.ndarray, sub: np.ndarray) -> np.ndarray:
@@ -116,5 +100,6 @@ def induced_distances(dist: np.ndarray, sub: np.ndarray) -> np.ndarray:
     edges. Rows and columns of the result follow ``sub``. Dtype and
     sentinel are those of ``all_pairs`` with n = len(sub).
     """
-    rows, cols = np.nonzero(dist[np.ix_(sub, sub)] == 1)
-    return _bfs(_table(rows, cols, len(sub)))
+    adj = dist[np.ix_(sub, sub)] == 1
+    ptr = np.append(0, np.cumsum(adj.sum(axis=1)))
+    return _bfs(_padded(ptr, np.nonzero(adj)[1], len(sub)))

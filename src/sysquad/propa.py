@@ -99,14 +99,15 @@ def _weight_table(n_max: int) -> np.ndarray:
 _BLOCK = 64
 
 
-def _interval_bits(lev: np.ndarray, down: np.ndarray, col: np.ndarray) -> np.ndarray:
+def _interval_bits(lev: np.ndarray, ptr: np.ndarray, nbr: np.ndarray,
+                   col: np.ndarray) -> np.ndarray:
     """Every basepoint interval as a packed bitset: row i is I(i), bit col[w] is w.
 
     A geodesic from v to the base steps down a level at a time, so I(v) is
     {v} plus I(w) for each w in down(v), and one pass per level builds the
-    rows from the level below. Row i of ``down`` names the (at most two,
-    the caller has checked) downward neighbours of i, the one neighbour
-    twice when there is only one.
+    rows from the level below. The downward neighbours of i are the CSR row
+    ``nbr[ptr[i]:ptr[i + 1]]``: one at least above the base level, and at
+    most two (the caller has checked), so they are its first and its last.
     """
     n = len(lev)
     bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
@@ -115,7 +116,7 @@ def _interval_bits(lev: np.ndarray, down: np.ndarray, col: np.ndarray) -> np.nda
     bounds = np.searchsorted(lev[order], np.arange(lev.max() + 2))
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         rows = order[lo:hi]
-        bits[rows] |= bits[down[rows, 0]] | bits[down[rows, 1]]
+        bits[rows] |= bits[nbr[ptr[rows]]] | bits[nbr[ptr[rows + 1] - 1]]
     return bits
 
 
@@ -174,12 +175,7 @@ def property_a_report(b: BasedComplex, n_max: int,
     rb.set_stat("edges", len(ends))
     rb.set_stat("n_max", n_max)
     ns = np.arange(n_max + 1)
-    # both downward neighbours, the one twice when there is one (the base's row is not read)
     every = np.arange(len(order))
-    has = count > 0
-    down = np.stack([every, every], axis=1)
-    down[has, 0] = b._down_nbr[ptr[:-1][has]]
-    down[has, 1] = b._down_nbr[ptr[1:][has] - 1]
     # columns hold the classes 3 * level + deficiency in order, each a contiguous range
     cls = 3 * lev + 2 - count
     by_class = np.argsort(cls, kind="stable")
@@ -189,7 +185,7 @@ def property_a_report(b: BasedComplex, n_max: int,
     # shift[d, c, n] = T[delta_c, n - (d - level_c)], the weight a center on level d gives class c
     m = ns - (np.arange(lev.max() + 1)[:, None, None] - keys[:, None] // 3)
     shift = np.where(m >= 0, _weight_table(n_max)[keys[:, None] % 3, np.clip(m, 0, n_max)], 0)
-    bits = _interval_bits(lev, down, col)
+    bits = _interval_bits(lev, ptr, b._down_nbr, col)
 
     # sums[i, n]: the mass of f_{n, order[i]}
     sums = _class_sums(bits, starts, shift, lev, every, every)

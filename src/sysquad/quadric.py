@@ -19,14 +19,11 @@ from .complexes import (
     Graph,
     SquareComplex,
     _intersects,
+    _padded,
+    _sorted_rows,
     canonical_cycle,
 )
-from .metrics import (
-    _checked_order,
-    all_pairs,
-    common_neighbours,
-    induced_distances,
-)
+from .metrics import all_pairs, common_neighbours, induced_distances
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import _link_girths
 
@@ -47,30 +44,38 @@ def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
     return frozenset(verts)
 
 
+def _corners(c: SquareComplex) -> np.ndarray:
+    """Every square seen from each corner: index rows (corner, wing, wing, opposite), sorted.
+
+    The wings are the two corners next to the corner, the smaller first. A
+    canonical square (a, b, c, d) has a < c and b < d, so its corners are
+    (a, b, d, c), (b, a, c, d), (c, b, d, a) and (d, a, c, b). No row
+    repeats, since a corner, its wings and its opposite fix the square.
+    """
+    rows = c._rows[:, [[0, 1, 3, 2], [1, 0, 2, 3], [2, 1, 3, 0], [3, 0, 2, 1]]]
+    return _sorted_rows(rows.reshape(-1, 4))
+
+
 def _shared_diagonals(c: SquareComplex) -> dict[tuple[int, int], list]:
     """Each diagonal that two or more squares carry, with their sorted middle pairs.
 
-    A canonical square (a, b, c, d) has a < c and b < d, so its diagonals
-    are (a, c) with middles (b, d) and (b, d) with (a, c), both sorted.
-    One stable argsort of the 2F diagonal keys (F squares) groups equal
-    diagonals; the groups come out in ascending diagonal order.
+    A square's diagonal is a corner and its opposite, and its middles are
+    the wings. Each diagonal is read from its smaller end. One stable
+    argsort of the diagonal keys groups equal diagonals in ascending
+    order and keeps each group's middles in ``_corners`` order, ascending.
     """
     order = c.graph._order
-    n = len(order)
-    sq = c._rows
-    ends = np.concatenate([sq[:, [0, 2]], sq[:, [1, 3]]])
-    middle = np.concatenate([sq[:, [1, 3]], sq[:, [0, 2]]])
-    by = np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")
-    ends, middle = ends[by], middle[by]
+    rows = _corners(c)
+    rows = rows[rows[:, 0] < rows[:, 3]]
+    rows = rows[np.argsort(rows[:, 0] * len(order) + rows[:, 3], kind="stable")]
+    ends, middle = rows[:, [0, 3]], rows[:, 1:3]
     twice = (ends[1:] == ends[:-1]).all(axis=1)
-    shared = np.zeros(len(by), dtype=bool)
+    shared = np.zeros(len(rows), dtype=bool)
     shared[1:] |= twice
     shared[:-1] |= twice
     diags: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for (u0, u1), (m0, m1) in zip(ends[shared].tolist(), middle[shared].tolist()):
         diags.setdefault((order[u0], order[u1]), []).append((order[m0], order[m1]))
-    for mids in diags.values():
-        mids.sort()
     return diags
 
 
@@ -103,31 +108,6 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     return rb.build()
 
 
-def _corner_entries(c: SquareComplex, u: int) -> list[tuple[tuple[int, int], int]]:
-    """Squares at u seen from u: (sorted pair of corners adjacent to u, opposite corner)."""
-    entries = []
-    for s in c.squares_at(u):
-        i = s.index(u)
-        wing = (s[i - 1], s[(i + 1) % 4])
-        entries.append(((min(wing), max(wing)), s[(i + 2) % 4]))
-    entries.sort()
-    return entries
-
-
-def _square_link_triangles(c: SquareComplex) -> list[int]:
-    """The vertices, ascending, whose square-link has a triangle.
-
-    The square-link of u is the simple graph on u's neighbours with an
-    edge for the two wings of each square at u; corner i of a square row
-    has wings i - 1 and i + 1. Two squares with the same corner and wings
-    give one link edge twice, which the triangle search of
-    ``_link_girths`` allows.
-    """
-    order = c.graph._order
-    links = c._rows[:, [[0, 3, 1], [1, 0, 2], [2, 1, 3], [3, 2, 0]]].reshape(-1, 3)
-    return [order[u] for u in np.flatnonzero(_link_girths(links, len(order), longest=3)).tolist()]
-
-
 def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Three squares around a vertex force a chorded hexagon.
 
@@ -138,15 +118,24 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
 
     Three squares at u pass the wing test below only when their wings
     {a0,a1}, {a1,a2}, {a2,a0}, with the a's distinct, form a triangle in
-    the square-link of u. The scan over triples of squares therefore runs
-    only at the vertices of ``_square_link_triangles``, in ascending
-    order, and meets every hexagon in the order a scan of all vertices
-    would.
+    the square-link of u: the simple graph on u's neighbours with an edge
+    for the wings of each square at u. The ``_corners`` rows (u, wing,
+    wing) are those edges, one edge twice when two squares share u and
+    its wings, which the triangle search of ``_link_girths`` allows. The
+    scan over triples of squares, each seen from u as (wings, opposite)
+    in ``_corners`` order, therefore runs only at the vertices whose
+    square-link has a triangle, in ascending order, and meets every
+    hexagon in the order a scan of all vertices would.
     """
     rb = ReportBuilder("rule-b", cap)
     g = c.graph
-    for u in _square_link_triangles(c):
-        entries = _corner_entries(c, u)
+    order = g._order
+    rows = _corners(c)
+    hubs = np.flatnonzero(_link_girths(rows[:, :3], len(order), longest=3))
+    bounds = np.searchsorted(rows[:, 0], [hubs, hubs + 1]).tolist()
+    for hub, lo, hi in zip(hubs.tolist(), *bounds):
+        u = order[hub]
+        entries = [((order[a], order[b]), order[o]) for _, a, b, o in rows[lo:hi].tolist()]
         seen = set()  # two square triples can glue to the same hexagon
         for (w0, o0), (w1, o1), (w2, o2) in combinations(entries, 3):
             s01 = set(w0) & set(w1)
@@ -211,10 +200,10 @@ _BLOCK_ENTRIES = 1 << 15
 _PAIR_BLOCK = 1 << 16
 
 
-def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
+def is_modular(g: Graph, D: np.ndarray) -> bool:
     """Whether every connected component of ``g`` is a modular graph.
 
-    ``order`` is ``vertex_order(g)`` and ``D`` is ``all_pairs(g)``.
+    ``D`` is ``all_pairs(g)``.
     I(a, b) is the set of vertices on geodesics from a to b. A connected
     graph is modular when every triple u, x, y has a median: a vertex in
     I(u,x), I(u,y) and I(x,y). Per component the test checks two
@@ -261,14 +250,13 @@ def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
 
     Work: one gather per edge, then one row test per pair (v, w) with a
     common neighbour. The ``common_neighbours`` form one table, a row per
-    pair, padded with the pair's first common neighbour up to the largest
-    multiplicity; the padding repeats a member of C, so the minimum over
-    a row is the minimum over C. The rows go in blocks of
-    ``_BLOCK_ENTRIES // n`` pairs, and a block's minimum is one row gather
-    of ``D`` per table column, folded in place by ``np.minimum``.
+    pair, ``_padded`` with the pair's first common neighbour; the padding
+    repeats a member of C, so the minimum over a row is the minimum over
+    C. The rows go in blocks of ``_BLOCK_ENTRIES // n`` pairs, and a
+    block's minimum is one row gather of ``D`` per table column, folded in
+    place by ``np.minimum``.
     """
-    _checked_order(g, order)
-    n = len(order)
+    n = len(g._order)
     rows, cols = g._src, g._nbr
     root = np.full(n, -1, dtype=np.intp)
     for i in range(n):
@@ -278,14 +266,11 @@ def is_modular(g: Graph, order: tuple[int, ...], D: np.ndarray) -> bool:
     if (D[r, rows] == D[r, cols]).any():
         return False
     vs, ws, ptr, common = common_neighbours(g)
-    first, mult = ptr[:-1], np.diff(ptr)
-    pair = np.repeat(np.arange(len(first)), mult)
-    table = np.repeat(common[first][:, None], mult.max(initial=1), axis=1)
-    table[pair, np.arange(len(common)) - first[pair]] = common
+    table = _padded(ptr, common, common[ptr[:-1]])
     step = max(1, _BLOCK_ENTRIES // max(n, 1))
-    nearest = np.empty((min(step, len(first)), n), dtype=D.dtype)
+    nearest = np.empty((min(step, len(table)), n), dtype=D.dtype)
     row = np.empty_like(nearest)
-    for p in range(0, len(first), step):
+    for p in range(0, len(table), step):
         block = table[p:p + step]
         near, other = nearest[:len(block)], row[:len(block)]
         # the indices are valid, and mode="clip" lets take write to out unbuffered
@@ -348,7 +333,7 @@ def check_ball_isometry(
             size[members] = np.count_nonzero(members)
     rb.set_stat("triples", int((size * (size - 1)).sum()))
     if modular is None:
-        modular = is_modular(g, order, D)
+        modular = is_modular(g, D)
     if modular:
         return rb.build()
     for x in range(n):
@@ -403,10 +388,10 @@ def check_interval_isometry(
     g = c if isinstance(c, Graph) else c.graph
     order = g._order
     n = len(order)
-    index = g._indices()  # the pairs name ids
+    index = g._index  # the pairs name ids
     D = all_pairs(g) if dist is None else dist
     if modular is None:
-        modular = is_modular(g, order, D)
+        modular = is_modular(g, D)
     rb = ReportBuilder("interval-isometry", cap)
     if modular:  # only the disconnected test: one gather per block of pairs
         pairs, total = iter(pairs), 0
@@ -433,10 +418,8 @@ def check_interval_isometry(
         # which never has S[x, y] + 1 == S[x, y]; one j at a time keeps
         # memory O(|S|^2)
         adj = S == 1
-        deg = adj.sum(axis=1)
-        rows, cols = np.nonzero(adj)
-        nbr = np.repeat(np.arange(len(sub))[:, None], deg.max(), axis=1)
-        nbr[rows, np.arange(len(rows)) - (np.cumsum(deg) - deg)[rows]] = cols
+        ptr = np.append(0, np.cumsum(adj.sum(axis=1)))
+        nbr = _padded(ptr, np.nonzero(adj)[1], np.arange(len(sub)))
         down = np.eye(len(sub), dtype=bool)
         for column in nbr.T:
             down |= S[column] + 1 == S

@@ -46,7 +46,8 @@ from .complexes import (
     _h1_rank,
     _intersects,
     _isin_sorted,
-    bfs_levels,
+    _levels,
+    _sorted_rows,
 )
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
@@ -69,11 +70,6 @@ def _blocks(cum: np.ndarray, budget: int):
 
 def _cumsum(cost: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(cost)))
-
-
-def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Which queries occur in ``keys``, sorted and padded with a key above every query."""
-    return keys[np.searchsorted(keys, queries)] == queries
 
 
 def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
@@ -123,9 +119,9 @@ def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
     rid = np.repeat(np.arange(len(first)), np.diff(ptr))
     hop = rid[at[by ^ 1]]  # link edge (v: s -> x) leads to the root (v, x)
     del key, by, at  # the search needs only the roots and hop
-    # roots r and y adjacent as r * R + y, ascending, padded above every key
+    # roots r and y adjacent as r * R + y, ascending
     R = len(first)
-    adjacent = np.append(np.sort(rid * R + hop), R * R)
+    adjacent = np.sort(rid * R + hop)
     cum = _cumsum(np.diff(ptr)[hop])[ptr]  # the two-step paths out of the roots before r
     for lo, hi in _blocks(cum, _BLOCK_ENTRIES):
         e = np.arange(ptr[lo], ptr[hi])
@@ -133,7 +129,7 @@ def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
         r, y = rid[e[i]], hop[f]
         far = y != r  # y is not s
         r, y = r[far], y[far]
-        near = _contains(adjacent, r * R + y)
+        near = _isin_sorted(adjacent, r * R + y)
         girth[root_v[r[near]]] = 3
         if longest == 3:
             continue
@@ -144,10 +140,9 @@ def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
         r, y = np.divmod(reach, R)
         live = girth[root_v[r]] == 6
         r, y = r[live], y[live]
-        reach = np.append(reach, R * R)
         for p, q in _blocks(_cumsum(np.diff(ptr)[y]), _BLOCK_ENTRIES):
             j, g = _expand(ptr[y[p:q]], ptr[y[p:q] + 1])  # edges y -> z
-            z_far = _contains(reach, r[p + j] * R + hop[g])
+            z_far = _isin_sorted(reach, r[p + j] * R + hop[g])
             girth[root_v[r[p + j[z_far]]]] = 5
     return np.where(girth < 6, girth, 0)
 
@@ -174,14 +169,14 @@ def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
     rank = np.empty(n, dtype=np.intp)
     rank[by] = np.arange(n)
     a, b = rank[ends.T]
-    # edges a -> b as sorted keys a * n + b, padded with n * n above every key
-    ekeys = np.append(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), n * n)
-    u, w = np.divmod(ekeys[:-1], n)
+    # edges a -> b as sorted keys a * n + b
+    ekeys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    u, w = np.divmod(ekeys, n)
     out = np.searchsorted(u, np.arange(n + 1))  # the out-neighbours of a are w[out[a]:out[a + 1]]
     # a triangle and a 3-clique a < b < c as (index of edge a -> b) * n + c
     tri = np.sort(rank[tri], axis=1)
     t_edge = np.searchsorted(ekeys, tri[:, 0] * n + tri[:, 1])
-    tkeys = np.append(np.sort(t_edge * n + tri[:, 2]), len(ekeys) * n)
+    tkeys = np.sort(t_edge * n + tri[:, 2])
     # rank to index; an empty triangle's fourth vertex n sorts last, then reads -1
     index = np.append(by, n)
 
@@ -193,16 +188,16 @@ def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
     for lo, hi in _blocks(_cumsum(out[w + 1] - out[w]), _BLOCK_ENTRIES):
         e, f = _expand(out[w[lo:hi]], out[w[lo:hi] + 1])
         e += lo
-        keep = _contains(ekeys, u[e] * n + w[f])
+        keep = _isin_sorted(ekeys, u[e] * n + w[f])
         e, x = e[keep], w[f[keep]]  # 3-clique i is (u[e[i]], w[e[i]], x[i])
-        empty = ~_contains(tkeys, e * n + x)
+        empty = ~_isin_sorted(tkeys, e * n + x)
         yield len(x), by_index(np.column_stack(
             [u[e[empty]], w[e[empty]], x[empty], np.full(empty.sum(), n)]))
         for p, q in _blocks(_cumsum(out[x + 1] - out[x]), _BLOCK_ENTRIES):
             i, g = _expand(out[x[p:q]], out[x[p:q] + 1])
             i += p
             y = w[g]
-            keep = _contains(ekeys, u[e[i]] * n + y) & _contains(ekeys, w[e[i]] * n + y)
+            keep = _isin_sorted(ekeys, u[e[i]] * n + y) & _isin_sorted(ekeys, w[e[i]] * n + y)
             i, y = i[keep], y[keep]
             yield 0, by_index(np.column_stack([u[e[i]], w[e[i]], x[i], y]))
 
@@ -210,8 +205,9 @@ def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
 def _first_violations(blocks, cap: int) -> tuple[int, int, np.ndarray]:
     """The 3-cliques and violations that ``_flag_blocks`` found, and the first ``cap`` rows.
 
-    The rows come in scan order: by 3-clique (u, w, x), each empty triangle
-    before the 4-cliques (u, w, x, y) it extends, by y. Rows are held until
+    The rows come in scan order, sorted (``_sorted_rows``; no row repeats):
+    by 3-clique (u, w, x), each empty triangle's -1 before the 4-cliques
+    (u, w, x, y) it extends, by y. Rows are held until
     they reach twice ``cap`` plus a block, then cut back to the first
     ``cap``, so a scan with many violations holds few of them at once.
     """
@@ -223,14 +219,9 @@ def _first_violations(blocks, cap: int) -> tuple[int, int, np.ndarray]:
         held += len(found)
         rows.append(found)
         if held > 2 * (cap + _BLOCK_ENTRIES):
-            rows = [_scan_order(np.concatenate(rows))[:cap]]
+            rows = [_sorted_rows(np.concatenate(rows))[:cap]]
             held = len(rows[0])
-    return cliques, count, _scan_order(np.concatenate(rows))[:cap]
-
-
-def _scan_order(rows: np.ndarray) -> np.ndarray:
-    """Rows (u, w, x, y) by (u, w, x), then by y: an empty triangle's -1 first."""
-    return rows[np.lexsort(rows.T[::-1])]
+    return cliques, count, _sorted_rows(np.concatenate(rows))[:cap]
 
 
 def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
@@ -249,10 +240,8 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb = ReportBuilder("systolic", cap)
     connected = True
     if n:
-        reached = bfs_levels(g, order[0])
-        if len(reached) < n:
-            connected = not rb.disconnected(
-                order[0], tuple(v for v in order if v not in reached))
+        unreached = np.flatnonzero(_levels(g, 0) < 0).tolist()
+        connected = not rb.disconnected(order[0], tuple(order[i] for i in unreached))
     rb.set_stat("vertices", n)
     rb.set_stat("edges", len(g._ends))
     rb.set_stat("triangles", len(c._rows))

@@ -628,14 +628,14 @@ def brute_verify_systolic(c, cap):
             rb.violation("link-girth", (v,), f"girth={gg}")
 
     for u, w in sorted(g.edges):
-        nbs = g.neighbor_set(u) & g.neighbor_set(w)
+        nbs = frozenset(g.neighbors(u)) & frozenset(g.neighbors(w))
         for x in sorted(nbs):
             if x < w:
                 continue  # count each 3-clique once, with u < w < x
             rb.count("cliques3")
             if not c.has_triangle((u, w, x)):
                 rb.violation("flagness", (u, w, x), "empty-triangle")
-            deeper = nbs & g.neighbor_set(x)
+            deeper = nbs & frozenset(g.neighbors(x))
             for y in sorted(deeper):
                 if y > x:
                     rb.violation("flagness", (u, w, x, y), "4-clique")
@@ -1026,7 +1026,7 @@ def brute_quasi_isometry_report(result, cap):
             rb.violation("stretch-low", (u, w), f"d_source={distance(gy, u, w)} d_squared=1")
     dropped = [(u, w) for u, w in sorted(gy.edges) if not gx.has_edge(u, w)]
     for u, w in dropped:
-        if gx.neighbor_set(u).isdisjoint(gx.neighbor_set(w)):
+        if frozenset(gx.neighbors(u)).isdisjoint(frozenset(gx.neighbors(w))):
             rb.violation("stretch-high", (u, w), f"d_source=1 d_squared={distance(gx, u, w)}")
     if n:
         reached = bfs_levels(gx, order[0])

@@ -699,6 +699,31 @@ def test_console_script_entrypoint(tmp_path):
     assert type(read_complex(out)[0]) is SimplicialComplex2
 
 
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    # three calls in one process, an argparse error between them, each
+    # giving the exit code and output of a fresh process
+    tet = tmp_path / "tet.complex"
+    tet.write_text("v 0\nv 1\nv 2\nv 3\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
+                   "t 0 1 2\nt 0 1 3\nt 0 2 3\nt 1 2 3\n")
+    argvs = [["verify", "--input", str(tet)],
+             ["verify", "--input", str(tet), "--cert-cap", "-1"],
+             ["generate", "--degree", "6", "--radius", "1"]]
+    sysquad.cli._build_parser.cache_clear()
+    codes = []
+    for argv in argvs:
+        fresh = subprocess.run([sys.executable, "-m", "sysquad.cli", *argv],
+                               capture_output=True, text=True)
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        out = capsys.readouterr()
+        assert (codes[-1], out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert codes == [1, 2, 0]
+    info = sysquad.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; a fresh interpreter sees what
     # the import itself loads

@@ -5,9 +5,11 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sysquad import complexes
 from sysquad import (
     BasedComplex,
     DiskSpec,
@@ -74,7 +76,7 @@ def test_graph_dedupes_edges():
 def test_neighbors_sorted_and_set_agree():
     g = k23_graph()
     assert list(g.neighbors(0)) == [2, 3, 4]
-    assert g.neighbor_set(0) == {2, 3, 4}
+    assert frozenset(g.neighbors(0)) == {2, 3, 4}
 
 
 def test_unknown_vertex_errors():
@@ -319,7 +321,7 @@ def test_constructors_match_their_loop_oracles(case):
     assert g.vertices == frozenset(verts)
     assert g.edges == want_edges
     assert {v: g.neighbors(v) for v in verts} == adj
-    assert all(g.neighbor_set(v) == set(adj[v]) for v in verts)
+    assert all(frozenset(g.neighbors(v)) == set(adj[v]) for v in verts)
 
     cls, noun, at, cells_of = (
         (SimplicialComplex2, "triangle", "triangles_at", "triangles") if length == 3
@@ -385,6 +387,22 @@ def test_triangle_and_square_complexes_differ():
     assert SimplicialComplex2(g, []) != SquareComplex(g, [])
     assert SquareComplex(g, []) != SimplicialComplex2(g, [])
     assert SquareComplex(g, []) == SquareComplex(g, [])
+
+
+@pytest.mark.parametrize("ptr, fill, want", [
+    ([0], 9, []),  # an empty CSR
+    ([0], [], []),
+    ([0, 0], 9, [[9]]),  # one zero-length row
+    ([0, 0, 0], [4, 5], [[4], [5]]),
+    ([0, 2, 2, 3], 9, [[1, 2], [9, 9], [3, 9]]),
+    ([0, 2, 2, 3], [4, 5, 6], [[1, 2], [5, 5], [3, 6]]),
+    ([0, 1, 2], 9, [[1], [2]]),  # no padding needed
+])
+def test_padded_rows(ptr, fill, want):
+    ptr = np.array(ptr)
+    table = complexes._padded(ptr, np.arange(1, ptr[-1] + 1), np.array(fill))
+    assert table.shape == (len(ptr) - 1, max(1, max(np.diff(ptr), default=0)))
+    assert table.tolist() == want
 
 
 def test_cells_at_are_sorted():
@@ -510,7 +528,7 @@ def test_h1_matches_oracle_on_triangulations():
         g = random_graph(9, 0.35, seed=100 + seed)
         if not is_connected(g):
             continue
-        adj = {v: g.neighbor_set(v) for v in g.vertices}
+        adj = {v: frozenset(g.neighbors(v)) for v in g.vertices}
         tris = [
             (a, b, c)
             for a in sorted(g.vertices)

@@ -43,7 +43,7 @@ def filled_square():
 
 def modular(g):
     order = vertex_order(g)
-    return is_modular(g, order, all_pairs(g, order))
+    return is_modular(g, all_pairs(g, order))
 
 
 # -------------------------------------------------------------------- intervals
@@ -419,7 +419,7 @@ def test_certificate_agrees_with_brute_at_every_block_size(monkeypatch, n, edges
     for pairs_per_block in (None, 1, 2, 3, 7):
         if pairs_per_block is not None:
             monkeypatch.setattr(quadric, "_BLOCK_ENTRIES", pairs_per_block * n)
-        assert is_modular(g, order, D) == expected, pairs_per_block
+        assert is_modular(g, D) == expected, pairs_per_block
 
 
 def test_odd_cycle_takes_the_exact_fallback():
