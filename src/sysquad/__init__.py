@@ -17,8 +17,6 @@ from .complexes import (
     bfs_levels,
     canonical_cycle,
     distance,
-    h1_rank_mod2,
-    is_connected,
 )
 from .fileformat import (
     ComplexFileError,
@@ -79,8 +77,6 @@ __all__ = [
     "distance",
     "enumerate_embedded_4cycles",
     "format_complex",
-    "h1_rank_mod2",
-    "is_connected",
     "parse_complex",
     "property_a_report",
     "read_complex",

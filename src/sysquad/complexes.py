@@ -41,7 +41,6 @@ identical outputs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Sequence
@@ -200,12 +199,10 @@ class Graph:
 
     def _position(self, v) -> int:
         """The index of vertex v, -1 when v is not a vertex."""
-        order = self._order
         try:
-            i = bisect_left(order, v)
-        except TypeError:
+            return self._index.get(v, -1)
+        except TypeError:  # an unhashable id names no vertex
             return -1
-        return i if i < len(order) and order[i] == v else -1
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -562,12 +559,6 @@ def distance(obj, u: int, v: int) -> int | float:
     return dist.get(v, INF)
 
 
-def is_connected(g: Graph) -> bool:
-    if not g._order:
-        return True
-    return bool((_levels(g, 0) >= 0).all())
-
-
 def _gf2_rank(rows: list[int]) -> int:
     """Rank over GF(2) of rows given as arbitrary-precision bitmask integers."""
     basis: dict[int, int] = {}
@@ -584,20 +575,9 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def h1_rank_mod2(c: SimplicialComplex2 | SquareComplex) -> int:
-    """Mod-2 rank of the first homology: cycle-space rank minus boundary rank.
-
-    Zero is a necessary condition for simple connectedness; see
-    ``_h1_rank`` for when it also proves it. Raises on disconnected input.
-    """
-    if not is_connected(c.graph):
-        raise ValueError("h1_rank_mod2 requires a connected complex")
-    g = c.graph
-    return _h1_rank(c._rows, g._ends, len(g._order))
-
-
 def _h1_rank(cells: np.ndarray, edges: np.ndarray, n: int) -> int:
-    """``h1_rank_mod2`` of a connected complex on the vertex indices 0..n-1.
+    """Mod-2 rank of the first homology of a connected complex on the vertex
+    indices 0..n-1: cycle-space rank minus boundary rank.
 
     ``cells`` holds one row of indices per cell in boundary order, and
     ``edges`` one row u < w per edge, sorted.

@@ -18,6 +18,7 @@ from .complexes import (
     BasedComplex,
     Graph,
     SquareComplex,
+    _expand,
     _intersects,
     _padded,
     _sorted_rows,
@@ -25,7 +26,7 @@ from .complexes import (
 )
 from .metrics import all_pairs, common_neighbours, induced_distances
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
-from .systolic import _link_girths
+from .systolic import _cliques3, _orient
 
 
 def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
@@ -108,6 +109,38 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     return rb.build()
 
 
+def _link_triples(c: SquareComplex, rows: np.ndarray) -> np.ndarray:
+    """Every triple i < j < k of ``_corners`` rows whose wings are the three
+    edges of a square-link triangle, as sorted rows (i, j, k).
+
+    The square-links of all vertices form one simple graph on the graph's
+    CSR slots: each distinct prefix (u, a, b) of the rows joins the slots
+    u -> a and u -> b, so a triangle of it lies in one square-link. Its
+    triangles come from ``_cliques3``. A triangle x < y < z at u has its
+    rows in three runs, those of (x, y) before (x, z) before (y, z), and
+    gives every triple of one row from each run, one per choice among
+    parallel squares.
+    """
+    g = c.graph
+    n, m = len(g._order), len(g._nbr)
+    slot = np.searchsorted(g._src * n + g._nbr, rows[:, :1] * n + rows[:, 1:3])
+    key = slot[:, 0] * m + slot[:, 1]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    ptr = np.append(first, len(key))  # the rows of link edge p are ptr[p]:ptr[p + 1]
+    key = key[first]
+    by, ekeys, out = _orient(slot[first], m)
+    found = [np.empty((0, 3), dtype=np.intp)]
+    for e, z in _cliques3(ekeys, out, m):
+        s = np.sort(by[np.column_stack([*np.divmod(ekeys[e], m), z])], axis=1)
+        p = np.searchsorted(key, s[:, [0, 0, 1]] * m + s[:, [1, 2, 2]])
+        t, i = _expand(ptr[p[:, 0]], ptr[p[:, 0] + 1])
+        q, j = _expand(ptr[p[t, 1]], ptr[p[t, 1] + 1])
+        t, i = t[q], i[q]
+        q, k = _expand(ptr[p[t, 2]], ptr[p[t, 2] + 1])
+        found.append(np.column_stack([i[q], j[q], k]))
+    return _sorted_rows(np.concatenate(found))
+
+
 def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Three squares around a vertex force a chorded hexagon.
 
@@ -116,60 +149,48 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     the hexagon must be joined by an edge with squares on both resulting
     4-cycles. Degenerate (non-embedded) hexagons are skipped.
 
-    Three squares at u pass the wing test below only when their wings
-    {a0,a1}, {a1,a2}, {a2,a0}, with the a's distinct, form a triangle in
-    the square-link of u: the simple graph on u's neighbours with an edge
-    for the wings of each square at u. The ``_corners`` rows (u, wing,
-    wing) are those edges, one edge twice when two squares share u and
-    its wings, which the triangle search of ``_link_girths`` allows. The
-    scan over triples of squares, each seen from u as (wings, opposite)
-    in ``_corners`` order, therefore runs only at the vertices whose
-    square-link has a triangle, in ascending order, and meets every
-    hexagon in the order a scan of all vertices would.
+    Three squares at u, seen from u as their wing pairs, glue to such a
+    hexagon only when each two wing pairs share one vertex and the three
+    shared vertices are distinct. Three wing pairs pass that test exactly
+    when they are the three edges of a triangle in the square-link of u,
+    the simple graph on u's neighbours with an edge for the wings of each
+    square at u: the shared vertices a0, a1, a2 make the pairs {a0, a1},
+    {a1, a2}, {a2, a0}, and the edges of a triangle meet pairwise in its
+    three vertices. Parallel squares, on the same wings, share two. So
+    the scan runs only on the triples ``_link_triples`` lists, in the
+    order a scan of every triple of squares at every vertex would meet
+    them.
     """
     rb = ReportBuilder("rule-b", cap)
     g = c.graph
     order = g._order
     rows = _corners(c)
-    hubs = np.flatnonzero(_link_girths(rows[:, :3], len(order), longest=3))
-    bounds = np.searchsorted(rows[:, 0], [hubs, hubs + 1]).tolist()
-    for hub, lo, hi in zip(hubs.tolist(), *bounds):
-        u = order[hub]
-        entries = [((order[a], order[b]), order[o]) for _, a, b, o in rows[lo:hi].tolist()]
-        seen = set()  # two square triples can glue to the same hexagon
-        for (w0, o0), (w1, o1), (w2, o2) in combinations(entries, 3):
-            s01 = set(w0) & set(w1)
-            s12 = set(w1) & set(w2)
-            s02 = set(w0) & set(w2)
-            if len(s01) != 1 or len(s12) != 1 or len(s02) != 1:
-                continue
-            a1, a2, a0 = s01.pop(), s12.pop(), s02.pop()
-            if len({a0, a1, a2}) != 3:
-                continue
-            # hexagon a0 b0 a1 b1 a2 b2 with b_i opposite u in the i-th square
-            b0, b1, b2 = o0, o1, o2
-            hexagon = (a0, b0, a1, b1, a2, b2)
-            if len(set(hexagon)) != 6:
-                rb.count("degenerate")
-                continue
-            key = canonical_cycle(hexagon)
-            if key in seen:
-                continue
-            seen.add(key)
-            rb.count("hexagons")
-            options = (
-                ((a0, b1), (a0, b0, a1, b1), (b1, a2, b2, a0)),
-                ((b0, a2), (b0, a1, b1, a2), (a2, b2, a0, b0)),
-                ((a1, b2), (a1, b1, a2, b2), (b2, a0, b0, a1)),
-            )
-            ok = any(
-                g.has_edge(*chord) and c.has_square(c1) and c.has_square(c2)
-                for chord, c1, c2 in options
-            )
-            if not ok:
-                rb.violation(
-                    "rule-b", (u,) + canonical_cycle(hexagon), "no-chorded-antipode"
-                )
+    # rows (u, x, y, b0), (u, x, z, b1), (u, y, z, b2) give the hexagon
+    # a0 b0 a1 b1 a2 b2 = y b0 x b1 z b2 about u
+    hexagons = rows[_link_triples(c, rows)].reshape(-1, 12)[:, [0, 2, 3, 1, 7, 6, 11]]
+    seen = set()  # two square triples can glue to the same hexagon
+    for row in hexagons.tolist():
+        u, a0, b0, a1, b1, a2, b2 = (order[v] for v in row)
+        hexagon = (a0, b0, a1, b1, a2, b2)
+        if len(set(hexagon)) != 6:
+            rb.count("degenerate")
+            continue
+        key = (u,) + canonical_cycle(hexagon)
+        if key in seen:
+            continue
+        seen.add(key)
+        rb.count("hexagons")
+        options = (
+            ((a0, b1), (a0, b0, a1, b1), (b1, a2, b2, a0)),
+            ((b0, a2), (b0, a1, b1, a2), (a2, b2, a0, b0)),
+            ((a1, b2), (a1, b1, a2, b2), (b2, a0, b0, a1)),
+        )
+        ok = any(
+            g.has_edge(*chord) and c.has_square(c1) and c.has_square(c2)
+            for chord, c1, c2 in options
+        )
+        if not ok:
+            rb.violation("rule-b", key, "no-chorded-antipode")
     return rb.build()
 
 
@@ -378,8 +399,10 @@ def check_interval_isometry(
 
     In a modular graph every interval satisfies the local form
     (``is_modular``, step 3). When that certificate passes, only the
-    ``disconnected`` test runs, one gather of ``D`` per block of
-    ``_PAIR_BLOCK`` pairs.
+    ``disconnected`` test runs, one gather of ``D`` per block. Either way
+    the pairs are read in blocks of ``_PAIR_BLOCK``, each mapped to
+    indices in one pass, and a pair that names no vertex raises
+    ``ValueError``.
 
     ``dist`` is ``all_pairs`` of the graph and ``modular`` its
     ``is_modular`` verdict, when the caller already has them; None
@@ -393,46 +416,46 @@ def check_interval_isometry(
     if modular is None:
         modular = is_modular(g, D)
     rb = ReportBuilder("interval-isometry", cap)
-    if modular:  # only the disconnected test: one gather per block of pairs
-        pairs, total = iter(pairs), 0
-        while block := list(islice(pairs, _PAIR_BLOCK)):
-            total += len(block)
+    pairs, total = iter(pairs), 0
+    while block := list(islice(pairs, _PAIR_BLOCK)):
+        total += len(block)
+        try:
             ij = np.fromiter(map(index.__getitem__, chain.from_iterable(block)),
                              dtype=np.intp, count=2 * len(block))
+        except KeyError as e:
+            raise ValueError(f"unknown vertex {e.args[0]}") from None
+        if modular:  # only the disconnected test: one gather per block of pairs
             for k in np.flatnonzero(D[ij[0::2], ij[1::2]] == n).tolist():
                 u, v = block[k]
                 rb.violation("disconnected", (u, v), "no-path")
-        if total:
-            rb.set_stat("intervals", total)
-        return rb.build()
-    for u, v in pairs:
-        rb.count("intervals")
-        iu = index[u]
-        iv = index[v]
-        if D[iu, iv] == n:
-            rb.violation("disconnected", (u, v), "no-path")
             continue
-        sub = np.flatnonzero(D[iu] + D[iv] == D[iu, iv])
-        S = D[np.ix_(sub, sub)]
-        # nbr[x, j]: the j-th neighbour of x in the interval, padded with x,
-        # which never has S[x, y] + 1 == S[x, y]; one j at a time keeps
-        # memory O(|S|^2)
-        adj = S == 1
-        ptr = np.append(0, np.cumsum(adj.sum(axis=1)))
-        nbr = _padded(ptr, np.nonzero(adj)[1], np.arange(len(sub)))
-        down = np.eye(len(sub), dtype=bool)
-        for column in nbr.T:
-            down |= S[column] + 1 == S
-        if down.all():
-            continue
-        # an interval is connected (geodesics from u), so no entry is the sentinel
-        inner = induced_distances(D, sub)
-        for i, j in zip(*np.nonzero(np.triu(inner != S, 1))):
-            rb.violation(
-                "interval-isometry",
-                (u, v, order[sub[i]], order[sub[j]]),
-                f"d_interval={inner[i, j]} d={S[i, j]}",
-            )
+        for (u, v), iu, iv in zip(block, ij[0::2].tolist(), ij[1::2].tolist()):
+            if D[iu, iv] == n:
+                rb.violation("disconnected", (u, v), "no-path")
+                continue
+            sub = np.flatnonzero(D[iu] + D[iv] == D[iu, iv])
+            S = D[np.ix_(sub, sub)]
+            # nbr[x, j]: the j-th neighbour of x in the interval, padded with x,
+            # which never has S[x, y] + 1 == S[x, y]; one j at a time keeps
+            # memory O(|S|^2)
+            adj = S == 1
+            ptr = np.append(0, np.cumsum(adj.sum(axis=1)))
+            nbr = _padded(ptr, np.nonzero(adj)[1], np.arange(len(sub)))
+            down = np.eye(len(sub), dtype=bool)
+            for column in nbr.T:
+                down |= S[column] + 1 == S
+            if down.all():
+                continue
+            # an interval is connected (geodesics from u), so no entry is the sentinel
+            inner = induced_distances(D, sub)
+            for i, j in zip(*np.nonzero(np.triu(inner != S, 1))):
+                rb.violation(
+                    "interval-isometry",
+                    (u, v, order[sub[i]], order[sub[j]]),
+                    f"d_interval={inner[i, j]} d={S[i, j]}",
+                )
+    if total:
+        rb.set_stat("intervals", total)
     return rb.build()
 
 

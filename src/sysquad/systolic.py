@@ -15,11 +15,13 @@ and edge index rows:
   (``_link_girths`` proves it), so the least length found over the
   vertices of link(v) is its girth when below 6, branched links
   included.
-- Flagness ranks the vertices by degree and lists each 3-clique once,
-  from an edge a -> b towards the higher rank and an out-neighbour c of
-  b with a -> c an edge, then extends it to the 4-cliques through the
-  out-neighbours of c adjacent to a and b. Membership is
-  ``np.searchsorted`` on sorted keys.
+- Flagness lists each 3-clique once with the shared 3-clique step
+  (``_orient`` and ``_cliques3``): rank the vertices by degree, then
+  take an edge a -> b towards the higher rank and an out-neighbour c of
+  b with a -> c an edge. It extends each 3-clique to the 4-cliques
+  through the out-neighbours of c adjacent to a and b. Rule B
+  (``quadric``) lists its square-link triangles with the same step.
+  Membership is ``np.searchsorted`` on sorted keys.
 
 Both searches go in blocks of about ``_BLOCK_ENTRIES`` expanded entries,
 so their working set is one block, or one item (a link vertex and its
@@ -72,15 +74,13 @@ def _cumsum(cost: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(cost)))
 
 
-def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
-    """The girth of link(v) at index v when it is at most ``longest``, else 0.
+def _link_girths(links: np.ndarray, n: int) -> np.ndarray:
+    """The girth of link(v) at index v when it is at most 5, else 0.
 
     ``links`` holds one row (v, p, q) of vertex indices per edge pq of
-    link(v), p != q, no edge twice, so each link is a simple graph. The
-    triangle search alone (``longest`` 3) also takes an edge twice: a
-    repeat adds no two-step path that the simple link lacks. A root is a
-    vertex s of link(v) with a link neighbour, and the search from it
-    looks two steps out in link(v) for the least of
+    link(v), p != q, no edge twice, so each link is a simple graph. A
+    root is a vertex s of link(v) with a link neighbour, and the search
+    from it looks two steps out in link(v) for the least of
 
     - 3, when two neighbours x, y of s are adjacent: a triangle s x y;
     - 4, when a vertex y, neither s nor a neighbour of s, is reached from
@@ -101,7 +101,7 @@ def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
     Roots go in blocks of about ``_BLOCK_ENTRIES`` two-step paths, and the
     search for 5 in blocks of as many neighbours; a block larger than that
     holds one item. The search for 5 skips links whose girth is already
-    known. With ``longest`` 3 only the triangles are searched.
+    known.
     """
     girth = np.full(n, 6, dtype=np.intp)  # 6: no cycle of length <= 5 found
     # link edges (v: s -> x); edges 2k and 2k + 1 are one edge both ways
@@ -131,8 +131,6 @@ def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
         r, y = r[far], y[far]
         near = _isin_sorted(adjacent, r * R + y)
         girth[root_v[r[near]]] = 3
-        if longest == 3:
-            continue
         reach = np.sort(r[~near] * R + y[~near])
         twice = root_v[reach[1:][reach[1:] == reach[:-1]] // R]
         girth[twice] = np.minimum(girth[twice], 4)
@@ -147,32 +145,59 @@ def _link_girths(links: np.ndarray, n: int, longest: int = 5) -> np.ndarray:
     return np.where(girth < 6, girth, 0)
 
 
-def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
-    """The flagness scan, one block at a time.
+def _orient(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank the vertices by (degree, index) and point each edge to its end of higher rank.
 
-    ``ends`` and ``tri`` hold one row of vertex indices per edge and per
-    triangle. Vertices are ranked by (degree, index), and an edge points
-    to its end of higher rank. A vertex points to at most sqrt(2 E)
-    others, since each of them has degree at least as high as its own.
-    A 3-clique a < b < c in rank comes once, from the edge a -> b and an
-    out-neighbour c of b with a -> c an edge; a 4-clique a < b < c < d in
-    rank comes once, from the 3-clique (a, b, c) and an out-neighbour d of
-    c adjacent to a and b. The edges go in blocks of about
-    ``_BLOCK_ENTRIES`` candidate 3-cliques, and the 3-cliques in blocks of
-    as many candidate 4-cliques.
-
-    Each block yields the number of 3-cliques it lists and one row
-    (u, w, x, y) of indices per violation, u < w < x < y; an empty
-    triangle is (u, w, x, -1).
+    ``ends`` holds one row of vertex indices per edge, no edge twice.
+    Returns ``by``, the index of each rank; the sorted keys a * n + b of
+    the edges a -> b, in ranks; and ``out``, with the out-neighbours of a
+    at ``keys[out[a]:out[a + 1]] % n``. A vertex points to at most
+    sqrt(2 E) others, since each of them has degree at least as high as
+    its own.
     """
     by = np.argsort(np.bincount(ends.ravel(), minlength=n) * n + np.arange(n), kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[by] = np.arange(n)
     a, b = rank[ends.T]
-    # edges a -> b as sorted keys a * n + b
-    ekeys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return by, keys, _cumsum(np.bincount(keys // n, minlength=n))
+
+
+def _cliques3(keys: np.ndarray, out: np.ndarray, n: int):
+    """Every 3-clique of the oriented graph ``_orient`` gives, once, in blocks.
+
+    A 3-clique a < b < c in rank comes from the edge a -> b and an
+    out-neighbour c of b with a -> c an edge. The edges go in blocks of
+    about ``_BLOCK_ENTRIES`` candidates, or one edge where that is more.
+    Each block that finds a 3-clique yields (e, c): 3-clique i is edge
+    ``keys[e[i]]`` and rank ``c[i]``, ordered by e.
+    """
+    u, w = np.divmod(keys, n)
+    for lo, hi in _blocks(_cumsum(out[w + 1] - out[w]), _BLOCK_ENTRIES):
+        e, f = _expand(out[w[lo:hi]], out[w[lo:hi] + 1])
+        e += lo
+        keep = _isin_sorted(keys, u[e] * n + w[f])
+        if keep.any():
+            yield e[keep], w[f[keep]]
+
+
+def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
+    """The flagness scan, one block at a time.
+
+    ``ends`` and ``tri`` hold one row of vertex indices per edge and per
+    triangle. The 3-cliques come from ``_cliques3``; a 4-clique
+    a < b < c < d in rank comes once, from the 3-clique (a, b, c) and an
+    out-neighbour d of c adjacent to a and b. The 3-cliques of a block go
+    in blocks of about ``_BLOCK_ENTRIES`` candidate 4-cliques.
+
+    Each block yields the number of 3-cliques it lists and one row
+    (u, w, x, y) of indices per violation, u < w < x < y; an empty
+    triangle is (u, w, x, -1).
+    """
+    by, ekeys, out = _orient(ends, n)
     u, w = np.divmod(ekeys, n)
-    out = np.searchsorted(u, np.arange(n + 1))  # the out-neighbours of a are w[out[a]:out[a + 1]]
+    rank = np.empty(n, dtype=np.intp)
+    rank[by] = np.arange(n)
     # a triangle and a 3-clique a < b < c as (index of edge a -> b) * n + c
     tri = np.sort(rank[tri], axis=1)
     t_edge = np.searchsorted(ekeys, tri[:, 0] * n + tri[:, 1])
@@ -185,11 +210,7 @@ def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
         rows[rows == n] = -1
         return rows
 
-    for lo, hi in _blocks(_cumsum(out[w + 1] - out[w]), _BLOCK_ENTRIES):
-        e, f = _expand(out[w[lo:hi]], out[w[lo:hi] + 1])
-        e += lo
-        keep = _isin_sorted(ekeys, u[e] * n + w[f])
-        e, x = e[keep], w[f[keep]]  # 3-clique i is (u[e[i]], w[e[i]], x[i])
+    for e, x in _cliques3(ekeys, out, n):  # 3-clique i is (u[e[i]], w[e[i]], x[i])
         empty = ~_isin_sorted(tkeys, e * n + x)
         yield len(x), by_index(np.column_stack(
             [u[e[empty]], w[e[empty]], x[empty], np.full(empty.sum(), n)]))

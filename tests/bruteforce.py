@@ -18,6 +18,12 @@ def adjacency(g):
     return {v: sorted(g.neighbors(v)) for v in g.vertices}
 
 
+def brute_is_connected(g):
+    """Whether one BFS from the least vertex reaches every vertex."""
+    adj = adjacency(g)
+    return not adj or len(bfs_dist(adj, min(adj))) == len(adj)
+
+
 def bfs_dist(adj, source):
     dist = {source: 0}
     q = deque([source])
@@ -392,6 +398,29 @@ def brute_rule_b_violations(c):
     return sorted(viol)
 
 
+def brute_link_triples(c):
+    """Each square seen from each corner as an index row (corner, smaller
+    wing, larger wing, opposite), sorted; and every triple i < j < k of rows
+    at one corner whose wings pairwise share one vertex, three distinct
+    ones, by a scan of all triples at each corner."""
+    index = {v: i for i, v in enumerate(sorted(c.graph.vertices))}
+    rows = []
+    for s in c.squares:
+        for i in range(4):
+            u, a, o, b = (index[s[(i + k) % 4]] for k in range(4))
+            rows.append((u, min(a, b), max(a, b), o))
+    rows.sort()
+    triples = []
+    for u in sorted(index.values()):
+        at = [i for i, row in enumerate(rows) if row[0] == u]
+        for i, j, k in combinations(at, 3):
+            wings = [set(rows[t][1:3]) for t in (i, j, k)]
+            shared = [w0 & w1 for w0, w1 in combinations(wings, 2)]
+            if all(len(x) == 1 for x in shared) and len(set.union(*shared)) == 3:
+                triples.append((i, j, k))
+    return rows, triples
+
+
 def brute_canonical_cycle(seq):
     """Least of all rotations and reflections of a cyclic sequence, by enumeration."""
     best = None
@@ -607,7 +636,7 @@ def girth(g):
 def brute_verify_systolic(c, cap):
     """The ``systolic`` report from one ``girth(link(c, v))`` per vertex and a
     common-neighbour scan over the sorted edges, in the same scan order."""
-    from sysquad.complexes import bfs_levels, h1_rank_mod2
+    from sysquad.complexes import bfs_levels
     from sysquad.reports import ReportBuilder
 
     g = c.graph
@@ -641,7 +670,7 @@ def brute_verify_systolic(c, cap):
                     rb.violation("flagness", (u, w, x, y), "4-clique")
 
     if connected:
-        rank = h1_rank_mod2(c)
+        rank = brute_h1_rank_mod2(c)
         rb.set_stat("h1_rank_mod2", rank)
         if rank != 0:
             rb.violation("h1", (), f"rank={rank}")

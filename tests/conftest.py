@@ -3,10 +3,13 @@
 Also a per-vertex view of the weights from the ``brute_profile`` oracle.
 """
 
+import random
+
 import pytest
 
 import sysquad as sq
 from sysquad import propa
+from sysquad.complexes import _h1_rank
 
 from bruteforce import brute_profile
 
@@ -88,6 +91,20 @@ def rule_b_mutant():
     g = sq.Graph(range(7), edges)
     squares = [(0, 1, 2, 3), (0, 3, 4, 5), (0, 5, 6, 1)]
     return sq.SquareComplex(g, squares)
+
+
+def k55_two_thirds():
+    """K_{5,5} (0..4 | 5..9) with a seeded two thirds of its 100 embedded
+    4-cycles filled: 65 squares, 84 rule-A and 132 rule-B violations."""
+    g = sq.Graph(range(10), [(a, b) for a in range(5) for b in range(5, 10)])
+    rng = random.Random(1)
+    return sq.SquareComplex(g, [q for q in sq.enumerate_embedded_4cycles(g) if rng.random() < 2 / 3])
+
+
+def h1_rank(c):
+    """The mod-2 first-homology rank that ``verify_systolic`` computes, of a connected complex."""
+    g = c.graph
+    return _h1_rank(c._rows, g._ends, len(g._order))
 
 
 def k23_complex_based():

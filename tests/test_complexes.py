@@ -20,12 +20,11 @@ from sysquad import (
     canonical_cycle,
     distance,
     enumerate_embedded_4cycles,
-    h1_rank_mod2,
-    is_connected,
     squaring,
     triangulated_disk,
+    verify_systolic,
 )
-from sysquad.complexes import CellError
+from sysquad.complexes import CellError, _levels
 
 from bruteforce import (
     bfs_dist,
@@ -35,6 +34,7 @@ from bruteforce import (
     brute_graph,
     brute_girth,
     brute_h1_rank_mod2,
+    brute_is_connected,
     brute_k23,
     cycle_edges,
     find_K23,
@@ -43,7 +43,7 @@ from bruteforce import (
     link,
     random_graph,
 )
-from conftest import k23_graph
+from conftest import h1_rank, k23_graph
 
 
 def cycle_graph(n):
@@ -85,11 +85,21 @@ def test_unknown_vertex_errors():
         g.neighbors(7)
     with pytest.raises(ValueError, match="unknown vertex"):
         distance(g, 0, 7)
+    # ids that are no vertex, hashable or not, one id map for every lookup
+    for v in (7, -1, 1.5, "a", (0,), [1]):
+        assert not g.has_vertex(v)
+        assert not g.has_edge(v, 1) and not g.has_edge(1, v)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            bfs_levels(g, v)
+        with pytest.raises(ValueError, match="is not a vertex"):
+            BasedComplex(SquareComplex(g, []), v)
+    assert g.has_vertex(1.0) and g.has_edge(0, True)
 
 
 def test_is_connected():
-    assert is_connected(path_graph(4))
-    assert not is_connected(Graph(range(3), [(0, 1)]))
+    # a complex is connected when one level search reaches every index
+    for g, connected in ((path_graph(4), True), (Graph(range(3), [(0, 1)]), False)):
+        assert bool((_levels(g, 0) >= 0).all()) == brute_is_connected(g) == connected
 
 
 # --------------------------------------------------------------- canonical_cycle
@@ -434,41 +444,44 @@ def test_square_complex_lookup():
 def test_h1_rank_examples():
     filled = SquareComplex(cycle_graph(4), [(0, 1, 2, 3)])
     empty = SquareComplex(cycle_graph(4), [])
-    assert h1_rank_mod2(filled) == 0
-    assert h1_rank_mod2(empty) == 1
+    assert h1_rank(filled) == 0
+    assert h1_rank(empty) == 1
 
     tri = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
-    assert h1_rank_mod2(SimplicialComplex2(tri, [(0, 1, 2)])) == 0
-    assert h1_rank_mod2(SimplicialComplex2(tri, [])) == 1
+    assert h1_rank(SimplicialComplex2(tri, [(0, 1, 2)])) == 0
+    assert h1_rank(SimplicialComplex2(tri, [])) == 1
 
 
 @pytest.mark.parametrize("cls", [SimplicialComplex2, SquareComplex])
 def test_h1_rank_of_empty_complex_is_zero(cls):
     c = cls(Graph([]), [])
-    assert h1_rank_mod2(c) == 0
+    assert h1_rank(c) == 0
     assert brute_h1_rank_mod2(c) == 0
 
 
 def test_h1_rank_tree_is_zero():
     c = SimplicialComplex2(path_graph(6), [])
-    assert h1_rank_mod2(c) == 0
+    assert h1_rank(c) == 0
 
 
 def test_h1_rank_two_independent_cycles():
     # two 4-cycles sharing one vertex, nothing filled
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]
     c = SquareComplex(Graph(range(7), edges), [])
-    assert h1_rank_mod2(c) == 2
+    assert h1_rank(c) == 2
 
 
 def test_h1_requires_connected():
+    # the rank is taken on connected input only: a disconnected complex
+    # gets certificates and no rank
     c = SimplicialComplex2(Graph(range(4), [(0, 1), (2, 3)]), [])
-    with pytest.raises(ValueError, match="connected"):
-        h1_rank_mod2(c)
+    rep = verify_systolic(c)
+    assert [x.kind for x in rep.counterexamples] == ["disconnected", "disconnected"]
+    assert "h1_rank_mod2" not in rep.stats
 
 
 def test_h1_of_disk_is_zero(small_disk):
-    assert h1_rank_mod2(small_disk.complex) == 0
+    assert h1_rank(small_disk.complex) == 0
 
 
 def triangulated(triangles):
@@ -518,7 +531,7 @@ PEEL_CASES = {
 def test_h1_peels_to_the_oracle_rank(name):
     c, h1, free = PEEL_CASES[name]
     assert bool(free_edges(c)) == free
-    assert h1_rank_mod2(c) == brute_h1_rank_mod2(c) == h1
+    assert h1_rank(c) == brute_h1_rank_mod2(c) == h1
 
 
 def test_h1_matches_oracle_on_triangulations():
@@ -526,7 +539,7 @@ def test_h1_matches_oracle_on_triangulations():
     filled = 0
     for seed in range(30):
         g = random_graph(9, 0.35, seed=100 + seed)
-        if not is_connected(g):
+        if not brute_is_connected(g):
             continue
         adj = {v: frozenset(g.neighbors(v)) for v in g.vertices}
         tris = [
@@ -538,6 +551,6 @@ def test_h1_matches_oracle_on_triangulations():
             if c > b
         ]
         c = SimplicialComplex2(g, tris)
-        assert h1_rank_mod2(c) == brute_h1_rank_mod2(c), f"seed={seed}"
+        assert h1_rank(c) == brute_h1_rank_mod2(c), f"seed={seed}"
         filled += 1
     assert filled >= 10

@@ -22,12 +22,10 @@ from sysquad import (
     check_replacement_rule_B,
     distance,
     enumerate_embedded_4cycles,
-    h1_rank_mod2,
-    is_connected,
 )
-from sysquad import metrics
+from sysquad import metrics, systolic
 from sysquad.metrics import all_pairs, induced_distances, vertex_order
-from sysquad.quadric import is_modular
+from sysquad.quadric import _corners, _link_triples, is_modular
 
 from bruteforce import (
     adjacency,
@@ -40,8 +38,10 @@ from bruteforce import (
     brute_h1_rank_mod2,
     brute_interval_isometry_ok,
     brute_interval_vertices,
+    brute_is_connected,
     brute_is_modular,
     brute_k23,
+    brute_link_triples,
     brute_rule_a_report,
     brute_rule_a_violations,
     brute_rule_b_report,
@@ -56,7 +56,7 @@ from bruteforce import (
     random_square_complex,
     relabelled,
 )
-from conftest import k23_complex_based, rule_a_mutant, rule_b_mutant
+from conftest import h1_rank, k23_complex_based, k55_two_thirds, rule_a_mutant, rule_b_mutant
 
 graph_params = st.tuples(
     st.integers(min_value=1, max_value=12),
@@ -247,9 +247,9 @@ def test_canonical_cycle_matches_oracle(seq):
 @given(square_params)
 def test_h1_agrees_on_connected_square_complexes(params):
     c = random_square_complex(*params)
-    if not is_connected(c.graph):
+    if not brute_is_connected(c.graph):
         return
-    assert h1_rank_mod2(c) == brute_h1_rank_mod2(c)
+    assert h1_rank(c) == brute_h1_rank_mod2(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,6 +305,9 @@ k23_params = st.tuples(
     st.integers(min_value=0, max_value=10**6),
 )
 
+# ids as given, past 2^64, and in reverse
+relabels = st.sampled_from([None, lambda v: 2**70 + 3 * v, lambda v: 100 - v])
+
 
 @settings(max_examples=60, deadline=None)
 @given(k23_params)
@@ -347,7 +350,7 @@ def assert_rule_reports_match(c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(square_params, st.sampled_from([None, lambda v: 2**70 + 3 * v, lambda v: 100 - v]))
+@given(square_params, relabels)
 def test_rule_reports_match_full_scans(params, relabel):
     c = random_square_complex(*params)
     assert_rule_reports_match(c if relabel is None else relabelled(c, relabel))
@@ -367,10 +370,39 @@ def test_rule_reports_match_full_scans_on_mutants_and_squarings():
     # the hub moved to the largest index: its corners are the last rows
     assert_rule_reports_match(relabelled(rule_b_mutant(), lambda v: 6 - v))
     assert_rule_reports_match(k23_complex_based().complex)
+    k55 = k55_two_thirds()
+    assert len(k55.squares) == 65
+    assert [check_replacement_rule_A(k55).violations, check_replacement_rule_B(k55).violations] == [84, 132]
+    assert_rule_reports_match(k55)
     for degrees, radius in ((6, 3), (7, 3), (frozenset({6, 7, 8}), 3)):
         disk = sq.triangulated_disk(sq.DiskSpec(radius=radius, degrees=degrees, seed=2))
         res = sq.squaring(BasedComplex(disk.complex, disk.center))
         assert_rule_reports_match(res.squared.complex)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_params, k23_params, relabels)
+def test_link_triples_match_the_wing_scan(square, k23, relabel):
+    for c in (random_square_complex(*square), random_k23_complex(*k23)):
+        if relabel is not None:
+            c = relabelled(c, relabel)
+        rows, triples = brute_link_triples(c)
+        corners = _corners(c)
+        assert corners.tolist() == [list(row) for row in rows]
+        assert _link_triples(c, corners).tolist() == [list(t) for t in triples]
+
+
+@pytest.mark.parametrize("budget", [1, 7, None])
+def test_link_triples_take_one_of_each_run_of_parallel_squares(monkeypatch, budget):
+    # K_{5,5} gives up to four squares on one pair of wings; blocks of one
+    # edge upwards split the square-link triangles at every boundary
+    if budget is not None:
+        monkeypatch.setattr(systolic, "_BLOCK_ENTRIES", budget)
+    c = k55_two_thirds()
+    rows, triples = brute_link_triples(c)
+    assert max(sum(r[:3] == s[:3] for s in rows) for r in rows) == 4
+    got = _link_triples(c, _corners(c)).tolist()
+    assert got == [list(t) for t in triples] and len(got) > 1000
 
 
 def test_rule_oracles_agree_on_the_mutants():

@@ -20,7 +20,7 @@ from sysquad import (
     squaring,
 )
 from sysquad.metrics import all_pairs, vertex_order
-from sysquad import quadric
+from sysquad import quadric, systolic
 from sysquad.quadric import is_modular
 
 from bruteforce import (
@@ -180,6 +180,32 @@ def test_rule_b_ignores_hexagon_without_hub():
     rep = check_replacement_rule_B(sq)
     assert rep.passed
     assert rep.stats.get("hexagons", 0) == 0
+
+
+def test_rule_b_link_search_is_blocked(monkeypatch):
+    # hub 0 with a square (0, a, o, b) for each odd a and even b in 1..80,
+    # each with its own opposite o: the square-link of 0 is K_{40,40} on 80
+    # neighbours, its sides interleaved in rank, with about 21,000 oriented
+    # two-step paths and no triangle, far more than one block
+    sizes = []
+    expand = systolic._expand
+
+    def spy(lo, hi):
+        row, col = expand(lo, hi)
+        sizes.append(len(row))
+        return row, col
+
+    monkeypatch.setattr(systolic, "_expand", spy)
+    wings = [(a, b) for a in range(1, 81, 2) for b in range(2, 81, 2)]
+    squares = [(0, a, o, b) for o, (a, b) in enumerate(wings, start=81)]
+    edges = {(0, v) for v in range(1, 81)} | {(min(a, o), max(a, o)) for _, a, o, _ in squares}
+    edges |= {(b, o) for *_, o, b in squares}
+    c = SquareComplex(Graph(range(81 + len(wings)), edges), squares)
+    assert len(c.squares) == 1600
+    rep = check_replacement_rule_B(c)
+    assert rep.to_text() == "check rule-b\npassed true\nviolations 0\n"
+    assert sum(sizes) > 2 * systolic._BLOCK_ENTRIES
+    assert max(sizes) <= systolic._BLOCK_ENTRIES
 
 
 def test_rules_pass_on_lemma_squaring(squaring6):
@@ -454,6 +480,20 @@ def test_certificate_keeps_mutant_reports():
     ]
     pairs = list(combinations(range(7), 2))
     assert check_interval_isometry(bmut, pairs=pairs).passed
+
+
+@pytest.mark.parametrize("edges, is_mod", [
+    ([(0, 1), (1, 2), (2, 3), (0, 3)], True),
+    ([(i, (i + 1) % 5) for i in range(5)], False),
+])
+def test_interval_isometry_names_an_unknown_vertex(edges, is_mod):
+    # the certificate's gather and the exact fallback both name the id, as
+    # distance() and neighbors() do
+    g = Graph(range(5), edges)
+    assert modular(g) == is_mod
+    for pairs in ([(0, 9)], [(0, 1), (9, 0)], [(0, 1)] * 5 + [(2, 9)]):
+        with pytest.raises(ValueError, match="^unknown vertex 9$"):
+            check_interval_isometry(g, pairs)
 
 
 @pytest.mark.parametrize("block", [1, 3, 1 << 16])

@@ -17,12 +17,16 @@ from sysquad import (
     distance,
     enumerate_embedded_4cycles,
     format_complex,
-    h1_rank_mod2,
-    is_connected,
     squaring,
 )
 
-from bruteforce import brute_quasi_isometry_ok, brute_quasi_isometry_report, random_graph
+from bruteforce import (
+    brute_is_connected,
+    brute_quasi_isometry_ok,
+    brute_quasi_isometry_report,
+    random_graph,
+)
+from conftest import h1_rank
 
 
 def single_triangle_based():
@@ -74,7 +78,7 @@ def test_levels_preserved_by_squaring(small_squaring):
 
 
 def test_squaring_keeps_h1_trivial(small_squaring):
-    assert h1_rank_mod2(small_squaring.squared.complex) == 0
+    assert h1_rank(small_squaring.squared.complex) == 0
 
 
 def test_quasi_isometry_bounds_hold(small_squaring):
@@ -192,7 +196,7 @@ def test_quasi_isometry_agrees_with_bruteforce():
         if missing and rng.random() < 0.3:
             edges.append(rng.choice(missing))
         sub = Graph(range(n), edges)
-        disconnected += not is_connected(g)
+        disconnected += not brute_is_connected(g)
         rep = check_quasi_isometry(SquaringResult(
             source=BasedComplex(SimplicialComplex2(g, []), 0),
             squared=BasedComplex(SquareComplex(sub, []), 0)))
