@@ -14,7 +14,6 @@ from .complexes import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
-    bfs_levels,
     canonical_cycle,
     distance,
 )
@@ -27,7 +26,6 @@ from .fileformat import (
 from .generators import DiskSpec, triangulated_disk
 from .propa import property_a_report
 from .quadric import (
-    based_interval,
     check_ball_isometry,
     check_flat_intervals,
     check_interval_isometry,
@@ -61,8 +59,6 @@ __all__ = [
     "SimplicialComplex2",
     "SquareComplex",
     "SquaringResult",
-    "based_interval",
-    "bfs_levels",
     "canonical_cycle",
     "check_ball_isometry",
     "check_ball_neighbours",

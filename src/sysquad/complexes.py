@@ -21,7 +21,8 @@ however large, is ever cast to a fixed-width integer.
 - A ``BasedComplex`` holds one BFS level per index (``_lev``, -1 when the
   basepoint does not reach it) from one level-synchronous search over the
   CSR, and the CSR of the neighbours one level down (``_down_ptr``,
-  ``_down_nbr``).
+  ``_down_nbr``). Its one interval store, ``_intervals``, packs every
+  basepoint interval as a bitset row, built as a down-closure.
 
 The public constructors map ids to indices once and then take the same
 path as the file reader, the disk generator and squaring, which hand their
@@ -48,6 +49,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 INF = math.inf
+
+# interval-store rows unpacked at a time (``BasedComplex._intervals``): the
+# unpacked bits stay _STORE_ROWS x width bytes
+_STORE_ROWS = 64
 
 
 def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -509,14 +514,34 @@ class BasedComplex:
         s, t = _expand(np.arange(1, len(owner) + 1), ptr[owner + 1])
         return owner[s], self._down_nbr[s], self._down_nbr[t]
 
+    def _intervals(self, col: np.ndarray, width: int) -> np.ndarray:
+        """Every basepoint interval as a packed bitset: row i is I(i), bit col[w] is w.
+
+        Only the vertices w with col[w] >= 0 are stored, each in its own
+        column below ``width``. A geodesic from v to the base steps down a
+        level at a time, so I(v) is {v} plus I(w) for each w in down(v),
+        and one pass per level builds the rows from the level below: one
+        gather per column of the padded down table, whose padding repeats
+        the row itself. A vertex the base does not reach keeps its own bit.
+        """
+        lev = self._lev
+        bits = np.zeros((len(lev), (width + 7) // 8), dtype=np.uint8)
+        mine = np.flatnonzero(col >= 0)
+        # unpackbits reads the high bit first
+        bits[mine, col[mine] >> 3] = 0x80 >> (col[mine] & 7)
+        down = _padded(self._down_ptr, self._down_nbr, np.arange(len(lev)))
+        order = np.argsort(lev, kind="stable")
+        bounds = np.searchsorted(lev[order], np.arange(lev.max() + 2))
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            rows = order[lo:hi]
+            below = bits[down[rows, 0]]
+            for column in down[rows, 1:].T:
+                below |= bits[column]
+            bits[rows] |= below
+        return bits
+
     def __repr__(self) -> str:
         return f"BasedComplex(basepoint={self._basepoint}, {self._complex!r})"
-
-
-def _graph_of(obj) -> Graph:
-    if isinstance(obj, Graph):
-        return obj
-    return obj.graph
 
 
 def _levels(g: Graph, s: int) -> np.ndarray:
@@ -541,22 +566,31 @@ def _levels(g: Graph, s: int) -> np.ndarray:
     return lev
 
 
-def bfs_levels(g: Graph, source: int) -> dict[int, int]:
-    """Distance from source to every reachable vertex."""
-    s = g._position(source)
-    if s < 0:
-        raise ValueError(f"unknown vertex {source}")
-    order = g._order
-    return {order[i]: d for i, d in enumerate(_levels(g, s).tolist()) if d >= 0}
+def _components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each index's component root, the least index of its component, and
+    its distance from that root; one ``_levels`` search per component."""
+    root = np.full(len(g._order), -1, dtype=np.intp)
+    depth = root.copy()
+    while len(left := np.flatnonzero(depth < 0)):
+        lev = _levels(g, left[0])  # -1 outside the component, where depth is -1 too
+        root[lev >= 0] = left[0]
+        np.maximum(depth, lev, out=depth)
+    return root, depth
+
+
+def _distance(g: Graph, s: int, t: int) -> int | float:
+    """Distance from index s to index t, INF when t is unreached."""
+    d = int(_levels(g, s)[t])
+    return d if d >= 0 else INF
 
 
 def distance(obj, u: int, v: int) -> int | float:
     """Graph distance between u and v, INF when disconnected."""
-    g = _graph_of(obj)
-    dist = bfs_levels(g, u)
-    if not g.has_vertex(v):
-        raise ValueError(f"unknown vertex {v}")
-    return dist.get(v, INF)
+    g = obj if isinstance(obj, Graph) else obj.graph
+    s, t = g._position(u), g._position(v)
+    if min(s, t) < 0:
+        raise ValueError(f"unknown vertex {u if s < 0 else v}")
+    return _distance(g, s, t)
 
 
 def _gf2_rank(rows: list[int]) -> int:

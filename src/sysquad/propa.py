@@ -37,8 +37,9 @@ an edge u v is then
 This holds for every edge, also one whose two ends lie on the same level.
 The report therefore needs only the class counts of each interval and of
 the common part of each edge's two intervals. Every interval is one row
-of a packed bitset, built level by level as a down-closure, with the
-columns ordered so that each class is a contiguous range.
+of the based complex's interval store (``BasedComplex._intervals``), a
+packed bitset built level by level as a down-closure, with the columns
+ordered so that each class is a contiguous range.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import BasedComplex, SquareComplex
+from .complexes import _STORE_ROWS, BasedComplex, SquareComplex
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 
 
@@ -95,31 +96,6 @@ def _weight_table(n_max: int) -> np.ndarray:
     return np.stack([np.ones_like(m), m + 1, (m + 2) * (m + 1) // 2])
 
 
-# rows per block when counting: the unpacked bits stay _BLOCK x V bytes
-_BLOCK = 64
-
-
-def _interval_bits(lev: np.ndarray, ptr: np.ndarray, nbr: np.ndarray,
-                   col: np.ndarray) -> np.ndarray:
-    """Every basepoint interval as a packed bitset: row i is I(i), bit col[w] is w.
-
-    A geodesic from v to the base steps down a level at a time, so I(v) is
-    {v} plus I(w) for each w in down(v), and one pass per level builds the
-    rows from the level below. The downward neighbours of i are the CSR row
-    ``nbr[ptr[i]:ptr[i + 1]]``: one at least above the base level, and at
-    most two (the caller has checked), so they are its first and its last.
-    """
-    n = len(lev)
-    bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    bits[np.arange(n), col >> 3] = 0x80 >> (col & 7)  # unpackbits reads the high bit first
-    order = np.argsort(lev, kind="stable")
-    bounds = np.searchsorted(lev[order], np.arange(lev.max() + 2))
-    for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        rows = order[lo:hi]
-        bits[rows] |= bits[nbr[ptr[rows]]] | bits[nbr[ptr[rows + 1] - 1]]
-    return bits
-
-
 def _class_sums(bits: np.ndarray, starts: np.ndarray, shift: np.ndarray,
                 lev: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row k, column n: the weight of I(a_k) & I(b_k) seen from the farther center.
@@ -127,12 +103,12 @@ def _class_sums(bits: np.ndarray, starts: np.ndarray, shift: np.ndarray,
     That is the sum over classes c of |I(a_k) & I(b_k) & c| times
     shift[d, c, n], d = max(lev[a_k], lev[b_k]). Columns of ``bits`` hold
     the classes as contiguous ranges from ``starts``; the bits are counted
-    ``_BLOCK`` rows at a time, then one matmul per center level.
+    ``_STORE_ROWS`` rows at a time, then one matmul per center level.
     """
     counts = np.empty((len(a), len(starts)), dtype=np.min_scalar_type(len(bits)))
-    for lo in range(0, len(a), _BLOCK):
-        common = bits[a[lo:lo + _BLOCK]] & bits[b[lo:lo + _BLOCK]]
-        counts[lo:lo + _BLOCK] = np.add.reduceat(
+    for lo in range(0, len(a), _STORE_ROWS):
+        common = bits[a[lo:lo + _STORE_ROWS]] & bits[b[lo:lo + _STORE_ROWS]]
+        counts[lo:lo + _STORE_ROWS] = np.add.reduceat(
             np.unpackbits(common, axis=1, count=len(bits)), starts, axis=1, dtype=counts.dtype)
     far = np.maximum(lev[a], lev[b])
     out = np.empty((len(a), shift.shape[2]), dtype=np.int64)
@@ -163,8 +139,8 @@ def property_a_report(b: BasedComplex, n_max: int,
         return PropertyAReport(rows=(), check=rb.build())
     g = b.graph
     order = g._order
-    ptr, lev = b._down_ptr, b._lev
-    count = np.diff(ptr)  # the downward degree of each vertex
+    lev = b._lev
+    count = np.diff(b._down_ptr)  # the downward degree of each vertex
     rb.each_violation("non-flat", np.flatnonzero(count > 2).tolist(), lambda i: (
         (order[i],), f"downward-degree={count[i]}"))
     # stop before any weight: deficiency -1 would read row 2 of the table
@@ -185,7 +161,7 @@ def property_a_report(b: BasedComplex, n_max: int,
     # shift[d, c, n] = T[delta_c, n - (d - level_c)], the weight a center on level d gives class c
     m = ns - (np.arange(lev.max() + 1)[:, None, None] - keys[:, None] // 3)
     shift = np.where(m >= 0, _weight_table(n_max)[keys[:, None] % 3, np.clip(m, 0, n_max)], 0)
-    bits = _interval_bits(lev, ptr, b._down_nbr, col)
+    bits = b._intervals(col, len(order))
 
     # sums[i, n]: the mass of f_{n, order[i]}
     sums = _class_sums(bits, starts, shift, lev, every, every)

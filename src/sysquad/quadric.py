@@ -1,4 +1,4 @@
-"""Basepoint intervals and the quadric-complex verification checks.
+"""The quadric-complex verification checks.
 
 A square complex is quadric when it is simply connected and both square
 replacement rules hold. The checks here verify the rules directly, the
@@ -15,9 +15,11 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from .complexes import (
+    _STORE_ROWS,
     BasedComplex,
     Graph,
     SquareComplex,
+    _components,
     _expand,
     _intersects,
     _padded,
@@ -27,22 +29,6 @@ from .complexes import (
 from .metrics import all_pairs, common_neighbours, induced_distances
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import _cliques3, _orient
-
-
-def based_interval(b: BasedComplex, v: int) -> frozenset[int]:
-    """Vertices of the interval from the basepoint to v.
-
-    A geodesic from v to the basepoint drops one level per step, so the
-    interval is exactly the set reachable from v along ``b.down``, and
-    each vertex w in it lies levels[v] - levels[w] steps from v inside it.
-    Costs O(interval size), no BFS over the whole complex.
-    """
-    verts: set[int] = set()
-    frontier = {v}
-    while frontier:  # one level per round, so the rounds are disjoint
-        verts |= frontier
-        frontier = {x for w in frontier for x in b.down(w)}
-    return frozenset(verts)
 
 
 def _corners(c: SquareComplex) -> np.ndarray:
@@ -231,8 +217,8 @@ def is_modular(g: Graph, D: np.ndarray) -> bool:
     conditions:
 
     (B) Bipartite. The ends of each edge lie at different distances from
-        the component's first vertex, so every edge changes the distance
-        to any vertex by exactly one.
+        the component's first vertex (``_components``), so every edge
+        changes the distance to any vertex by exactly one.
     (Q) The quadrangle condition from every base. Take v != w with common
         neighbours C, so d(v,w) = 2. Then every u with d(u,v) = d(u,w) = k
         has some c in C with d(u,c) = k - 1.
@@ -278,13 +264,8 @@ def is_modular(g: Graph, D: np.ndarray) -> bool:
     place by ``np.minimum``.
     """
     n = len(g._order)
-    rows, cols = g._src, g._nbr
-    root = np.full(n, -1, dtype=np.intp)
-    for i in range(n):
-        if root[i] < 0:
-            root[D[i] < n] = i
-    r = root[rows]
-    if (D[r, rows] == D[r, cols]).any():
+    ends = _components(g)[1][g._ends]  # the depths of each edge's two ends
+    if (ends[:, 0] == ends[:, 1]).any():
         return False
     vs, ws, ptr, common = common_neighbours(g)
     table = _padded(ptr, common, common[ptr[:-1]])
@@ -346,12 +327,8 @@ def check_ball_isometry(
     rb = ReportBuilder("ball-isometry", cap)
     rb.set_stat("centers", n)
     D = all_pairs(g) if dist is None else dist
-    # component sizes, one distance row per component: no n x n mask
-    size = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        if not size[u]:
-            members = D[u] < n
-            size[members] = np.count_nonzero(members)
+    root, _ = _components(g)
+    size = np.bincount(root, minlength=n)[root]  # the size of each vertex's component
     rb.set_stat("triples", int((size * (size - 1)).sum()))
     if modular is None:
         modular = is_modular(g, D)
@@ -466,36 +443,51 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
     of the interval with three common neighbours in the whole graph that
     all lie in the interval. The pairs with at least three common
     neighbours are therefore found once, on the whole graph, sorted, each
-    with its sorted common neighbours (``common_neighbours``). For each interval, every such pair
-    with both ends inside emits the 3-subsets of its common neighbours
-    inside, in lexicographic order. These are exactly the K_{2,3}
-    occurrences of the induced interval, sorted as (pair, triple), so the
-    kept certificate prefix is that of a search on each interval in turn.
-    With no such pair, no interval is read.
+    with its sorted common neighbours (``common_neighbours``). With no
+    such pair, no interval is read. Otherwise the interval store
+    (``BasedComplex._intervals``) holds every interval on the ends and
+    middles of those pairs alone. For each interval in vertex order, every
+    such pair with both ends inside emits the 3-subsets of its common
+    neighbours inside, in lexicographic order. These are exactly the
+    K_{2,3} occurrences of the induced interval, sorted as (pair, triple),
+    so the kept certificate prefix is that of a search on each interval in
+    turn. The store is read ``_STORE_ROWS`` intervals at a time: k middles
+    inside give C(k, 3) triples, and they are listed only while the cap
+    has room.
     """
     if not isinstance(b.complex, SquareComplex):
         raise ValueError("check_flat_intervals expects a square complex")
     rb = ReportBuilder("flat-intervals", cap)
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
-    g = b.graph
-    order = g._order
-    v, w, ptr, common = common_neighbours(g)
-    pairs = [
-        ((order[v[p]], order[w[p]]), [order[z] for z in common[ptr[p]:ptr[p + 1]].tolist()])
-        for p in np.flatnonzero(np.diff(ptr) >= 3).tolist()
-    ]
-    rb.set_stat("intervals", len(order))
-    if not pairs:  # no K_{2,3} in the graph, so none in an interval
+    order = b.graph._order
+    n = len(order)
+    v, w, ptr, common = common_neighbours(b.graph)
+    rb.set_stat("intervals", n)
+    many = np.flatnonzero(np.diff(ptr) >= 3)
+    if not len(many):  # no K_{2,3} in the graph, so none in an interval
         return rb.build()
-    for v in order:
-        verts = based_interval(b, v)
-        for (u0, u1), mids in pairs:
-            if u0 in verts and u1 in verts:
-                for triple in combinations([z for z in mids if z in verts], 3):
-                    rb.violation(
-                        "k23-in-interval",
-                        (u0, u1) + triple,
-                        f"interval={b.basepoint}->{v}",
-                    )
+    v, w, lo, hi = v[many], w[many], ptr[many], ptr[many + 1]
+    mids = common[_expand(lo, hi)[1]]  # the middles of pair p start at starts[p]
+    starts = np.cumsum(hi - lo) - (hi - lo)
+    stored = np.unique(np.concatenate([v, w, mids]))
+    col = np.full(n, -1, dtype=np.intp)
+    col[stored] = np.arange(len(stored))
+    bits = b._intervals(col, len(stored))
+    total = 0
+    for first in range(0, n, _STORE_ROWS):
+        inside = np.unpackbits(bits[first:first + _STORE_ROWS], axis=1,
+                               count=len(stored)).view(bool)
+        # k[i, p]: the middles of pair p in interval first + i, when both ends are
+        k = np.add.reduceat(inside[:, col[mids]], starts, axis=1, dtype=np.int64)
+        k *= inside[:, col[v]] & inside[:, col[w]]
+        triples = k * (k - 1) * (k - 2) // 6
+        total += int(triples.sum())
+        # each hit gives one triple at least, and the cap keeps the first ones
+        for i, p in np.argwhere(triples)[:max(0, cap - rb.violations)].tolist():
+            inner = [order[z] for z in common[lo[p]:hi[p]].tolist() if inside[i, col[z]]]
+            for triple in islice(combinations(inner, 3), max(0, cap - rb.violations)):
+                rb.violation("k23-in-interval", (order[v[p]], order[w[p]]) + triple,
+                             f"interval={b.basepoint}->{order[first + i]}")
+    rb.uncertified(total - rb.violations)  # past the cap a violation is only counted
     return rb.build()

@@ -18,12 +18,12 @@ from .complexes import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
+    _distance,
     _expand,
     _intersects,
     _isin_sorted,
     _levels,
     _sorted_rows,
-    distance,
 )
 from .metrics import common_neighbours
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
@@ -114,8 +114,8 @@ def check_quasi_isometry(
     only dropped edges get a neighbour test. The squared graph is
     connected exactly when its basepoint reaches every vertex, which the
     based complex already knows; only a disconnected one gets the search
-    from its least vertex that names the certificates. ``distance`` runs
-    only for certificates kept under the cap.
+    from its least vertex that names the certificates. A distance is read
+    from one ``_levels`` search, only for certificates kept under the cap.
     """
     rb = ReportBuilder("quasi-isometry", cap)
     gy = result.source.graph
@@ -128,12 +128,12 @@ def check_quasi_isometry(
     low = gx._ends[~_isin_sorted(gy._keys, gx._keys)]
     rb.each_violation("stretch-low", low.tolist(), lambda e: (
         (order[e[0]], order[e[1]]),
-        f"d_source={distance(gy, order[e[0]], order[e[1]])} d_squared=1"))
+        f"d_source={_distance(gy, *e)} d_squared=1"))
     dropped = gy._ends[~_isin_sorted(gx._keys, gy._keys)]
     high = dropped[~_intersects(gx._ptr, gx._nbr, dropped[:, 0], dropped[:, 1])]
     rb.each_violation("stretch-high", high.tolist(), lambda e: (
         (order[e[0]], order[e[1]]),
-        f"d_source=1 d_squared={distance(gx, order[e[0]], order[e[1]])}"))
+        f"d_source=1 d_squared={_distance(gx, *e)}"))
     if (result.squared._lev < 0).any():
         for i in np.flatnonzero(_levels(gx, 0) < 0).tolist():
             rb.violation("disconnected", (order[0], order[i]), "d_squared=inf")

@@ -115,6 +115,21 @@ def brute_interval_vertices(g, u, v):
     return {w for w in du if w in dv and du[w] + dv[w] == total}
 
 
+def based_interval(b, v):
+    """Vertices of the interval from the basepoint of ``b`` to v, as a set walk.
+
+    A geodesic from v to the basepoint drops one level per step, so the
+    interval is exactly the set reachable from v along ``b.down``. Raises
+    ``b.down``'s ``ValueError`` when the basepoint does not reach v.
+    """
+    verts = set()
+    frontier = {v}
+    while frontier:  # one level per round, so the rounds are disjoint
+        verts |= frontier
+        frontier = {x for w in frontier for x in b.down(w)}
+    return frozenset(verts)
+
+
 def brute_weight_map(g, base, v, n):
     """Weight values around v, everything recomputed from scratch.
 
@@ -174,8 +189,6 @@ def brute_profile(b, v, table):
     in the whole complex and in the interval. The caller has checked that
     it is at most 2.
     """
-    from sysquad import based_interval
-
     levels = b.levels
     ids = np.array(sorted(based_interval(b, v)), dtype=np.int64)
     d = np.array([levels[v] - levels[w] for w in ids], dtype=np.int64)
@@ -636,7 +649,6 @@ def girth(g):
 def brute_verify_systolic(c, cap):
     """The ``systolic`` report from one ``girth(link(c, v))`` per vertex and a
     common-neighbour scan over the sorted edges, in the same scan order."""
-    from sysquad.complexes import bfs_levels
     from sysquad.reports import ReportBuilder
 
     g = c.graph
@@ -644,7 +656,7 @@ def brute_verify_systolic(c, cap):
     connected = True
     if g.vertices:
         source = min(g.vertices)
-        reached = bfs_levels(g, source)
+        reached = bfs_dist(adjacency(g), source)
         connected = not rb.disconnected(source, tuple(sorted(g.vertices.difference(reached))))
     rb.set_stat("vertices", len(g.vertices))
     rb.set_stat("edges", len(g.edges))
@@ -1040,11 +1052,11 @@ def brute_rule_b_report(c, cap):
 def brute_quasi_isometry_report(result, cap):
     """The ``quasi-isometry`` report from one edge test per edge of each
     graph and a search from the least vertex, every distance computed."""
-    from sysquad import bfs_levels, distance
     from sysquad.reports import ReportBuilder
 
     rb = ReportBuilder("quasi-isometry", cap)
     gy, gx = result.source.graph, result.squared.graph
+    ay, ax = adjacency(gy), adjacency(gx)
     order = sorted(gy.vertices)
     if sorted(gx.vertices) != order:
         raise ValueError("squaring must preserve the vertex set")
@@ -1052,13 +1064,13 @@ def brute_quasi_isometry_report(result, cap):
     rb.set_stat("pairs", n * n)
     for u, w in sorted(gx.edges):
         if not gy.has_edge(u, w):
-            rb.violation("stretch-low", (u, w), f"d_source={distance(gy, u, w)} d_squared=1")
+            rb.violation("stretch-low", (u, w), f"d_source={dist_between(ay, u, w)} d_squared=1")
     dropped = [(u, w) for u, w in sorted(gy.edges) if not gx.has_edge(u, w)]
     for u, w in dropped:
         if frozenset(gx.neighbors(u)).isdisjoint(frozenset(gx.neighbors(w))):
-            rb.violation("stretch-high", (u, w), f"d_source=1 d_squared={distance(gx, u, w)}")
+            rb.violation("stretch-high", (u, w), f"d_source=1 d_squared={dist_between(ax, u, w)}")
     if n:
-        reached = bfs_levels(gx, order[0])
+        reached = bfs_dist(ax, order[0])
         for v in order:
             if v not in reached:
                 rb.violation("disconnected", (order[0], v), "d_squared=inf")

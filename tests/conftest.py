@@ -1,10 +1,12 @@
 """Shared instances: lemma-scale disks, the two radius-8 suites, mutants.
 
-Also a per-vertex view of the weights from the ``brute_profile`` oracle.
+Also a per-vertex view of the weights from the ``brute_profile`` oracle,
+and an id view of the interval store.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 import sysquad as sq
@@ -105,6 +107,20 @@ def h1_rank(c):
     """The mod-2 first-homology rank that ``verify_systolic`` computes, of a connected complex."""
     g = c.graph
     return _h1_rank(c._rows, g._ends, len(g._order))
+
+
+def interval(b, v):
+    """Row v of the interval store, every vertex stored, as a frozenset of ids.
+
+    A vertex the basepoint does not reach has no interval (its row holds
+    only itself), so it raises ``b.down``'s ``ValueError``.
+    """
+    g = b.graph
+    i, n = g._position(v), len(g._order)
+    if b._lev[i] < 0:
+        raise ValueError(f"vertex {v} is unreachable from the basepoint")
+    row = np.unpackbits(b._intervals(np.arange(n), n)[i], count=n)
+    return frozenset(g._order[j] for j in np.flatnonzero(row).tolist())
 
 
 def k23_complex_based():

@@ -13,8 +13,6 @@ import pytest
 
 from sysquad import (
     BasedComplex,
-    based_interval,
-    bfs_levels,
     check_ball_isometry,
     check_flat_intervals,
     check_interval_isometry,
@@ -51,7 +49,7 @@ from bruteforce import (
     non_systolic_counterexamples,
     random_graph,
 )
-from conftest import k23_complex_based, l1, rule_a_mutant, rule_b_mutant, weights
+from conftest import interval, k23_complex_based, l1, rule_a_mutant, rule_b_mutant, weights
 
 N_MAX = 12
 
@@ -219,14 +217,14 @@ def test_criterion_7_oracle_equivalence(lemma_disks, center_squarings, disk6_r8,
         assert brute_girth(g) == girth(g)
 
     for d in list(lemma_disks) + [disk6_r8]:
-        levels = bfs_levels(d.complex.graph, d.center)
+        levels = BasedComplex(d.complex, d.center).levels
         assert levels == bfs_dist(adjacency(d.complex.graph), d.center)
 
     for res in square_instances:
         b = res.squared
         g = b.graph
         for v in sorted(g.vertices):
-            assert based_interval(b, v) == brute_interval_vertices(
+            assert interval(b, v) == brute_interval_vertices(
                 g, b.basepoint, v
             )
         for v in sorted(g.vertices):

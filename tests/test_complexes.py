@@ -16,7 +16,6 @@ from sysquad import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
-    bfs_levels,
     canonical_cycle,
     distance,
     enumerate_embedded_4cycles,
@@ -24,7 +23,7 @@ from sysquad import (
     triangulated_disk,
     verify_systolic,
 )
-from sysquad.complexes import CellError, _levels
+from sysquad.complexes import CellError, _components, _levels
 
 from bruteforce import (
     bfs_dist,
@@ -89,11 +88,26 @@ def test_unknown_vertex_errors():
     for v in (7, -1, 1.5, "a", (0,), [1]):
         assert not g.has_vertex(v)
         assert not g.has_edge(v, 1) and not g.has_edge(1, v)
-        with pytest.raises(ValueError, match="unknown vertex"):
-            bfs_levels(g, v)
+        for u, w in ((v, 0), (0, v)):
+            with pytest.raises(ValueError, match=f"^unknown vertex {re.escape(str(v))}$"):
+                distance(g, u, w)
         with pytest.raises(ValueError, match="is not a vertex"):
             BasedComplex(SquareComplex(g, []), v)
     assert g.has_vertex(1.0) and g.has_edge(0, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12), st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+       st.integers(min_value=0, max_value=10**6))
+def test_components_give_each_vertex_its_root_and_depth(n, p, seed):
+    # the root is the least vertex of the component, the depth its BFS distance
+    g = random_graph(n, p, seed)
+    root, depth = _components(g)
+    adj = adjacency(g)
+    for i, v in enumerate(g._order):
+        reach = bfs_dist(adj, v)
+        r = min(reach)
+        assert g._order[root[i]] == r and depth[i] == bfs_dist(adj, r)[v], v
 
 
 def test_is_connected():
@@ -138,14 +152,14 @@ def test_distance_disconnected_is_inf():
 
 def test_bfs_levels_match_oracle():
     g = random_graph(14, 0.3, seed=5)
-    levels = bfs_levels(g, 0)
+    levels = BasedComplex(SquareComplex(g, []), 0).levels
     oracle = bfs_dist(adjacency(g), 0)
     assert levels == oracle
 
 
 def test_bfs_levels_cover_only_reachable():
     g = Graph(range(4), [(0, 1), (2, 3)])
-    levels = bfs_levels(g, 0)
+    levels = BasedComplex(SquareComplex(g, []), 0).levels
     assert set(levels) == {0, 1}
 
 

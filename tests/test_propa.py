@@ -15,8 +15,6 @@ from sysquad import (
     BasedComplex,
     Graph,
     SquareComplex,
-    based_interval,
-    bfs_levels,
     property_a_report,
 )
 from sysquad.propa import PropertyARow, _weight_table
@@ -33,7 +31,7 @@ from bruteforce import (
     random_graph,
     random_k23_complex,
 )
-from conftest import k23_complex_based, l1, weights
+from conftest import interval, k23_complex_based, l1, weights
 
 
 def square_based():
@@ -121,8 +119,8 @@ def test_weight_on_length_two_path():
 def test_weight_support_inside_ball_and_interval(small_squaring):
     b = small_squaring.squared
     for v in sorted(b.graph.vertices):
-        iv = based_interval(b, v)
-        dist_v = bfs_levels(b.graph, v)
+        iv = interval(b, v)
+        dist_v = bfs_dist(adjacency(b.graph), v)
         for n in (0, 1, 3):
             support = weights(b, v, n).keys()
             assert support <= iv

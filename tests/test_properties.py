@@ -12,8 +12,6 @@ from sysquad import (
     BasedComplex,
     Graph,
     SquareComplex,
-    based_interval,
-    bfs_levels,
     canonical_cycle,
     check_ball_isometry,
     check_flat_intervals,
@@ -29,6 +27,7 @@ from sysquad.quadric import _corners, _link_triples, is_modular
 
 from bruteforce import (
     adjacency,
+    based_interval,
     bfs_dist,
     brute_ball_isometry_violations,
     brute_canonical_cycle,
@@ -56,7 +55,7 @@ from bruteforce import (
     random_square_complex,
     relabelled,
 )
-from conftest import h1_rank, k23_complex_based, k55_two_thirds, rule_a_mutant, rule_b_mutant
+from conftest import h1_rank, interval, k23_complex_based, k55_two_thirds, rule_a_mutant, rule_b_mutant
 
 graph_params = st.tuples(
     st.integers(min_value=1, max_value=12),
@@ -137,8 +136,9 @@ def test_all_pairs_long_path_matches_bfs_levels():
     D = all_pairs(g, order)
     assert D.dtype == np.min_scalar_type(2 * 302)
     assert D.max() == 302 and D[0, 299] == 299
+    adj = adjacency(g)
     for i, u in enumerate(order):
-        levels = bfs_levels(g, u)
+        levels = bfs_dist(adj, u)
         assert D[i].tolist() == [levels.get(v, 302) for v in order], u
 
 
@@ -204,7 +204,7 @@ def test_bfs_levels_agree(params, src):
     g = random_graph(*params)
     verts = sorted(g.vertices)
     source = verts[src % len(verts)]
-    assert bfs_levels(g, source) == bfs_dist(adjacency(g), source)
+    assert BasedComplex(SquareComplex(g, []), source).levels == bfs_dist(adjacency(g), source)
 
 
 @settings(max_examples=30, deadline=None)
@@ -262,7 +262,7 @@ def test_interval_agrees_with_distance_sum(params, pick):
     if not math.isfinite(distance(g, u, v)):
         return
     b = BasedComplex(SquareComplex(g, []), u)
-    assert based_interval(b, v) == brute_interval_vertices(g, u, v)
+    assert interval(b, v) == brute_interval_vertices(g, u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,10 +291,10 @@ def test_interval_distance_is_level_difference(params, src):
     b = BasedComplex(SquareComplex(g, []), verts[src % len(verts)])
     levels = b.levels
     for v in sorted(levels):
-        interval = based_interval(b, v)
-        sub = {w: [x for x in g.neighbors(w) if x in interval] for w in interval}
+        inside = interval(b, v)
+        sub = {w: [x for x in g.neighbors(w) if x in inside] for w in inside}
         inner = bfs_dist(sub, v)
-        assert inner == {w: levels[v] - levels[w] for w in interval}, v
+        assert inner == {w: levels[v] - levels[w] for w in inside}, v
 
 
 # up to three planted K_{2,3}s over a random graph
@@ -307,6 +307,33 @@ k23_params = st.tuples(
 
 # ids as given, past 2^64, and in reverse
 relabels = st.sampled_from([None, lambda v: 2**70 + 3 * v, lambda v: 100 - v])
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_params, k23_params, relabels, st.integers(min_value=0, max_value=10**6))
+def test_interval_store_matches_the_set_walk(square, k23, relabel, seed):
+    # row by row against the set walk: every column permuted, as propa stores
+    # them, and a random subset with the other vertices at col = -1; a vertex
+    # the base does not reach keeps only its own bit
+    rng = np.random.default_rng(seed)
+    for c in (random_square_complex(*square), random_k23_complex(*k23)):
+        if relabel is not None:
+            c = relabelled(c, relabel)
+        order = vertex_order(c.graph)
+        n = len(order)
+        pos = dict(zip(order, range(n)))
+        b = BasedComplex(c, order[int(rng.integers(n))])
+        keep = rng.random(n) < 0.5
+        for col in (rng.permutation(n), np.where(keep, np.cumsum(keep) - 1, -1)):
+            width = int((col >= 0).sum())
+            bits = b._intervals(col, width)
+            assert bits.shape == (n, (width + 7) // 8) and bits.dtype == np.uint8
+            rows = np.unpackbits(bits, axis=1)
+            assert not rows[:, width:].any()
+            for i, v in enumerate(order):
+                walk = based_interval(b, v) if v in b.levels else {v}
+                want = sorted(col[pos[w]] for w in walk if col[pos[w]] >= 0)
+                assert np.flatnonzero(rows[i]).tolist() == want, v
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,16 @@
 """Intervals, replacement rules, and the local metric checks on squared complexes."""
 
 import math
+from functools import cached_property
 from itertools import combinations, cycle
 
+import numpy as np
 import pytest
 
 from sysquad import (
     BasedComplex,
     Graph,
     SquareComplex,
-    based_interval,
     check_ball_isometry,
     check_flat_intervals,
     check_interval_isometry,
@@ -20,16 +21,21 @@ from sysquad import (
     squaring,
 )
 from sysquad.metrics import all_pairs, vertex_order
-from sysquad import quadric, systolic
+from sysquad import complexes, quadric, systolic
 from sysquad.quadric import is_modular
 
 from bruteforce import (
+    adjacency,
+    based_interval,
+    bfs_dist,
+    brute_flat_intervals_text,
     brute_interval_isometry_ok,
     brute_is_modular,
     brute_interval_vertices,
     random_graph,
+    random_k23_complex,
 )
-from conftest import k23_complex_based, rule_a_mutant, rule_b_mutant
+from conftest import interval, k23_complex_based, rule_a_mutant, rule_b_mutant
 
 
 def c6_square_complex():
@@ -51,23 +57,27 @@ def modular(g):
 
 def test_interval_of_equal_endpoints_is_a_point(small_squaring):
     b = small_squaring.squared
-    assert based_interval(b, b.basepoint) == frozenset({b.basepoint})
+    assert interval(b, b.basepoint) == frozenset({b.basepoint})
 
 
 def test_interval_of_a_filled_square_is_the_square():
-    assert based_interval(BasedComplex(filled_square(), 0), 2) == frozenset(range(4))
+    assert interval(BasedComplex(filled_square(), 0), 2) == frozenset(range(4))
 
 
 def test_interval_rejects_separated_endpoints():
     g = SquareComplex(Graph(range(4), [(0, 1), (2, 3)]), [])
-    with pytest.raises(ValueError, match="unreachable from the basepoint"):
-        based_interval(BasedComplex(g, 0), 3)
+    b = BasedComplex(g, 0)
+    for walk in (interval, based_interval):
+        with pytest.raises(ValueError, match="unreachable from the basepoint"):
+            walk(b, 3)
+    # the store's row of a vertex the base does not reach holds only that vertex
+    assert np.unpackbits(b._intervals(np.arange(4), 4)[3], count=4).tolist() == [0, 0, 0, 1]
 
 
 def test_descending_reachable_is_the_interval(small_squaring):
     b = small_squaring.squared
     for v in sorted(b.graph.vertices):
-        got = based_interval(b, v)
+        got = interval(b, v)
         assert got == brute_interval_vertices(b.graph, b.basepoint, v), f"v={v}"
 
 
@@ -78,7 +88,7 @@ def test_interval_matches_distance_sum_oracle(small_squaring):
     for u in sorted(g.vertices):
         rebased = BasedComplex(sq, u)
         for v in sorted(g.vertices):
-            got = based_interval(rebased, v)
+            got = interval(rebased, v)
             assert got == brute_interval_vertices(g, u, v), f"u={u} v={v}"
 
 
@@ -91,7 +101,7 @@ def test_level_two_interval_is_a_diamond(small_squaring):
     assert two
     picked = 0
     for v in two:
-        mids = based_interval(b, v) - {base, v}
+        mids = interval(b, v) - {base, v}
         if len(mids) == 2:
             m0, m1 = sorted(mids)
             assert b.complex.has_square((base, m0, v, m1))
@@ -103,7 +113,7 @@ def test_level_two_interval_is_a_diamond(small_squaring):
 def test_interval_monotone_along_descending_edges(small_squaring):
     b = small_squaring.squared
     levels = b.levels
-    cache = {v: based_interval(b, v) for v in b.graph.vertices}
+    cache = {v: interval(b, v) for v in b.graph.vertices}
     for u, w in b.graph.edges:
         hi, lo = (u, w) if levels[u] > levels[w] else (w, u)
         assert cache[lo] <= cache[hi], f"edge {(u, w)}"
@@ -367,7 +377,7 @@ def test_intervals_of_squarings_satisfy_both_rules(small_squaring):
     b = small_squaring.squared
     g = b.graph
     for v in sorted(g.vertices):
-        verts = based_interval(b, v)
+        verts = interval(b, v)
         edges = [e for e in g.edges if set(e) <= verts]
         squares = [s for s in b.complex.squares if set(s) <= verts]
         sub = SquareComplex(Graph(verts, edges), squares)
@@ -382,6 +392,32 @@ def test_flat_intervals_pass_on_squaring(small_squaring):
     assert rep.stats["intervals"] == n
 
 
+def k24_pendant():
+    """K_{2,4} (0,1 | 2,3,4,5) with the square 0 2 1 3 and a pendant 6 on 1, based at 0."""
+    edges = [(u, m) for u in (0, 1) for m in (2, 3, 4, 5)] + [(1, 6)]
+    return BasedComplex(SquareComplex(Graph(range(7), edges), [(0, 2, 1, 3)]), 0)
+
+
+def test_interval_store_takes_any_downward_degree():
+    # 1 has four downward neighbours and 6 one; a subset of columns stores
+    # only 0, 1 and 6
+    b = k24_pendant()
+    assert b.down(1) == (2, 3, 4, 5) and b.down(6) == (1,)
+    assert interval(b, 1) == frozenset(range(6))
+    assert interval(b, 6) == frozenset(range(7))
+    col = np.array([0, 1, -1, -1, -1, -1, 2])
+    rows = np.unpackbits(b._intervals(col, 3), axis=1).tolist()
+    assert rows == [
+        [1, 0, 0, 0, 0, 0, 0, 0],  # 0
+        [1, 1, 0, 0, 0, 0, 0, 0],  # 1
+        [1, 0, 0, 0, 0, 0, 0, 0],  # 2 to 5 store only the base
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [1, 1, 1, 0, 0, 0, 0, 0],  # 6
+    ]
+
+
 def test_flat_intervals_reject_k23():
     rep = check_flat_intervals(k23_complex_based())
     assert not rep.passed
@@ -389,6 +425,52 @@ def test_flat_intervals_reject_k23():
     assert cert.kind == "k23-in-interval"
     assert cert.vertices == (0, 1, 2, 3, 4)
     assert cert.info == "interval=0->1"
+
+
+def spy_on_views(monkeypatch):
+    """The names of the id views built from now on: every cached property of
+    a graph, a cell store or a based complex records its first build."""
+    built = []
+    for cls in (complexes.Graph, complexes._CellComplex, complexes.BasedComplex):
+        for name, view in vars(cls).items():
+            if isinstance(view, cached_property):
+                monkeypatch.setattr(view, "func", lambda obj, f=view.func, name=name: (
+                    built.append(name), f(obj))[1])
+    return built
+
+
+def test_flat_intervals_build_no_id_view(monkeypatch):
+    # non-flat inputs fill the interval store and list certificates from
+    # index arrays; the complexes are made before the spy, with no view built
+    based = [k24_pendant()]
+    for seed in range(6):
+        c = random_k23_complex(9, 0.25, 2, seed)
+        based += [BasedComplex(c, base) for base in (0, 4, 8)]
+    built = spy_on_views(monkeypatch)
+    caps = (0, 3, 25)  # K_{2,4}: 3 cuts into the first interval's four K_{2,3}s
+    reports = [check_flat_intervals(b, cap) for b in based for cap in caps]
+    assert built == []
+    assert reports[0].violations == 8 and sum(not rep.passed for rep in reports) > 20
+    # the oracle reads the views
+    want = [brute_flat_intervals_text(b.complex, b.basepoint, cap) for b in based for cap in caps]
+    assert [rep.to_text() for rep in reports] == want
+    assert "_adj" in built
+
+
+@pytest.mark.parametrize("g", [
+    Graph([]),
+    Graph([0]),
+    Graph(range(6), [(0, 1), (2, 3), (4, 5)]),
+    Graph(range(9), [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7)]),
+    Graph(range(7), [(i, (i + 1) % 5) for i in range(5)] + [(5, 6)]),
+], ids=["empty", "point", "matching", "square-path-isolated", "c5-edge"])
+def test_component_sizes_count_the_ball_triples(g):
+    # (u, x, y) with y != x in u's component: s (s - 1) per vertex of a
+    # component of size s, the components read from one BFS each
+    adj = adjacency(g)
+    size = {v: len(bfs_dist(adj, v)) for v in g.vertices}
+    rep = check_ball_isometry(g)
+    assert rep.stats == {"centers": len(size), "triples": sum(s * (s - 1) for s in size.values())}
 
 
 # ------------------------------------------------------ modularity certificate

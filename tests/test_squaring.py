@@ -1,16 +1,17 @@
 """The basepointed squaring transform and its metric guarantees."""
 
+import importlib
 import random
 
 import pytest
 
+from sysquad import complexes
 from sysquad import (
     BasedComplex,
     Graph,
     SimplicialComplex2,
     SquareComplex,
     SquaringResult,
-    bfs_levels,
     check_quasi_isometry,
     check_replacement_rule_A,
     check_replacement_rule_B,
@@ -21,6 +22,8 @@ from sysquad import (
 )
 
 from bruteforce import (
+    adjacency,
+    bfs_dist,
     brute_is_connected,
     brute_quasi_isometry_ok,
     brute_quasi_isometry_report,
@@ -73,7 +76,7 @@ def test_squared_graph_is_level_bipartite(small_squaring):
 def test_levels_preserved_by_squaring(small_squaring):
     b = small_squaring
     src_levels = b.source.levels
-    sq_levels = bfs_levels(b.squared.graph, b.squared.basepoint)
+    sq_levels = bfs_dist(adjacency(b.squared.graph), b.squared.basepoint)
     assert sq_levels == src_levels
 
 
@@ -252,6 +255,43 @@ def test_quasi_isometry_mutants_match_the_full_scan(lemma_disks):
         apart = squared_mutant(res, remove=cut)
         assert any(c.kind == "disconnected" for c in check_quasi_isometry(apart, 10**6).counterexamples)
         assert_quasi_isometry_matches(apart)
+
+
+def test_quasi_isometry_certificates_read_level_rows(monkeypatch):
+    # the path 0 .. 5 squared, with 2 5 added, against the path with 0 5 and
+    # 1 4 added: one stretch-low and two stretch-high certificates, each
+    # distance from one level search and none from distance()
+    source = Graph(range(6), [(i, i + 1) for i in range(5)] + [(0, 5), (1, 4)])
+    squared = Graph(range(6), [(i, i + 1) for i in range(5)] + [(2, 5)])
+    res = SquaringResult(source=BasedComplex(SimplicialComplex2(source, []), 0),
+                         squared=BasedComplex(SquareComplex(squared, []), 0))
+    calls, searches = [], []
+
+    def no_distance(*args):
+        calls.append(args)
+        return distance(*args)
+
+    def counted(g, s):
+        searches.append(s)
+        return levels(g, s)
+
+    levels = complexes._levels
+    monkeypatch.setattr(complexes, "distance", no_distance)
+    # the module, which the package's squaring() shadows as an attribute
+    monkeypatch.setattr(importlib.import_module("sysquad.squaring"), "distance",
+                        no_distance, raising=False)
+    monkeypatch.setattr(complexes, "_levels", counted)
+    for cap in (0, 1, 2, 3, 25):
+        searches.clear()
+        rep = check_quasi_isometry(res, cap)
+        assert rep.to_text() == brute_quasi_isometry_report(res, cap).to_text()
+        assert len(searches) == min(cap, 3)
+    assert [str(c) for c in rep.counterexamples] == [
+        "stretch-high 0 5 :: d_source=1 d_squared=3",
+        "stretch-high 1 4 :: d_source=1 d_squared=3",
+        "stretch-low 2 5 :: d_source=3 d_squared=1",
+    ]
+    assert calls == []
 
 
 def test_vertex_set_must_match():
