@@ -31,7 +31,11 @@ back to ids only for certificates and output. The id views (``vertices``,
 ``edges``, ``neighbors``, the cells, ``*_at``, ``levels``, ``down``) and
 the map from ids to indices (``Graph._index``, for inputs that name ids)
 are cached properties (``functools.cached_property``), each built whole
-on first use. No view reads another while it is built, so threads sharing
+on first use. So are the three index views, which every check that needs
+one reads: ``Graph._components`` (each index's component root and depth),
+``Graph._common_neighbours`` (the pairs with a common neighbour, and
+those neighbours) and ``SquareComplex._corners`` (each square seen from
+each corner). No view reads another while it is built, so threads sharing
 a complex never wait on two views at once.
 
 All containers are frozen after construction and every enumeration is
@@ -227,6 +231,41 @@ class Graph:
     def _adj(self) -> dict[int, tuple[int, ...]]:
         order = self._order
         return _by_vertex(order, self._ptr, [order[j] for j in self._nbr.tolist()])
+
+    @cached_property
+    def _components(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each index's component root, the least index of its component, and
+        its distance from that root; one ``_levels`` search per component.
+
+        The view holds two arrays of n entries.
+        """
+        root, depth = np.full((2, len(self._order)), -1, dtype=np.intp)
+        while len(left := np.flatnonzero(depth < 0)):
+            lev = _levels(self, left[0])  # -1 outside the component, where depth is -1 too
+            root[lev >= 0] = left[0]
+            np.maximum(depth, lev, out=depth)
+        return root, depth
+
+    @cached_property
+    def _common_neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair v < w of indices with a common neighbour, and those neighbours.
+
+        Each vertex c contributes the pairs of its neighbours, so the view
+        holds the sum over c of d(c) (d(c) - 1) / 2 entries, whatever the
+        largest degree. It is (v, w, ptr, common): pair p is (v[p], w[p]),
+        the pairs ascend, and the common neighbours of pair p, ascending,
+        are common[ptr[p]:ptr[p + 1]].
+        """
+        n, rows, cols = len(self._order), self._src, self._nbr
+        # CSR slots i < j of one row
+        i, j = _expand(np.arange(1, len(rows) + 1), self._ptr[rows + 1])
+        keys = cols[i] * n + cols[j]
+        # a stable argsort keeps each pair's neighbours in row order, ascending
+        by = np.argsort(keys, kind="stable")
+        keys, common = keys[by], rows[i[by]]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        v, w = np.divmod(keys[first], n)
+        return v, w, np.append(first, len(keys)), common
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -430,6 +469,19 @@ class SquareComplex(_CellComplex):
     def has_square(self, cycle: Sequence[int]) -> bool:
         return canonical_cycle(cycle) in self._cells
 
+    @cached_property
+    def _corners(self) -> np.ndarray:
+        """Every square seen from each corner: index rows (corner, wing, wing, opposite), sorted.
+
+        The view holds 4 rows per square. The wings are the two corners
+        next to the corner, the smaller first. A canonical square
+        (a, b, c, d) has a < c and b < d, so its corners are (a, b, d, c),
+        (b, a, c, d), (c, b, d, a) and (d, a, c, b). No row repeats, since
+        a corner, its wings and its opposite fix the square.
+        """
+        rows = self._rows[:, [[0, 1, 3, 2], [1, 0, 2, 3], [2, 1, 3, 0], [3, 0, 2, 1]]]
+        return _sorted_rows(rows.reshape(-1, 4))
+
 
 class BasedComplex:
     """A complex with a distinguished basepoint and cached BFS levels.
@@ -564,18 +616,6 @@ def _levels(g: Graph, s: int) -> np.ndarray:
         frontier = reached[slot[reached] == at]
         lev[frontier] = depth
     return lev
-
-
-def _components(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each index's component root, the least index of its component, and
-    its distance from that root; one ``_levels`` search per component."""
-    root = np.full(len(g._order), -1, dtype=np.intp)
-    depth = root.copy()
-    while len(left := np.flatnonzero(depth < 0)):
-        lev = _levels(g, left[0])  # -1 outside the component, where depth is -1 too
-        root[lev >= 0] = left[0]
-        np.maximum(depth, lev, out=depth)
-    return root, depth
 
 
 def _distance(g: Graph, s: int, t: int) -> int | float:

@@ -1,4 +1,4 @@
-"""Common neighbours and all-pairs distances on a graph's vertex indices.
+"""All-pairs distances on a graph's vertex indices.
 
 Every distance matrix in the package comes from ``_bfs``. It runs the
 breadth-first searches from all sources at once: vertex v holds a bitset
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Graph, _expand, _padded
+from .complexes import Graph, _padded
 
 # frontier rows unpacked at a time: a block of 1024 x n booleans stays far
 # below the n x n matrix, so the unpacking adds little to peak memory
@@ -22,26 +22,6 @@ _UNPACK_ROWS = 1024
 def vertex_order(g: Graph) -> tuple[int, ...]:
     """The sorted vertex ids of ``g``: index i of every array is ``vertex_order(g)[i]``."""
     return g._order
-
-
-def common_neighbours(g: Graph):
-    """Every pair v < w of indices with a common neighbour, and those neighbours.
-
-    Each vertex c contributes the pairs of its neighbours, so the work is
-    the sum of d(c) (d(c) - 1) / 2, whatever the largest degree. Returns
-    (v, w, ptr, common): pair p is (v[p], w[p]), the pairs ascend, and the
-    common neighbours of pair p, ascending, are common[ptr[p]:ptr[p + 1]].
-    """
-    n, rows, cols = len(g._order), g._src, g._nbr
-    # CSR slots i < j of one row
-    i, j = _expand(np.arange(1, len(rows) + 1), g._ptr[rows + 1])
-    keys = cols[i] * n + cols[j]
-    # a stable argsort keeps each pair's neighbours in row order, ascending
-    by = np.argsort(keys, kind="stable")
-    keys, common = keys[by], rows[i[by]]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    v, w = np.divmod(keys[first], n)
-    return v, w, np.append(first, len(keys)), common
 
 
 def _bfs(nbr: np.ndarray) -> np.ndarray:

@@ -19,40 +19,28 @@ from .complexes import (
     BasedComplex,
     Graph,
     SquareComplex,
-    _components,
     _expand,
     _intersects,
     _padded,
     _sorted_rows,
     canonical_cycle,
 )
-from .metrics import all_pairs, common_neighbours, induced_distances
+from .metrics import all_pairs, induced_distances
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import _cliques3, _orient
-
-
-def _corners(c: SquareComplex) -> np.ndarray:
-    """Every square seen from each corner: index rows (corner, wing, wing, opposite), sorted.
-
-    The wings are the two corners next to the corner, the smaller first. A
-    canonical square (a, b, c, d) has a < c and b < d, so its corners are
-    (a, b, d, c), (b, a, c, d), (c, b, d, a) and (d, a, c, b). No row
-    repeats, since a corner, its wings and its opposite fix the square.
-    """
-    rows = c._rows[:, [[0, 1, 3, 2], [1, 0, 2, 3], [2, 1, 3, 0], [3, 0, 2, 1]]]
-    return _sorted_rows(rows.reshape(-1, 4))
 
 
 def _shared_diagonals(c: SquareComplex) -> dict[tuple[int, int], list]:
     """Each diagonal that two or more squares carry, with their sorted middle pairs.
 
     A square's diagonal is a corner and its opposite, and its middles are
-    the wings. Each diagonal is read from its smaller end. One stable
+    the wings. Each diagonal is read from its smaller end, in the corner
+    view (``SquareComplex._corners``) that rule B reads too. One stable
     argsort of the diagonal keys groups equal diagonals in ascending
-    order and keeps each group's middles in ``_corners`` order, ascending.
+    order and keeps each group's middles in corner-view order, ascending.
     """
     order = c.graph._order
-    rows = _corners(c)
+    rows = c._corners
     rows = rows[rows[:, 0] < rows[:, 3]]
     rows = rows[np.argsort(rows[:, 0] * len(order) + rows[:, 3], kind="stable")]
     ends, middle = rows[:, [0, 3]], rows[:, 1:3]
@@ -95,9 +83,10 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     return rb.build()
 
 
-def _link_triples(c: SquareComplex, rows: np.ndarray) -> np.ndarray:
-    """Every triple i < j < k of ``_corners`` rows whose wings are the three
-    edges of a square-link triangle, as sorted rows (i, j, k).
+def _link_triples(c: SquareComplex) -> np.ndarray:
+    """Every triple i < j < k of corner-view rows (``SquareComplex._corners``,
+    which rule A reads too) whose wings are the three edges of a
+    square-link triangle, as sorted rows (i, j, k).
 
     The square-links of all vertices form one simple graph on the graph's
     CSR slots: each distinct prefix (u, a, b) of the rows joins the slots
@@ -107,7 +96,7 @@ def _link_triples(c: SquareComplex, rows: np.ndarray) -> np.ndarray:
     gives every triple of one row from each run, one per choice among
     parallel squares.
     """
-    g = c.graph
+    g, rows = c.graph, c._corners
     n, m = len(g._order), len(g._nbr)
     slot = np.searchsorted(g._src * n + g._nbr, rows[:, :1] * n + rows[:, 1:3])
     key = slot[:, 0] * m + slot[:, 1]
@@ -150,10 +139,10 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     rb = ReportBuilder("rule-b", cap)
     g = c.graph
     order = g._order
-    rows = _corners(c)
+    rows = c._corners
     # rows (u, x, y, b0), (u, x, z, b1), (u, y, z, b2) give the hexagon
     # a0 b0 a1 b1 a2 b2 = y b0 x b1 z b2 about u
-    hexagons = rows[_link_triples(c, rows)].reshape(-1, 12)[:, [0, 2, 3, 1, 7, 6, 11]]
+    hexagons = rows[_link_triples(c)].reshape(-1, 12)[:, [0, 2, 3, 1, 7, 6, 11]]
     seen = set()  # two square triples can glue to the same hexagon
     for row in hexagons.tolist():
         u, a0, b0, a1, b1, a2, b2 = (order[v] for v in row)
@@ -216,8 +205,9 @@ def is_modular(g: Graph, D: np.ndarray) -> bool:
     I(u,x), I(u,y) and I(x,y). Per component the test checks two
     conditions:
 
-    (B) Bipartite. The ends of each edge lie at different distances from
-        the component's first vertex (``_components``), so every edge
+    (B) Bipartite. The ends of each edge lie at different depths in the
+        component view (``Graph._components``), that is at different
+        distances from the component's least vertex, so every edge
         changes the distance to any vertex by exactly one.
     (Q) The quadrangle condition from every base. Take v != w with common
         neighbours C, so d(v,w) = 2. Then every u with d(u,v) = d(u,w) = k
@@ -256,18 +246,23 @@ def is_modular(g: Graph, D: np.ndarray) -> bool:
     every x in I(a,b).
 
     Work: one gather per edge, then one row test per pair (v, w) with a
-    common neighbour. The ``common_neighbours`` form one table, a row per
-    pair, ``_padded`` with the pair's first common neighbour; the padding
+    common neighbour. The common-neighbour view
+    (``Graph._common_neighbours``) forms one table, a row per pair,
+    ``_padded`` with the pair's first common neighbour; the padding
     repeats a member of C, so the minimum over a row is the minimum over
     C. The rows go in blocks of ``_BLOCK_ENTRIES // n`` pairs, and a
     block's minimum is one row gather of ``D`` per table column, folded in
-    place by ``np.minimum``.
+    place by ``np.minimum``. With near(u) that minimum of d(u,c) over C,
+    (Q) is near(u) <= d(u,v) wherever d(u,v) = d(u,w). By (B), each c in
+    C has d(u,c) = d(u,v) - 1 or d(u,v) + 1 when u lies in the pair's
+    component. Outside it, all three distances are the sentinel n, so
+    such a u passes with no connectivity test of its own.
     """
     n = len(g._order)
-    ends = _components(g)[1][g._ends]  # the depths of each edge's two ends
+    ends = g._components[1][g._ends]  # the depths of each edge's two ends
     if (ends[:, 0] == ends[:, 1]).any():
         return False
-    vs, ws, ptr, common = common_neighbours(g)
+    vs, ws, ptr, common = g._common_neighbours
     table = _padded(ptr, common, common[ptr[:-1]])
     step = max(1, _BLOCK_ENTRIES // max(n, 1))
     nearest = np.empty((min(step, len(table)), n), dtype=D.dtype)
@@ -280,8 +275,7 @@ def is_modular(g: Graph, D: np.ndarray) -> bool:
         for column in block.T[1:]:
             np.minimum(near, np.take(D, column, axis=0, out=other, mode="clip"), out=near)
         dv = D[vs[p:p + step]]
-        # d(u,v) < n keeps u in the component; near + 1 cannot wrap
-        if not ((dv != D[ws[p:p + step]]) | (dv >= n) | (near + 1 == dv)).all():
+        if not ((dv != D[ws[p:p + step]]) | (near <= dv)).all():
             return False
     return True
 
@@ -311,23 +305,26 @@ def check_ball_isometry(
     the recomputed in-ball distance.
 
     ``stat triples`` counts the (u, x, y) with y != x in one component:
-    the sum over u of s_u (s_u - 1), s_u the size of u's component.
+    the sum over u of s_u (s_u - 1), s_u the size of u's component. The
+    components, here and in the scan, come from the component view
+    (``Graph._components``), not from ``D``.
 
     A modular graph satisfies the reduced condition (``is_modular``, step
     2), so the scan runs only when that certificate fails, and only the
-    scan produces certificates.
+    scan produces certificates. On modular input the check does not read
+    ``D``.
 
     ``dist`` is ``all_pairs`` of the graph and ``modular`` its
     ``is_modular`` verdict, when the caller already has them; None
-    computes them here.
+    computes them here, the matrix only when the verdict needs it.
     """
     g = c if isinstance(c, Graph) else c.graph
     order = g._order
     n = len(order)
     rb = ReportBuilder("ball-isometry", cap)
     rb.set_stat("centers", n)
-    D = all_pairs(g) if dist is None else dist
-    root, _ = _components(g)
+    D = dist if dist is not None or modular else all_pairs(g)
+    root, _ = g._components
     size = np.bincount(root, minlength=n)[root]  # the size of each vertex's component
     rb.set_stat("triples", int((size * (size - 1)).sum()))
     if modular is None:
@@ -337,7 +334,7 @@ def check_ball_isometry(
     for x in range(n):
         # bad[u, y]: u in x's component, y != x, d(u,y) <= d(u,x), no step yet
         bad = D <= D[:, x][:, None]
-        bad &= (D[:, x] < n)[:, None]
+        bad &= (root == root[x])[:, None]
         bad[:, x] = False
         for k in g._nbr[g._ptr[x]:g._ptr[x + 1]].tolist():
             bad &= ~np.logical_and.outer(D[:, k] <= D[:, x], D[k] + 1 == D[x])
@@ -376,20 +373,22 @@ def check_interval_isometry(
 
     In a modular graph every interval satisfies the local form
     (``is_modular``, step 3). When that certificate passes, only the
-    ``disconnected`` test runs, one gather of ``D`` per block. Either way
-    the pairs are read in blocks of ``_PAIR_BLOCK``, each mapped to
+    ``disconnected`` test runs, one gather of the component view
+    (``Graph._components``) per block, and ``D`` is not read. The
+    fallback takes its ``disconnected`` test from the same view. Either
+    way the pairs are read in blocks of ``_PAIR_BLOCK``, each mapped to
     indices in one pass, and a pair that names no vertex raises
     ``ValueError``.
 
     ``dist`` is ``all_pairs`` of the graph and ``modular`` its
     ``is_modular`` verdict, when the caller already has them; None
-    computes them here.
+    computes them here, the matrix only when the verdict needs it.
     """
     g = c if isinstance(c, Graph) else c.graph
     order = g._order
-    n = len(order)
     index = g._index  # the pairs name ids
-    D = all_pairs(g) if dist is None else dist
+    root, _ = g._components
+    D = dist if dist is not None or modular else all_pairs(g)
     if modular is None:
         modular = is_modular(g, D)
     rb = ReportBuilder("interval-isometry", cap)
@@ -402,12 +401,12 @@ def check_interval_isometry(
         except KeyError as e:
             raise ValueError(f"unknown vertex {e.args[0]}") from None
         if modular:  # only the disconnected test: one gather per block of pairs
-            for k in np.flatnonzero(D[ij[0::2], ij[1::2]] == n).tolist():
+            for k in np.flatnonzero(root[ij[0::2]] != root[ij[1::2]]).tolist():
                 u, v = block[k]
                 rb.violation("disconnected", (u, v), "no-path")
             continue
         for (u, v), iu, iv in zip(block, ij[0::2].tolist(), ij[1::2].tolist()):
-            if D[iu, iv] == n:
+            if root[iu] != root[iv]:
                 rb.violation("disconnected", (u, v), "no-path")
                 continue
             sub = np.flatnonzero(D[iu] + D[iv] == D[iu, iv])
@@ -442,8 +441,9 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
     An interval is an induced subgraph, so a K_{2,3} in it is a pair u < w
     of the interval with three common neighbours in the whole graph that
     all lie in the interval. The pairs with at least three common
-    neighbours are therefore found once, on the whole graph, sorted, each
-    with its sorted common neighbours (``common_neighbours``). With no
+    neighbours are therefore read from the graph's common-neighbour view
+    (``Graph._common_neighbours``), sorted, each with its sorted common
+    neighbours; squaring and ``is_modular`` read the same view. With no
     such pair, no interval is read. Otherwise the interval store
     (``BasedComplex._intervals``) holds every interval on the ends and
     middles of those pairs alone. For each interval in vertex order, every
@@ -462,7 +462,7 @@ def check_flat_intervals(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> CheckR
         return rb.build()
     order = b.graph._order
     n = len(order)
-    v, w, ptr, common = common_neighbours(b.graph)
+    v, w, ptr, common = b.graph._common_neighbours
     rb.set_stat("intervals", n)
     many = np.flatnonzero(np.diff(ptr) >= 3)
     if not len(many):  # no K_{2,3} in the graph, so none in an interval

@@ -22,10 +22,8 @@ from .complexes import (
     _expand,
     _intersects,
     _isin_sorted,
-    _levels,
     _sorted_rows,
 )
-from .metrics import common_neighbours
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import verify_systolic
 
@@ -50,14 +48,14 @@ def _embedded_4cycles(g: Graph) -> np.ndarray:
 
     The diagonals {v, w} and {x, y} of a 4-cycle v x w y each have the
     other's ends as common neighbours, so every cycle comes from a pair
-    v < w of ``common_neighbours`` and two of its common neighbours x < y,
-    once from each diagonal; only the smaller diagonal, (v, w) < (x, y),
-    that is v < x, is kept. Then v is the least vertex and x the smaller
+    v < w of the common-neighbour view (``Graph._common_neighbours``) and
+    two of its common neighbours x < y, once from each diagonal; only the
+    smaller diagonal, (v, w) < (x, y), that is v < x, is kept. Then v is the least vertex and x the smaller
     of its two neighbours on the cycle, so (v, x, w, y) is already the
     canonical form. Indices keep the order of ids, so sorting the index
     rows sorts the cycles.
     """
-    v, w, ptr, common = common_neighbours(g)
+    v, w, ptr, common = g._common_neighbours
     pair = np.repeat(np.arange(len(v)), np.diff(ptr))
     i, j = _expand(np.arange(1, len(common) + 1), ptr[pair + 1])  # x, y of one pair
     v, w, x, y = v[pair[i]], w[pair[i]], common[i], common[j]
@@ -113,9 +111,10 @@ def check_quasi_isometry(
     The candidates come from two differences of the sorted edge keys, so
     only dropped edges get a neighbour test. The squared graph is
     connected exactly when its basepoint reaches every vertex, which the
-    based complex already knows; only a disconnected one gets the search
-    from its least vertex that names the certificates. A distance is read
-    from one ``_levels`` search, only for certificates kept under the cap.
+    based complex already knows; only a disconnected one reads the
+    component view (``Graph._components``) to name the certificates. A
+    distance is read from one ``_levels`` search, only for certificates
+    kept under the cap.
     """
     rb = ReportBuilder("quasi-isometry", cap)
     gy = result.source.graph
@@ -135,7 +134,7 @@ def check_quasi_isometry(
         (order[e[0]], order[e[1]]),
         f"d_source=1 d_squared={_distance(gx, *e)}"))
     if (result.squared._lev < 0).any():
-        for i in np.flatnonzero(_levels(gx, 0) < 0).tolist():
+        for i in np.flatnonzero(gx._components[0]).tolist():  # a root other than index 0
             rb.violation("disconnected", (order[0], order[i]), "d_squared=inf")
     rb.set_stat("max_ratio", "0/1" if n < 2 else "2/1" if len(dropped) else "1/1")
     return rb.build()

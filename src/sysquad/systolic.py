@@ -48,7 +48,6 @@ from .complexes import (
     _h1_rank,
     _intersects,
     _isin_sorted,
-    _levels,
     _sorted_rows,
 )
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
@@ -248,12 +247,12 @@ def _first_violations(blocks, cap: int) -> tuple[int, int, np.ndarray]:
 def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
     """Link girth, flagness, and the mod-2 simple-connectedness test.
 
-    A vertex the smallest vertex does not reach is a ``disconnected``
-    certificate, and the h1 test, which needs a connected complex, is
-    skipped. Certificates come in scan order, so a cap keeps the same
-    prefix as a scan of the links by vertex and then of the 3-cliques
-    (u, w, x) in order, each empty triangle before the 4-cliques
-    (u, w, x, y) it extends, by y.
+    A vertex outside the smallest vertex's component (the component view
+    ``Graph._components``) is a ``disconnected`` certificate, and the h1
+    test, which needs a connected complex, is skipped. Certificates come
+    in scan order, so a cap keeps the same prefix as a scan of the links
+    by vertex and then of the 3-cliques (u, w, x) in order, each empty
+    triangle before the 4-cliques (u, w, x, y) it extends, by y.
     """
     g = c.graph
     order = g._order
@@ -261,7 +260,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb = ReportBuilder("systolic", cap)
     connected = True
     if n:
-        unreached = np.flatnonzero(_levels(g, 0) < 0).tolist()
+        unreached = np.flatnonzero(g._components[0]).tolist()  # a root other than index 0
         connected = not rb.disconnected(order[0], tuple(order[i] for i in unreached))
     rb.set_stat("vertices", n)
     rb.set_stat("edges", len(g._ends))
@@ -288,7 +287,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb.uncertified(count - len(rows))
 
     if connected:
-        rank = _h1_rank(tri, edges, n)  # the search above found c connected
+        rank = _h1_rank(tri, edges, n)  # the component view found c connected
         rb.set_stat("h1_rank_mod2", rank)
         if rank != 0:
             rb.violation("h1", (), f"rank={rank}")

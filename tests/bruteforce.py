@@ -571,6 +571,19 @@ def common_neighbour_pairs(g):
     return commons
 
 
+def brute_common_neighbours(g):
+    """Each pair v < w of vertices with a common neighbour, as sorted rows
+    (v, w, common neighbours ascending): one neighbour-set intersection
+    per pair of vertices, from the edge set alone."""
+    nbrs = {v: set() for v in g.vertices}
+    for u, w in g.edges:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    pairs = ((v, w, tuple(sorted(nbrs[v] & nbrs[w])))
+             for v, w in combinations(sorted(nbrs), 2))
+    return [row for row in pairs if row[2]]
+
+
 def brute_embedded_4cycles(g):
     """All embedded 4-cycles of g in canonical form, sorted, from every
     diagonal pair and two of its common neighbours, each cycle kept from

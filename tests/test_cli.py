@@ -2,12 +2,15 @@
 
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sysquad import (
     BasedComplex,
+    Graph,
     SimplicialComplex2,
     SquareComplex,
     format_complex,
@@ -19,6 +22,7 @@ from sysquad import (
 )
 import sysquad.cli
 import sysquad.quadric
+from sysquad import complexes
 from sysquad.cli import CHECKS, main
 
 from bruteforce import brute_interval_pairs, non_systolic_counterexamples
@@ -638,6 +642,86 @@ def test_one_modularity_certificate_per_square_complex(tmp_path, kernel_calls, j
     assert kernel_calls == {"all_pairs": 2, "is_modular": 2}
     assert run_cli("verify", "--input", str(mid), "--rules", "a,b", "--jobs", jobs) == 0
     assert kernel_calls == {"all_pairs": 2, "is_modular": 2}
+
+
+# the index views: each is built once per graph or complex, and read by every check
+INDEX_VIEWS = {"_components": Graph, "_common_neighbours": Graph, "_corners": SquareComplex}
+
+
+@pytest.fixture
+def view_builds(monkeypatch):
+    """Records each index-view build as (name, object) in ``builds``, and
+    the name of the function that starts each ``_levels`` search in
+    ``searches``. Only ``BasedComplex``'s own search and the component view
+    may start one on a passing run; the quasi-isometry certificates'
+    ``_distance`` starts one per kept certificate."""
+    builds, searches = [], []
+    for name, cls in INDEX_VIEWS.items():
+        view = vars(cls)[name]
+        monkeypatch.setattr(view, "func", lambda obj, f=view.func, name=name: (
+            builds.append((name, obj)), f(obj))[1])
+    levels = complexes._levels
+
+    def counted(g, s):
+        searches.append(sys._getframe(1).f_code.co_name)
+        return levels(g, s)
+
+    monkeypatch.setattr(complexes, "_levels", counted)
+    return builds, searches
+
+
+def build_counts(builds):
+    """How often each index view was built, by view name and object."""
+    return Counter((name, id(obj)) for name, obj in builds)
+
+
+def test_verify_builds_each_index_view_once(tmp_path, view_builds):
+    builds, searches = view_builds
+    src = gen(tmp_path, radius=3)
+    mid = tmp_path / "sq.complex"
+    assert run_cli("square", "--input", str(src), "--output", str(mid)) == 0
+    builds.clear()
+    searches.clear()
+    assert run_cli("verify", "--input", str(mid), "--jobs", "1") == 0
+    names = dict(builds)
+    assert sorted(name for name, _ in builds) == sorted(INDEX_VIEWS)
+    assert names["_components"] is names["_common_neighbours"] is names["_corners"].graph
+    # the based complex's search, then the component view's one component
+    assert searches == ["__init__", "_components"]
+
+
+def test_all_builds_each_index_view_once(tmp_path, view_builds):
+    builds, searches = view_builds
+    assert run_cli("all", "--degree", "6", "--radius", "3", "--output", str(tmp_path)) == 0
+    counts = Counter(name for name, _ in builds)
+    assert counts == {"_components": 2, "_common_neighbours": 1, "_corners": 1}
+    assert max(build_counts(builds).values()) == 1  # the disk's graph and the squared one
+    squared = dict(builds)["_corners"]
+    assert dict(builds)["_common_neighbours"] is squared.graph
+    assert squared.graph in [obj for name, obj in builds if name == "_components"]
+    # the disk's based complex (the squared one reuses its levels), then one
+    # component view per graph; no certificate, so no _distance
+    assert searches == ["__init__", "_components", "_components"]
+
+
+def test_index_views_on_two_threads_give_the_same_bytes(tmp_path, view_builds):
+    # cached_property locks a build on Python 3.11 only, so from 3.12 two
+    # threads may both build a view; the output is the same either way
+    builds, _ = view_builds
+    most = 1 if sys.version_info < (3, 12) else 2
+    outs = {}
+    for jobs in ("1", "2"):
+        run = tmp_path / f"run{jobs}"
+        assert run_cli("all", "--degree", "6", "--radius", "3", "--jobs", jobs,
+                       "--output", str(run)) == 0
+        rep = tmp_path / f"verify{jobs}.txt"
+        assert run_cli("verify", "--input", str(tmp_path / "run1" / "squared.complex"),
+                       "--seed", "1", "--jobs", jobs, "--output", str(rep)) == 0
+        outs[jobs] = [(run / name).read_bytes() for name in sorted(p.name for p in run.iterdir())]
+        outs[jobs] += [rep.read_bytes(), Path(f"{rep}.csv").read_bytes()]
+        assert max(build_counts(builds).values()) <= (1 if jobs == "1" else most)
+        builds.clear()
+    assert outs["1"] == outs["2"]
 
 
 def test_all_requires_output_directory():

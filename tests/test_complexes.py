@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sysquad import complexes
 from sysquad import (
@@ -23,13 +23,14 @@ from sysquad import (
     triangulated_disk,
     verify_systolic,
 )
-from sysquad.complexes import CellError, _components, _levels
+from sysquad.complexes import CellError, _levels
 
 from bruteforce import (
     bfs_dist,
     adjacency,
     brute_based_complex,
     brute_cell_store,
+    brute_common_neighbours,
     brute_graph,
     brute_girth,
     brute_h1_rank_mod2,
@@ -102,12 +103,34 @@ def test_unknown_vertex_errors():
 def test_components_give_each_vertex_its_root_and_depth(n, p, seed):
     # the root is the least vertex of the component, the depth its BFS distance
     g = random_graph(n, p, seed)
-    root, depth = _components(g)
+    root, depth = g._components
     adj = adjacency(g)
     for i, v in enumerate(g._order):
         reach = bfs_dist(adj, v)
         r = min(reach)
         assert g._order[root[i]] == r and depth[i] == bfs_dist(adj, r)[v], v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=12), st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]),
+       st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([None, lambda v: 2**70 + 3 * v, lambda v: 2**64 + 100 - v]))
+@example(0, 0.5, 0, None)  # empty
+@example(7, 0.0, 0, lambda v: 2**64 + 100 - v)  # edgeless
+@example(12, 0.1, 3, lambda v: 2**70 + 3 * v)  # disconnected
+def test_common_neighbour_view_matches_the_pair_scan(n, p, seed, relabel):
+    # ids past 2^64, increasing or reversed, must keep index order as id order
+    g = random_graph(n, p, seed)
+    if relabel is not None:
+        g = Graph(map(relabel, g.vertices), [(relabel(u), relabel(w)) for u, w in g.edges])
+    order = g._order
+    v, w, ptr, common = g._common_neighbours
+    got = [(order[a], order[b], tuple(order[c] for c in common[lo:hi].tolist()))
+           for a, b, lo, hi in zip(v.tolist(), w.tolist(), ptr[:-1].tolist(), ptr[1:].tolist())]
+    assert got == brute_common_neighbours(g)
+    # one entry per pair of neighbours of each vertex
+    degree = np.diff(g._ptr)
+    assert len(common) == int((degree * (degree - 1) // 2).sum()) and ptr[0] == 0
 
 
 def test_is_connected():

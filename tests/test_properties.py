@@ -23,7 +23,7 @@ from sysquad import (
 )
 from sysquad import metrics, systolic
 from sysquad.metrics import all_pairs, induced_distances, vertex_order
-from sysquad.quadric import _corners, _link_triples, is_modular
+from sysquad.quadric import _link_triples, is_modular
 
 from bruteforce import (
     adjacency,
@@ -414,9 +414,8 @@ def test_link_triples_match_the_wing_scan(square, k23, relabel):
         if relabel is not None:
             c = relabelled(c, relabel)
         rows, triples = brute_link_triples(c)
-        corners = _corners(c)
-        assert corners.tolist() == [list(row) for row in rows]
-        assert _link_triples(c, corners).tolist() == [list(t) for t in triples]
+        assert c._corners.tolist() == [list(row) for row in rows]
+        assert _link_triples(c).tolist() == [list(t) for t in triples]
 
 
 @pytest.mark.parametrize("budget", [1, 7, None])
@@ -428,7 +427,7 @@ def test_link_triples_take_one_of_each_run_of_parallel_squares(monkeypatch, budg
     c = k55_two_thirds()
     rows, triples = brute_link_triples(c)
     assert max(sum(r[:3] == s[:3] for s in rows) for r in rows) == 4
-    got = _link_triples(c, _corners(c)).tolist()
+    got = _link_triples(c).tolist()
     assert got == [list(t) for t in triples] and len(got) > 1000
 
 
