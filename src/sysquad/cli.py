@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement
@@ -194,14 +193,25 @@ def _select(args: argparse.Namespace, kind: str | None = None,
 
 def _run_checks(checks: list[Check], c, based: BasedComplex | None,
                 args: argparse.Namespace) -> list[CheckReport]:
-    """Run ``checks`` on one complex; reports keep table order whatever --jobs is."""
+    """Run ``checks`` on one complex; reports keep table order whatever --jobs is.
+
+    Only a False modularity verdict starts a pool of ``--jobs`` threads,
+    since only then do the two isometry checks run their exact fallbacks,
+    which can take seconds. Every other battery runs in table order on
+    this thread, whatever --jobs is: its checks take about a millisecond
+    each on the generated disks, less than a pool's start and waits.
+    """
     dist = modular = None
     if any(check.uses_dist for check in checks):
         dist = all_pairs(c.graph)
         modular = is_modular(c.graph, dist)
     subject = Subject(c, based, dist, modular, args)
-    if args.jobs == 1 or len(checks) <= 1:
+    if modular is not False or args.jobs == 1 or len(checks) <= 1:
         return [check.run(subject) for check in checks]
+    # imported here: concurrent.futures and the logging it loads take about
+    # 6 ms of an import of this module
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         return list(pool.map(lambda check: check.run(subject), checks))
 

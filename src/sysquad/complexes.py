@@ -80,17 +80,20 @@ def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
 
 
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """``canonical_cycle`` of each edge, triangle or square index row.
+    """``canonical_cycle`` of each cycle given as an index row.
 
-    An edge's or triangle's is its sorted vertices. A square's starts at
-    its least vertex and steps to the smaller of that vertex's two
-    neighbours, which is its canonical form when the vertices are distinct.
+    A row of three or fewer is sorted. A longer one is rotated to start at
+    its least vertex, then the rest is reversed when the last vertex is
+    the smaller neighbour of the first, which is its canonical form when
+    the vertices are distinct.
     """
-    if rows.shape[1] <= 3:
+    k = rows.shape[1]
+    if k <= 3:
         return np.sort(rows, axis=1)
-    at = rows.argmin(axis=1)[:, None] + np.arange(4)
-    a, b, c, d = np.take_along_axis(rows, at % 4, axis=1).T
-    return np.stack([a, np.minimum(b, d), c, np.maximum(b, d)], axis=1)
+    rows = np.take_along_axis(rows, (rows.argmin(axis=1)[:, None] + np.arange(k)) % k, axis=1)
+    flip = rows[:, 1] > rows[:, -1]
+    rows[flip, 1:] = rows[flip, :0:-1]
+    return rows
 
 
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:

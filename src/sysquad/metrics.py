@@ -6,6 +6,8 @@ breadth-first searches from all sources at once: vertex v holds a bitset
 v at the current depth. The graph is a padded neighbour table, so one
 level is one row gather of the frontier per table column, ORed together:
 the padding points at an extra all-zero frontier row, which adds nothing.
+The matrix is a count: each level adds one for every source that has not
+reached v yet, so no level writes its depth through a mask.
 """
 
 from __future__ import annotations
@@ -27,12 +29,17 @@ def vertex_order(g: Graph) -> tuple[int, ...]:
 def _bfs(nbr: np.ndarray) -> np.ndarray:
     """Distances of the graph with neighbour table ``nbr``, padded with n = len(nbr).
 
-    See ``all_pairs`` for the dtype and sentinel. Besides the matrix, the
-    search holds four n x n/8 bitsets and one block of unpacked rows.
+    See ``all_pairs`` for the dtype and sentinel. Level k of the search
+    from u reaches the vertices at distance k. Before level k, each v that
+    u has not reached adds one to D[v, u]; that is when k <= d(u, v), so
+    D[v, u] ends at d(u, v). The last of the L levels reaches nothing, so
+    L is above every distance, and a pair that never meets counts all L
+    levels: one pass over the blocks turns those entries into the
+    sentinel. Besides the matrix, the search holds four n x n/8 bitsets
+    and one block of unpacked rows.
     """
     n = len(nbr)
-    D = np.full((n, n), n, dtype=np.min_scalar_type(2 * n))
-    np.fill_diagonal(D, 0)
+    D = np.zeros((n, n), dtype=np.min_scalar_type(2 * n))
     frontier = np.zeros((n + 1, (n + 7) // 8), dtype=np.uint8)
     v = np.arange(n)
     frontier[v, v >> 3] = np.right_shift(128, v & 7)  # bit v of row v, as packbits
@@ -48,13 +55,14 @@ def _bfs(nbr: np.ndarray) -> np.ndarray:
         for column in nbr.T[1:]:
             np.take(frontier, column, axis=0, out=step, mode="clip")
             reached |= step
-        np.invert(seen, out=step)
+        np.invert(seen, out=step)  # the sources that have not reached v yet
+        for lo in range(0, n, _UNPACK_ROWS):
+            D[lo:lo + _UNPACK_ROWS] += np.unpackbits(step[lo:lo + _UNPACK_ROWS], axis=1, count=n)
         np.bitwise_and(reached, step, out=live)
         seen |= live
-        for lo in range(0, n, _UNPACK_ROWS):
-            hi = lo + _UNPACK_ROWS
-            np.copyto(D[lo:hi], depth,
-                      where=np.unpackbits(live[lo:hi], axis=1, count=n).view(bool))
+    for lo in range(0, n, _UNPACK_ROWS):  # the unreached pairs, where D is depth
+        block = D[lo:lo + _UNPACK_ROWS]
+        np.putmask(block, block == depth, n)
     return D
 
 

@@ -35,11 +35,21 @@ an edge u v is then
                                    * T[delta, n - (max(L(u), L(v)) - l)].
 
 This holds for every edge, also one whose two ends lie on the same level.
-The report therefore needs only the class counts of each interval and of
-the common part of each edge's two intervals. Every interval is one row
-of the based complex's interval store (``BasedComplex._intervals``), a
-packed bitset built level by level as a down-closure, with the columns
-ordered so that each class is a contiguous range.
+
+An edge joins two levels or lies within one. Across levels it needs no
+count: take u v with L(v) = L(u) + 1. Then u is in down(v), so I(u) lies
+inside I(v), and for x in I(u)
+
+    f_{n,v}(x) = T[delta(x), n - (L(v) - L(x))] = f_{n-1,u}(x) <= f_{n,u}(x),
+
+since T is nondecreasing in m. Outside I(u), u's weight is 0. So the sum
+of minima is the mass of u at n - 1, and 0 at n = 0. The report
+therefore needs only the class counts of each interval and of the common
+part of the two intervals of each edge within a level; a squaring has no
+such edge. Every interval is one row of the based complex's interval
+store (``BasedComplex._intervals``), a packed bitset built level by level
+as a down-closure, with the columns ordered so that each class is a
+contiguous range.
 """
 
 from __future__ import annotations
@@ -170,9 +180,13 @@ def property_a_report(b: BasedComplex, n_max: int,
     for i, n in zip(*np.nonzero(sums != want_norm)):
         rb.violation("weight-norm", (order[i],), f"n={n} sum={sums[i, n]} expected={want_norm[n]}")
 
-    # l1 = both masses minus twice the minima on the common support (see above)
+    # l1 = both masses minus twice the minima on the common support (see
+    # above): across levels the lower end's mass at n - 1, within one counted
     eu, ev = ends.T
-    diffs = sums[eu] + sums[ev] - 2 * _class_sums(bits, starts, shift, lev, eu, ev)
+    minima = np.pad(sums[np.where(lev[eu] < lev[ev], eu, ev), :-1], ((0, 0), (1, 0)))
+    level = np.flatnonzero(lev[eu] == lev[ev])
+    minima[level] = _class_sums(bits, starts, shift, lev, eu[level], ev[level])
+    diffs = sums[eu] + sums[ev] - 2 * minima
     max_diff = diffs.max(axis=0, initial=0)
     want_diff = 2 * (ns + 1)
     for k, n in zip(*np.nonzero(diffs != want_diff)):

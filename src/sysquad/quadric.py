@@ -19,39 +19,53 @@ from .complexes import (
     BasedComplex,
     Graph,
     SquareComplex,
+    _canonical_rows,
     _expand,
     _intersects,
+    _isin_sorted,
     _padded,
     _sorted_rows,
-    canonical_cycle,
 )
 from .metrics import all_pairs, induced_distances
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import _cliques3, _orient
 
 
-def _shared_diagonals(c: SquareComplex) -> dict[tuple[int, int], list]:
-    """Each diagonal that two or more squares carry, with their sorted middle pairs.
+def _square_table(c: SquareComplex) -> tuple[np.ndarray, np.ndarray]:
+    """Every square once per diagonal, as sorted keys (diagonal, smaller wing, larger wing).
 
-    A square's diagonal is a corner and its opposite, and its middles are
-    the wings. Each diagonal is read from its smaller end, in the corner
-    view (``SquareComplex._corners``) that rule B reads too. One stable
-    argsort of the diagonal keys groups equal diagonals in ascending
-    order and keeps each group's middles in corner-view order, ascending.
+    A square's diagonals are its two pairs of opposite corners, and the
+    wings of one are the ends of the other. The rows (d0, w0, w1, d1) of
+    the corner view (``SquareComplex._corners``, which rule B reads too)
+    with d0 < d1 list each square once per diagonal, and one stable
+    argsort of their diagonals keeps each diagonal's wings in corner-view
+    order, ascending. The table is (pairs, keys): pairs holds the distinct
+    diagonals d0 * n + d1, ascending, and a square has the key
+    i * n² + w0 * n + w1 for each diagonal, i the diagonal's rank in
+    pairs. With F squares there are at most 2F diagonals, so every key is
+    below 2F·n², about 2^52.5 for the squared deg7 r11 disk (200,593
+    vertices, 76,615 squares).
     """
-    order = c.graph._order
-    rows = c._corners
-    rows = rows[rows[:, 0] < rows[:, 3]]
-    rows = rows[np.argsort(rows[:, 0] * len(order) + rows[:, 3], kind="stable")]
-    ends, middle = rows[:, [0, 3]], rows[:, 1:3]
-    twice = (ends[1:] == ends[:-1]).all(axis=1)
-    shared = np.zeros(len(rows), dtype=bool)
-    shared[1:] |= twice
-    shared[:-1] |= twice
-    diags: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (u0, u1), (m0, m1) in zip(ends[shared].tolist(), middle[shared].tolist()):
-        diags.setdefault((order[u0], order[u1]), []).append((order[m0], order[m1]))
-    return diags
+    n = len(c.graph._order)
+    d0, w0, w1, d1 = c._corners.T
+    diagonal = (d0 * n + d1)[d0 < d1]
+    by = np.argsort(diagonal, kind="stable")
+    diagonal = diagonal[by]
+    # the first of each diagonal; a first row exists only when a square does
+    new = np.concatenate((diagonal[:1] >= 0, diagonal[1:] != diagonal[:-1]))
+    return diagonal[new], (np.cumsum(new) - 1) * n * n + (w0 * n + w1)[d0 < d1][by]
+
+
+def _has_squares(table: tuple[np.ndarray, np.ndarray], cycles: np.ndarray, n: int) -> np.ndarray:
+    """Whether a square of ``_square_table``'s table sits on each 4-cycle
+    (p, q, r, s) of indices, the last axis of ``cycles``: one with the
+    diagonal {p, r} and the wings {q, s}."""
+    pairs, keys = table
+    p, q, r, s = np.moveaxis(cycles, -1, 0)
+    diagonal = np.minimum(p, r) * n + np.maximum(p, r)
+    at = np.minimum(np.searchsorted(pairs, diagonal), len(pairs) - 1)
+    wings = np.minimum(q, s) * n + np.maximum(q, s)
+    return (pairs[at] == diagonal) & _isin_sorted(keys, at * n * n + wings)
 
 
 def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> CheckReport:
@@ -61,32 +75,41 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     is a K_{2,3} with sides {u0,u1} and {v0,v1,v2}; the rule demands a
     square on (u0 v0 u1 v2) as well.
 
-    Both squares of a pattern carry the diagonal {u0, u1}, so a diagonal
-    that only one square carries holds no pattern. The scan over pairs of
-    middles therefore runs only on ``_shared_diagonals``, in ascending
-    diagonal order, and meets every pattern in the order a scan of all
-    diagonals would.
+    Both squares of a pattern carry the diagonal {u0, u1}, so the
+    patterns are the pairs of keys of ``_square_table`` on one diagonal
+    whose wings share one vertex, and a complex whose diagonals all
+    differ has none. The keys ascend by diagonal, then wings, so the
+    pairs come in the order of a scan of the diagonals in turn, each
+    taking the ``combinations`` of its sorted wing pairs. Each outer
+    square is one lookup in the same table.
     """
     rb = ReportBuilder("rule-a", cap)
-    for (u0, u1), mids in _shared_diagonals(c).items():
-        for m1, m2 in combinations(mids, 2):
-            shared = set(m1) & set(m2)
-            if len(shared) != 1:
-                continue
-            rb.count("patterns")
-            v1 = shared.pop()
-            v0 = m1[0] if m1[1] == v1 else m1[1]
-            v2 = m2[0] if m2[1] == v1 else m2[1]
-            if not c.has_square((u0, v0, u1, v2)):
-                lo, hi = min(v0, v2), max(v0, v2)
-                rb.violation("rule-a", (u0, u1, lo, v1, hi), "missing-outer-square")
+    order = c.graph._order
+    n = len(order)
+    table = pairs, keys = _square_table(c)
+    if len(pairs) == len(keys):  # no shared diagonal
+        return rb.build()
+    rank, wings = np.divmod(keys, n * n)
+    w = np.stack(np.divmod(wings, n), axis=1)
+    # keys i < j of one diagonal, as combinations; a pattern when one wing is shared
+    i, j = _expand(np.arange(1, len(keys) + 1), np.searchsorted(rank, rank, side="right"))
+    same = w[i, :, None] == w[j, None, :]
+    v1 = np.where(same[:, 0].any(axis=1), w[i, 0], w[i, 1])
+    v0, v2 = w[i].sum(axis=1) - v1, w[j].sum(axis=1) - v1
+    # (u0, u1, lo, v1, hi), whose outer square is (u0 lo u1 hi)
+    found = np.column_stack([*np.divmod(pairs[rank[i]], n), np.minimum(v0, v2), v1,
+                             np.maximum(v0, v2)])[same.sum(axis=(1, 2)) == 1]
+    if len(found):
+        rb.set_stat("patterns", len(found))
+    rb.each_violation("rule-a", found[~_has_squares(table, found[:, [0, 2, 1, 4]], n)].tolist(),
+                      lambda t: (tuple(order[v] for v in t), "missing-outer-square"))
     return rb.build()
 
 
 def _link_triples(c: SquareComplex) -> np.ndarray:
-    """Every triple i < j < k of corner-view rows (``SquareComplex._corners``,
-    which rule A reads too) whose wings are the three edges of a
-    square-link triangle, as sorted rows (i, j, k).
+    """Every triple i < j < k of corner-view rows (``SquareComplex._corners``)
+    whose wings are the three edges of a square-link triangle, as sorted
+    rows (i, j, k).
 
     The square-links of all vertices form one simple graph on the graph's
     CSR slots: each distinct prefix (u, a, b) of the rows joins the slots
@@ -132,40 +155,38 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     square at u: the shared vertices a0, a1, a2 make the pairs {a0, a1},
     {a1, a2}, {a2, a0}, and the edges of a triangle meet pairwise in its
     three vertices. Parallel squares, on the same wings, share two. So
-    the scan runs only on the triples ``_link_triples`` lists, in the
-    order a scan of every triple of squares at every vertex would meet
-    them.
+    the scan reads only the triples ``_link_triples`` lists, in the order
+    a scan of every triple of squares at every vertex would meet them,
+    and a complex without such a triple has no hexagon to test.
+
+    The triples are tested as arrays in that order: a hexagon with a
+    repeated vertex counts as degenerate, and each (u, canonical hexagon)
+    keeps its first triple. Each option's chord is an edge of both of its
+    squares, so two lookups in ``_square_table`` test the option.
     """
     rb = ReportBuilder("rule-b", cap)
-    g = c.graph
-    order = g._order
-    rows = c._corners
+    triples = _link_triples(c)
+    if not len(triples):
+        return rb.build()
+    order = c.graph._order
     # rows (u, x, y, b0), (u, x, z, b1), (u, y, z, b2) give the hexagon
     # a0 b0 a1 b1 a2 b2 = y b0 x b1 z b2 about u
-    hexagons = rows[_link_triples(c)].reshape(-1, 12)[:, [0, 2, 3, 1, 7, 6, 11]]
-    seen = set()  # two square triples can glue to the same hexagon
-    for row in hexagons.tolist():
-        u, a0, b0, a1, b1, a2, b2 = (order[v] for v in row)
-        hexagon = (a0, b0, a1, b1, a2, b2)
-        if len(set(hexagon)) != 6:
-            rb.count("degenerate")
-            continue
-        key = (u,) + canonical_cycle(hexagon)
-        if key in seen:
-            continue
-        seen.add(key)
-        rb.count("hexagons")
-        options = (
-            ((a0, b1), (a0, b0, a1, b1), (b1, a2, b2, a0)),
-            ((b0, a2), (b0, a1, b1, a2), (a2, b2, a0, b0)),
-            ((a1, b2), (a1, b1, a2, b2), (b2, a0, b0, a1)),
-        )
-        ok = any(
-            g.has_edge(*chord) and c.has_square(c1) and c.has_square(c2)
-            for chord, c1, c2 in options
-        )
-        if not ok:
-            rb.violation("rule-b", key, "no-chorded-antipode")
+    hexagons = c._corners[triples].reshape(-1, 12)[:, [0, 2, 3, 1, 7, 6, 11]]
+    srt = np.sort(hexagons[:, 1:], axis=1)
+    embedded = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+    if not embedded.all():
+        rb.set_stat("degenerate", int((~embedded).sum()))
+    # two square triples can glue to the same hexagon: keep its first one
+    key = np.column_stack([hexagons[embedded, 0], _canonical_rows(hexagons[embedded, 1:])])
+    key = key[np.sort(np.unique(key, axis=0, return_index=True)[1])]
+    if len(key):
+        rb.set_stat("hexagons", len(key))
+    # on the canonical hexagon h, which has the same three antipodal pairs,
+    # square k lies on h[k] .. h[k + 3]; option k takes squares k and k + 3
+    on = _has_squares(_square_table(c), key[:, 1 + (np.arange(6)[:, None] + np.arange(4)) % 6],
+                      len(order))
+    rb.each_violation("rule-b", key[~(on[:, :3] & on[:, 3:]).any(axis=1)].tolist(),
+                      lambda t: (tuple(order[v] for v in t), "no-chorded-antipode"))
     return rb.build()
 
 

@@ -6,7 +6,7 @@ to exponential; callers keep instances small.
 """
 
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -376,23 +376,24 @@ def _walk_cycle(edges):
 
 
 def brute_rule_b_violations(c):
-    """Rule B misses, by gluing square boundaries into hexagons and walking them."""
+    """Rule B misses, by gluing square boundaries into hexagons and walking them.
+
+    Each hub u takes every triple of the squares at u.
+    """
     g = c.graph
-    squares = sorted(c.squares)
     viol = set()
-    for triple in combinations(squares, 3):
-        common = set(triple[0]) & set(triple[1]) & set(triple[2])
-        for u in sorted(common):
-            # each square contributes its boundary path avoiding u
-            edge_multiset = []
-            for s in triple:
-                i = s.index(u)
-                a, b, a2 = s[i - 3], s[i - 2], s[i - 1]
-                edge_multiset.extend([(min(a, b), max(a, b)),
-                                      (min(b, a2), max(b, a2))])
-            if len(set(edge_multiset)) != 6:
+    for u in sorted(g.vertices):
+        # each square at u contributes its boundary path avoiding u
+        paths = []
+        for s in c.squares_at(u):
+            i = s.index(u)
+            a, b, a2 = s[i - 3], s[i - 2], s[i - 1]
+            paths.append(((min(a, b), max(a, b)), (min(b, a2), max(b, a2))))
+        for triple in combinations(paths, 3):
+            edges = set(chain.from_iterable(triple))
+            if len(edges) != 6:
                 continue
-            hexagon = _walk_cycle(set(edge_multiset))
+            hexagon = _walk_cycle(edges)
             if hexagon is None or len(hexagon) != 6 or u in hexagon:
                 continue
             ok = False

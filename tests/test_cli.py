@@ -359,20 +359,47 @@ def test_verify_jobs_do_not_change_output(tmp_path):
     assert outs[0] == outs[1]
 
 
-# files whose checks build lazy id views: rule A reads the squares, rule B
-# the squares at a vertex, and on the theta flat-intervals reads ``down``
+# a 6-cycle through vertex 0 on new vertices 10 to 14: it is isometric, so
+# the graph is not modular, and the isometry fallbacks run on a thread pool
+HEXAGON_AT_0 = "".join(f"v {v}\n" for v in range(10, 15)) + \
+    "e 0 10\ne 10 11\ne 11 12\ne 12 13\ne 13 14\ne 0 14\n"
+
+# a bare 6-cycle based at 0 beside the square 6 7 8 9: not modular
+HEXAGON_SQUARE = "".join(f"v {v}\n" for v in range(10)) + \
+    "e 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 0 5\ne 6 7\ne 7 8\ne 8 9\ne 6 9\nq 6 7 8 9\nbase 0\n"
+
+# files whose checks share lazily built views on two threads: rule A has a
+# pattern, rule B a hexagon, and on the theta flat-intervals lists K_{2,3}s
 LAZY_VIEW_FILES = {
-    "rule-a": "v 0\nv 1\nv 2\nv 3\nv 4\ne 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\n"
-              "q 0 2 1 3\nq 0 3 1 4\n",
-    "rule-b": "v 0\nv 1\nv 2\nv 3\nv 4\nv 5\nv 6\ne 0 1\ne 0 2\ne 0 3\ne 1 4\ne 2 4\n"
-              "e 2 5\ne 3 5\ne 3 6\ne 1 6\nq 0 1 4 2\nq 0 2 5 3\nq 0 3 6 1\n",
-    "theta": "v 0\nv 1\nv 2\nv 3\nv 4\ne 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\n"
+    "rule-a": "v 0\nv 1\nv 2\nv 3\nv 4\n" + HEXAGON_AT_0 +
+              "e 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\nq 0 2 1 3\nq 0 3 1 4\n",
+    "rule-b": "v 0\nv 1\nv 2\nv 3\nv 4\nv 5\nv 6\n" + HEXAGON_AT_0 +
+              "e 0 1\ne 0 2\ne 0 3\ne 1 4\ne 2 4\ne 2 5\ne 3 5\ne 3 6\ne 1 6\n"
+              "q 0 1 4 2\nq 0 2 5 3\nq 0 3 6 1\n",
+    "theta": "v 0\nv 1\nv 2\nv 3\nv 4\n" + HEXAGON_AT_0 +
+             "e 0 2\ne 0 3\ne 0 4\ne 1 2\ne 1 3\ne 1 4\n"
              "q 0 2 1 3\nq 0 3 1 4\nq 0 2 1 4\nbase 0\n",
 }
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of each thread pool the CLI starts."""
+    import concurrent.futures
+
+    started = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def spy(max_workers=None, **kwargs):
+        started.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    return started
+
+
 @pytest.mark.parametrize("name", LAZY_VIEW_FILES)
-def test_lazy_views_give_the_same_output_on_two_threads(tmp_path, capsys, name):
+def test_lazy_views_give_the_same_output_on_two_threads(tmp_path, capsys, pools, name):
     p = tmp_path / f"{name}.complex"
     p.write_text(LAZY_VIEW_FILES[name])
     want = (run_cli("verify", "--input", str(p)), capsys.readouterr())
@@ -380,6 +407,27 @@ def test_lazy_views_give_the_same_output_on_two_threads(tmp_path, capsys, name):
     for _ in range(20):
         got = (run_cli("verify", "--jobs", "2", "--input", str(p)), capsys.readouterr())
         assert got == want
+    assert pools == [2] * 20
+
+
+def test_threads_start_only_for_the_isometry_fallbacks(tmp_path, pools):
+    # a squared disk is modular, so no --jobs value starts a pool
+    src = gen(tmp_path)
+    mid = tmp_path / "sq.complex"
+    run_cli("square", "--input", str(src), "--output", str(mid))
+    assert run_cli("verify", "--input", str(mid), "--jobs", "2") == 0
+    assert run_cli("all", "--degree", "6", "--radius", "2", "--jobs", "2",
+                   "--output", str(tmp_path / "run")) == 0
+    assert pools == []
+    # a hexagon beside a square is not: one pool at --jobs 2, none without
+    # an isometry check, which leaves no verdict
+    p = tmp_path / "hexagon-square.complex"
+    p.write_text(HEXAGON_SQUARE)
+    assert run_cli("verify", "--input", str(p), "--jobs", "2") == 1
+    assert pools == [2]
+    assert run_cli("verify", "--input", str(p), "--jobs", "2", "--rules", "a,b") == 0
+    assert run_cli("verify", "--input", str(p), "--jobs", "1") == 1
+    assert pools == [2]
 
 
 def test_verify_exhaustive_flag(tmp_path):
@@ -704,11 +752,13 @@ def test_all_builds_each_index_view_once(tmp_path, view_builds):
     assert searches == ["__init__", "_components", "_components"]
 
 
-def test_index_views_on_two_threads_give_the_same_bytes(tmp_path, view_builds):
+def test_index_views_on_two_threads_give_the_same_bytes(tmp_path, view_builds, pools):
     # cached_property locks a build on Python 3.11 only, so from 3.12 two
     # threads may both build a view; the output is the same either way
     builds, _ = view_builds
     most = 1 if sys.version_info < (3, 12) else 2
+    hexagon = tmp_path / "hexagon-square.complex"
+    hexagon.write_text(HEXAGON_SQUARE)
     outs = {}
     for jobs in ("1", "2"):
         run = tmp_path / f"run{jobs}"
@@ -717,11 +767,17 @@ def test_index_views_on_two_threads_give_the_same_bytes(tmp_path, view_builds):
         rep = tmp_path / f"verify{jobs}.txt"
         assert run_cli("verify", "--input", str(tmp_path / "run1" / "squared.complex"),
                        "--seed", "1", "--jobs", jobs, "--output", str(rep)) == 0
+        # a non-modular input, whose isometry fallbacks run on the threads
+        mixed = tmp_path / f"mixed{jobs}.txt"
+        assert run_cli("verify", "--input", str(hexagon), "--seed", "1", "--jobs", jobs,
+                       "--output", str(mixed)) == 1
         outs[jobs] = [(run / name).read_bytes() for name in sorted(p.name for p in run.iterdir())]
-        outs[jobs] += [rep.read_bytes(), Path(f"{rep}.csv").read_bytes()]
+        outs[jobs] += [Path(f"{path}{end}").read_bytes() for path in (rep, mixed)
+                       for end in ("", ".csv")]
         assert max(build_counts(builds).values()) <= (1 if jobs == "1" else most)
         builds.clear()
     assert outs["1"] == outs["2"]
+    assert pools == [2]
 
 
 def test_all_requires_output_directory():

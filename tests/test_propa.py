@@ -5,6 +5,7 @@ Per-vertex weights come from ``conftest.weights``, a view of the
 report from those profiles and is compared with ``property_a_report``.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from sysquad import (
     BasedComplex,
     Graph,
     SquareComplex,
+    enumerate_embedded_4cycles,
     property_a_report,
 )
 from sysquad.propa import PropertyARow, _weight_table
@@ -363,7 +365,7 @@ def assert_report_matches_oracle(c, bases, n_maxes):
     for base in bases:
         b = BasedComplex(c, base)
         for n_max in n_maxes:
-            for cap in (1, 25):
+            for cap in (0, 1, 25):
                 got = property_a_report(b, n_max, cap)
                 want = brute_property_a_report(b, n_max, cap)
                 # the check holds the violation count, kept certificates and stats
@@ -394,6 +396,30 @@ def test_property_a_report_matches_profile_oracle_k23(n, p, plants, seed, n_max)
 def test_property_a_report_matches_profile_oracle_connected(n, p, seed, n_max):
     c = SquareComplex(random_connected_graph(n, p, seed), [])
     assert_report_matches_oracle(c, sorted(c.graph.vertices), (n_max,))
+
+
+def random_grid_graph(k, p, seed):
+    """A seeded subgraph of the k x k grid, each edge kept with probability p."""
+    rng = random.Random(seed)
+    edges = [(v, v + 1) for v in range(k * k) if (v + 1) % k and rng.random() < p]
+    edges += [(v, v + k) for v in range(k * k - k) if rng.random() < p]
+    return Graph(range(k * k), edges)
+
+
+def test_property_a_report_matches_profile_oracle_on_grids():
+    # a grid is bipartite, so every edge joins two levels and the report
+    # takes each sum of minima from a mass at n - 1; the random graphs above
+    # have odd cycles, whose edges within a level take the class counts
+    edges = 0
+    for seed in range(10):
+        g = random_grid_graph(4, 0.8, seed)
+        rng = random.Random(seed)
+        c = SquareComplex(g, [q for q in enumerate_embedded_4cycles(g) if rng.random() < 0.5])
+        bases = sorted(g.vertices)[::3]
+        assert_report_matches_oracle(c, bases, (0, 5))
+        edges += sum(len(g.edges) for base in bases
+                     if property_a_report(BasedComplex(c, base), 0).rows)
+    assert edges > 500
 
 
 @pytest.mark.parametrize("name", ["flat6_squared", "hyper7_squared"])

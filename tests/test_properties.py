@@ -165,7 +165,9 @@ def star(center, n):
 # the distance kernel's padded neighbour table and packed rows at their edges:
 # one wide row sets the padding width, isolated vertices gather only padding,
 # and at n = 9 a packed row ends in a byte with seven unused bits; small
-# unpacking blocks end on and off the last row
+# unpacking blocks end on and off the last row. The matrix counts the levels
+# before a search meets a vertex: an edgeless graph stops after one level,
+# and two paths of different lengths keep counting the short one's pairs
 @pytest.mark.parametrize("g", [
     Graph([]),
     Graph([0]),
@@ -174,7 +176,10 @@ def star(center, n):
     Graph(range(14), [(5, v) for v in range(13) if v != 5]),
     Graph(range(7), [(1, 4), (4, 6)]),
     Graph(range(9), [(2, 7)]),
-], ids=["n0", "n1", "path9", "star", "star-isolated", "isolated", "edge9"])
+    Graph(range(5)),
+    Graph(range(12), [(v, v + 1) for v in range(7)] + [(8, 9), (9, 10), (10, 11)]),
+], ids=["n0", "n1", "path9", "star", "star-isolated", "isolated", "edge9", "edgeless",
+        "two-paths"])
 def test_distance_kernel_edge_cases_agree_with_networkx(monkeypatch, g):
     order = vertex_order(g)
     n = len(order)

@@ -35,7 +35,7 @@ from bruteforce import (
     random_graph,
     random_k23_complex,
 )
-from conftest import interval, k23_complex_based, rule_a_mutant, rule_b_mutant
+from conftest import interval, k23_complex_based, k55_two_thirds, rule_a_mutant, rule_b_mutant
 
 
 def c6_square_complex():
@@ -468,6 +468,22 @@ def test_flat_intervals_build_no_id_view(monkeypatch):
     want = [brute_flat_intervals_text(b.complex, b.basepoint, cap) for b in based for cap in caps]
     assert [rep.to_text() for rep in reports] == want
     assert "_adj" in built
+
+
+def test_rules_build_no_id_view(monkeypatch):
+    # K_{5,5} with two thirds of its squares has patterns, hexagons,
+    # degenerate hexagons and violations of both rules; the complexes are
+    # made before the spy, with no view built
+    inputs = [rule_a_mutant(), rule_b_mutant(), k55_two_thirds()]
+    inputs += [random_k23_complex(9, 0.4, 3, seed) for seed in range(4)]
+    built = spy_on_views(monkeypatch)
+    reports = [(check_replacement_rule_A(c, cap), check_replacement_rule_B(c, cap))
+               for c in inputs for cap in (0, 3, 25)]
+    assert built == []
+    a, b = reports[8]  # K_{5,5} at cap 25
+    assert {"patterns"} <= set(a.stats) and {"degenerate", "hexagons"} <= set(b.stats)
+    assert [a.violations, b.violations] == [84, 132]
+    assert not any(a.passed and b.passed for a, b in reports[:9])
 
 
 @pytest.mark.parametrize("g", [
