@@ -197,9 +197,13 @@ def _run_checks(checks: list[Check], c, based: BasedComplex | None,
 
     Only a False modularity verdict starts a pool of ``--jobs`` threads,
     since only then do the two isometry checks run their exact fallbacks,
-    which can take seconds. Every other battery runs in table order on
-    this thread, whatever --jobs is: its checks take about a millisecond
-    each on the generated disks, less than a pool's start and waits.
+    whose large numpy passes overlap on two threads. On 2 CPUs, ``verify
+    --jobs 2`` of an R x R grid of squares less its centre vertex took
+    0.63-0.70 of the one-thread time at R = 35 (about 4 s per fallback)
+    and 0.70-0.91 at R = 25 (about 1 s), but 1.19-1.49 at R = 20 (0.2-0.3
+    s). Every other battery runs in table order on this thread, whatever
+    --jobs is: its checks take about a millisecond each on the generated
+    disks, less than a pool's start and waits.
     """
     dist = modular = None
     if any(check.uses_dist for check in checks):

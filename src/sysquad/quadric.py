@@ -31,36 +31,12 @@ from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
 from .systolic import _cliques3, _orient
 
 
-def _square_table(c: SquareComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Every square once per diagonal, as sorted keys (diagonal, smaller wing, larger wing).
-
-    A square's diagonals are its two pairs of opposite corners, and the
-    wings of one are the ends of the other. The rows (d0, w0, w1, d1) of
-    the corner view (``SquareComplex._corners``, which rule B reads too)
-    with d0 < d1 list each square once per diagonal, and one stable
-    argsort of their diagonals keeps each diagonal's wings in corner-view
-    order, ascending. The table is (pairs, keys): pairs holds the distinct
-    diagonals d0 * n + d1, ascending, and a square has the key
-    i * n² + w0 * n + w1 for each diagonal, i the diagonal's rank in
-    pairs. With F squares there are at most 2F diagonals, so every key is
-    below 2F·n², about 2^52.5 for the squared deg7 r11 disk (200,593
-    vertices, 76,615 squares).
-    """
-    n = len(c.graph._order)
-    d0, w0, w1, d1 = c._corners.T
-    diagonal = (d0 * n + d1)[d0 < d1]
-    by = np.argsort(diagonal, kind="stable")
-    diagonal = diagonal[by]
-    # the first of each diagonal; a first row exists only when a square does
-    new = np.concatenate((diagonal[:1] >= 0, diagonal[1:] != diagonal[:-1]))
-    return diagonal[new], (np.cumsum(new) - 1) * n * n + (w0 * n + w1)[d0 < d1][by]
-
-
-def _has_squares(table: tuple[np.ndarray, np.ndarray], cycles: np.ndarray, n: int) -> np.ndarray:
-    """Whether a square of ``_square_table``'s table sits on each 4-cycle
+def _has_squares(c: SquareComplex, cycles: np.ndarray, n: int) -> np.ndarray:
+    """Whether a square of ``c``, on ``n`` vertices, sits on each 4-cycle
     (p, q, r, s) of indices, the last axis of ``cycles``: one with the
-    diagonal {p, r} and the wings {q, s}."""
-    pairs, keys = table
+    diagonal {p, r} and the wings {q, s} in the square table
+    (``SquareComplex._square_table``)."""
+    pairs, keys = c._square_table
     p, q, r, s = np.moveaxis(cycles, -1, 0)
     diagonal = np.minimum(p, r) * n + np.maximum(p, r)
     at = np.minimum(np.searchsorted(pairs, diagonal), len(pairs) - 1)
@@ -76,9 +52,11 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     square on (u0 v0 u1 v2) as well.
 
     Both squares of a pattern carry the diagonal {u0, u1}, so the
-    patterns are the pairs of keys of ``_square_table`` on one diagonal
-    whose wings share one vertex, and a complex whose diagonals all
-    differ has none. The keys ascend by diagonal, then wings, so the
+    patterns are the pairs of keys of the square table
+    (``SquareComplex._square_table``) on one diagonal whose wings share
+    one vertex, and a complex whose diagonals all differ has none. The
+    table is a view of the complex, built once on first use, so rule B
+    reads the same table. The keys ascend by diagonal, then wings, so the
     pairs come in the order of a scan of the diagonals in turn, each
     taking the ``combinations`` of its sorted wing pairs. Each outer
     square is one lookup in the same table.
@@ -86,7 +64,7 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     rb = ReportBuilder("rule-a", cap)
     order = c.graph._order
     n = len(order)
-    table = pairs, keys = _square_table(c)
+    pairs, keys = c._square_table
     if len(pairs) == len(keys):  # no shared diagonal
         return rb.build()
     rank, wings = np.divmod(keys, n * n)
@@ -101,7 +79,7 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
                              np.maximum(v0, v2)])[same.sum(axis=(1, 2)) == 1]
     if len(found):
         rb.set_stat("patterns", len(found))
-    rb.each_violation("rule-a", found[~_has_squares(table, found[:, [0, 2, 1, 4]], n)].tolist(),
+    rb.each_violation("rule-a", found[~_has_squares(c, found[:, [0, 2, 1, 4]], n)].tolist(),
                       lambda t: (tuple(order[v] for v in t), "missing-outer-square"))
     return rb.build()
 
@@ -162,7 +140,7 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     The triples are tested as arrays in that order: a hexagon with a
     repeated vertex counts as degenerate, and each (u, canonical hexagon)
     keeps its first triple. Each option's chord is an edge of both of its
-    squares, so two lookups in ``_square_table`` test the option.
+    squares, so two lookups in the square table test the option.
     """
     rb = ReportBuilder("rule-b", cap)
     triples = _link_triples(c)
@@ -183,8 +161,7 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
         rb.set_stat("hexagons", len(key))
     # on the canonical hexagon h, which has the same three antipodal pairs,
     # square k lies on h[k] .. h[k + 3]; option k takes squares k and k + 3
-    on = _has_squares(_square_table(c), key[:, 1 + (np.arange(6)[:, None] + np.arange(4)) % 6],
-                      len(order))
+    on = _has_squares(c, key[:, 1 + (np.arange(6)[:, None] + np.arange(4)) % 6], len(order))
     rb.each_violation("rule-b", key[~(on[:, :3] & on[:, 3:]).any(axis=1)].tolist(),
                       lambda t: (tuple(order[v] for v in t), "no-chorded-antipode"))
     return rb.build()

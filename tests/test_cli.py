@@ -693,7 +693,8 @@ def test_one_modularity_certificate_per_square_complex(tmp_path, kernel_calls, j
 
 
 # the index views: each is built once per graph or complex, and read by every check
-INDEX_VIEWS = {"_components": Graph, "_common_neighbours": Graph, "_corners": SquareComplex}
+INDEX_VIEWS = {"_components": Graph, "_common_neighbours": Graph, "_corners": SquareComplex,
+               "_square_table": SquareComplex}
 
 
 @pytest.fixture
@@ -734,6 +735,7 @@ def test_verify_builds_each_index_view_once(tmp_path, view_builds):
     names = dict(builds)
     assert sorted(name for name, _ in builds) == sorted(INDEX_VIEWS)
     assert names["_components"] is names["_common_neighbours"] is names["_corners"].graph
+    assert names["_square_table"] is names["_corners"]
     # the based complex's search, then the component view's one component
     assert searches == ["__init__", "_components"]
 
@@ -742,7 +744,8 @@ def test_all_builds_each_index_view_once(tmp_path, view_builds):
     builds, searches = view_builds
     assert run_cli("all", "--degree", "6", "--radius", "3", "--output", str(tmp_path)) == 0
     counts = Counter(name for name, _ in builds)
-    assert counts == {"_components": 2, "_common_neighbours": 1, "_corners": 1}
+    assert counts == {"_components": 2, "_common_neighbours": 1, "_corners": 1,
+                      "_square_table": 1}
     assert max(build_counts(builds).values()) == 1  # the disk's graph and the squared one
     squared = dict(builds)["_corners"]
     assert dict(builds)["_common_neighbours"] is squared.graph

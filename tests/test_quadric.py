@@ -429,7 +429,7 @@ def test_flat_intervals_reject_k23():
 
 # the cached properties that map indices to ids, and those that hold index arrays
 ID_VIEWS = {"_index", "_vertices", "_edges", "_adj", "_cells", "_cells_at", "_levels", "_down"}
-INDEX_VIEWS = {"_components", "_common_neighbours", "_corners"}
+INDEX_VIEWS = {"_components", "_common_neighbours", "_corners", "_square_table"}
 
 
 def spy_on_views(monkeypatch):
@@ -477,9 +477,14 @@ def test_rules_build_no_id_view(monkeypatch):
     inputs = [rule_a_mutant(), rule_b_mutant(), k55_two_thirds()]
     inputs += [random_k23_complex(9, 0.4, 3, seed) for seed in range(4)]
     built = spy_on_views(monkeypatch)
+    # both rules read one square table per complex
+    table = vars(complexes.SquareComplex)["_square_table"]
+    tables = []
+    monkeypatch.setattr(table, "func", lambda c, f=table.func: (tables.append(c), f(c))[1])
     reports = [(check_replacement_rule_A(c, cap), check_replacement_rule_B(c, cap))
                for c in inputs for cap in (0, 3, 25)]
     assert built == []
+    assert tables == inputs
     a, b = reports[8]  # K_{5,5} at cap 25
     assert {"patterns"} <= set(a.stats) and {"degenerate", "hexagons"} <= set(b.stats)
     assert [a.violations, b.violations] == [84, 132]
