@@ -14,7 +14,6 @@ from .complexes import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
-    canonical_cycle,
     distance,
 )
 from .fileformat import (
@@ -59,7 +58,6 @@ __all__ = [
     "SimplicialComplex2",
     "SquareComplex",
     "SquaringResult",
-    "canonical_cycle",
     "check_ball_isometry",
     "check_ball_neighbours",
     "check_flat_intervals",

@@ -22,10 +22,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import BasedComplex, SimplicialComplex2, SquareComplex
+from .complexes import BasedComplex, SimplicialComplex2, SquareComplex, _first_rows
 from .fileformat import ComplexFileError, format_complex, read_complex
 from .generators import DiskSpec, triangulated_disk
-from .metrics import all_pairs, vertex_order
+from .metrics import all_pairs
 from .propa import property_a_report
 from .quadric import (
     check_ball_isometry,
@@ -110,7 +110,7 @@ def _interval_pairs(s: Subject) -> Iterable[tuple[int, int]]:
     significant first. So the 4,000 choices are the first 4,000 words
     that fall below n once shifted right by 32 - k.
     """
-    verts = vertex_order(s.complex.graph)
+    verts = s.complex.graph._order
     if s.args.exhaustive:
         return combinations_with_replacement(verts, 2)
     n, base = len(verts), s.based.basepoint
@@ -128,13 +128,7 @@ def _interval_pairs(s: Subject) -> Iterable[tuple[int, int]]:
     # the pairs through the basepoint are listed already
     b = verts.index(base)
     new = np.flatnonzero((lo != b) & (hi != b))
-    key = lo[new] * n + hi[new]
-    by = np.argsort(key, kind="stable")  # equal keys stay in draw order
-    first = np.ones(len(by), dtype=bool)
-    first[1:] = key[by[1:]] != key[by[:-1]]
-    drawn = np.zeros(len(new), dtype=bool)
-    drawn[by[first]] = True  # the first draw of each pair
-    new = new[drawn]
+    new = new[_first_rows(lo[new] * n + hi[new])]  # the first draw of each pair
     return [(base, v) for v in verts] + [
         (verts[i], verts[j]) for i, j in zip(lo[new].tolist(), hi[new].tolist())
     ]
@@ -251,9 +245,8 @@ def _finish(reports: list[CheckReport], files: tuple[Path, Path] | None,
     """
     if files is not None:
         text_path, csv_path = files
-        text_path.write_text("\n".join(rep.to_text() for rep in reports),
-                             encoding="utf-8")
-        csv_path.write_text(_certificates_csv(reports), encoding="utf-8")
+        _emit("\n".join(rep.to_text() for rep in reports), text_path)
+        _emit(_certificates_csv(reports), csv_path)
     for line in notes:
         print(line)
     for rep in reports:
@@ -266,7 +259,7 @@ def _finish(reports: list[CheckReport], files: tuple[Path, Path] | None,
     return 0
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
@@ -347,9 +340,7 @@ def _cmd_all(args: argparse.Namespace) -> int:
     files = (outdir / "reports.txt", outdir / "certificates.csv")
 
     disk = triangulated_disk(spec)
-    (outdir / "disk.complex").write_text(
-        format_complex(disk.complex, disk.center), encoding="utf-8"
-    )
+    _emit(format_complex(disk.complex, disk.center), outdir / "disk.complex")
     b = BasedComplex(disk.complex, disk.center)
     simplicial = [c for c in checks if c.kind == "simplicial"]
     reports = _run_checks(simplicial, disk.complex, b, args)
@@ -357,18 +348,14 @@ def _cmd_all(args: argparse.Namespace) -> int:
         return _finish(reports, files, brief=True)
 
     result = squaring(b, precheck=False)
-    (outdir / "squared.complex").write_text(
-        format_complex(result.squared.complex, result.squared.basepoint),
-        encoding="utf-8",
-    )
+    _emit(format_complex(result.squared.complex, result.squared.basepoint),
+          outdir / "squared.complex")
     reports.append(check_quasi_isometry(result, args.cert_cap))
     square = [c for c in checks if c.kind == "square"]
     reports += _run_checks(square, result.squared.complex, result.squared, args)
 
     pa = property_a_report(result.squared, args.n_max, args.cert_cap)
-    (outdir / "propa.csv").write_text(
-        "\n".join(pa.csv_lines()) + "\n", encoding="utf-8"
-    )
+    _emit("\n".join(pa.csv_lines()) + "\n", outdir / "propa.csv")
     reports.append(pa.check)
     return _finish(reports, files, brief=True)
 

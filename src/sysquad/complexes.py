@@ -24,6 +24,14 @@ however large, is ever cast to a fixed-width integer.
   ``_down_nbr``). Its one interval store, ``_intervals``, packs every
   basepoint interval as a bitset row, built as a down-closure.
 
+A cycle's canonical form is the least of its rotations and reflections.
+``_canonical_rows`` computes it for index rows of distinct vertices and is
+the package's one canonical form: the cell stores, ``has_triangle`` and
+``has_square``, the file reader and rule B's hexagons all use it.
+``_first_rows`` marks the first occurrence of each distinct row with one
+stable ``np.lexsort``; the file reader's duplicate records, rule B's
+hexagons and the CLI's interval sample each keep first occurrences with it.
+
 The public constructors map ids to indices once and then take the same
 path as the file reader, the disk generator and squaring, which hand their
 index arrays over directly. The checks read these arrays and map indices
@@ -32,11 +40,11 @@ back to ids only for certificates and output. The id views (``vertices``,
 the map from ids to indices (``Graph._index``, for inputs that name ids)
 are cached properties (``functools.cached_property``), each built whole
 on first use. So are the four index views, which every check that needs
-one reads: ``Graph._components`` (each index's component root and depth),
-``Graph._common_neighbours`` (the pairs with a common neighbour, and
-those neighbours), ``SquareComplex._corners`` (each square seen from
-each corner) and ``SquareComplex._square_table`` (each square keyed by
-each diagonal). Only the square table reads another view, the corner
+one reads: ``Graph._components`` (each index's component root and depth,
+built in O(V + E) work), ``Graph._common_neighbours`` (the pairs with a
+common neighbour, and those neighbours), ``SquareComplex._corners`` (each
+square seen from each corner) and ``SquareComplex._square_table`` (each
+square keyed by each diagonal). Only the square table reads another view, the corner
 view, while it is built, and no view reads the square table, so threads
 sharing a complex never wait on each other's views in a cycle.
 
@@ -61,33 +69,13 @@ INF = math.inf
 _STORE_ROWS = 64
 
 
-def canonical_cycle(cycle: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation or reflection of a cyclic vertex sequence.
-
-    The rotations and reflections of three or fewer entries are all their
-    orders, so the least one is the sorted tuple. With distinct entries the
-    least one starts at the minimum and steps to its smaller neighbour;
-    with repeated entries all 2n candidates are compared.
-    """
-    t = tuple(cycle)
-    n = len(t)
-    if n <= 3:
-        return tuple(sorted(t))
-    if len(set(t)) < n:
-        return min(s[i:] + s[:i] for s in (t, t[::-1]) for i in range(n))
-    i = t.index(min(t))
-    if t[i - n + 1] < t[i - 1]:
-        return t[i:] + t[:i]
-    return t[i::-1] + t[:i:-1]
-
-
 def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """``canonical_cycle`` of each cycle given as an index row.
+    """The canonical form of each cycle given as an index row of distinct
+    vertices: the lexicographically least of its rotations and reflections.
 
     A row of three or fewer is sorted. A longer one is rotated to start at
     its least vertex, then the rest is reversed when the last vertex is
-    the smaller neighbour of the first, which is its canonical form when
-    the vertices are distinct.
+    the smaller neighbour of the first.
     """
     k = rows.shape[1]
     if k <= 3:
@@ -106,14 +94,15 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _boundary_edges(cycle: Sequence[int]) -> list[tuple[int, int]]:
-    """The edges between consecutive vertices of a cycle, the last joined to the first."""
-    edges = []
-    u = cycle[0]
-    for w in cycle[1:] + cycle[:1]:
-        edges.append((u, w) if u < w else (w, u))
-        u = w
-    return edges
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each distinct row; a 1-D array is one column."""
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    by = np.lexsort(rows.T)  # stable: equal rows keep their order
+    ranked = rows[by]
+    first = np.ones(len(rows), dtype=bool)
+    first[by[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return first
 
 
 def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,15 +229,31 @@ class Graph:
     @cached_property
     def _components(self) -> tuple[np.ndarray, np.ndarray]:
         """Each index's component root, the least index of its component, and
-        its distance from that root; one ``_levels`` search per component.
+        its distance from that root.
 
-        The view holds two arrays of n entries.
+        An isolated index is its own root at depth 0, all in one array step.
+        The other components are searched one at a time from their least
+        index, the first one left unreached in index order; the searches
+        share the view's arrays and the next root is found by scanning
+        windows that double in length, so each component costs about its
+        own size and the view does O(V + E) work. It holds two arrays of n
+        entries.
         """
-        root, depth = np.full((2, len(self._order)), -1, dtype=np.intp)
-        while len(left := np.flatnonzero(depth < 0)):
-            lev = _levels(self, left[0])  # -1 outside the component, where depth is -1 too
-            root[lev >= 0] = left[0]
-            np.maximum(depth, lev, out=depth)
+        n = len(self._order)
+        root = np.arange(n)
+        depth = np.where(np.diff(self._ptr) > 0, -1, 0)
+        slot = np.empty(n, dtype=np.intp)
+        left = np.flatnonzero(depth)  # the indices with an edge, ascending
+        at, width = 0, 1
+        while at < len(left):
+            window = left[at:at + width]
+            new = np.flatnonzero(depth[window] < 0)
+            if not len(new):
+                at, width = at + width, 2 * width
+                continue
+            s = window[new[0]]
+            root[_search(self, s, depth, slot)] = s
+            at, width = at + int(new[0]) + 1, 1
         return root, depth
 
     @cached_property
@@ -387,17 +392,24 @@ class _CellComplex:
     def _error(cls, graph: Graph, i: int, cell: tuple[int, ...]) -> CellError:
         """The rejection of cell i, which lacks distinct vertices or a boundary edge."""
         n = cls._length
-        # a triangle's canonical form is its sorted vertices, and its least
-        # boundary edge comes first; a square's edges follow the given order
-        c = tuple(sorted(cell)) if n == 3 else canonical_cycle(cell)
-        if len(c) != n or len(set(c)) != n:
+        if len(cell) != n or len(set(cell)) != n:
             return CellError(i, f"{cls._noun} {cell} must have {n} distinct vertices")
-        along = ((c[0], c[1]), (c[0], c[2]), (c[1], c[2])) if n == 3 else _boundary_edges(cell)
         # complex files quote this byte for byte: a triangle names its sorted
         # vertices and least missing edge, a square its given order and the
         # first missing edge along it
-        e = next(e for e in along if not graph.has_edge(*e))
-        return CellError(i, f"{cls._noun} {c if n == 3 else cell} misses edge {e}")
+        c = tuple(sorted(cell)) if n == 3 else cell
+        along = [(min(u, w), max(u, w)) for u, w in zip(c, c[1:] + c[:1])]
+        e = next(e for e in (sorted(along) if n == 3 else along) if not graph.has_edge(*e))
+        return CellError(i, f"{cls._noun} {c} misses edge {e}")
+
+    def _has(self, cell: Sequence[int]) -> bool:
+        """Whether a cell is glued to the cycle ``cell`` of vertex ids, read
+        in any rotation or direction."""
+        row = [self._graph._position(v) for v in cell]
+        if len(row) != self._length or min(row) < 0 or len(set(row)) != len(row):
+            return False
+        order = self._graph._order
+        return tuple(order[v] for v in _canonical_rows(np.array([row]))[0].tolist()) in self._cells
 
     @property
     def graph(self) -> Graph:
@@ -455,7 +467,7 @@ class SimplicialComplex2(_CellComplex):
         return self._at(v)
 
     def has_triangle(self, tri: Sequence[int]) -> bool:
-        return canonical_cycle(tri) in self._cells
+        return self._has(tri)
 
 
 class SquareComplex(_CellComplex):
@@ -472,7 +484,7 @@ class SquareComplex(_CellComplex):
         return self._at(v)
 
     def has_square(self, cycle: Sequence[int]) -> bool:
-        return canonical_cycle(cycle) in self._cells
+        return self._has(cycle)
 
     @cached_property
     def _corners(self) -> np.ndarray:
@@ -628,11 +640,22 @@ class BasedComplex:
 def _levels(g: Graph, s: int) -> np.ndarray:
     """Distance from index s to every index, -1 where unreached; one pass per level."""
     n = len(g._order)
-    ptr, nbr = g._ptr, g._nbr
     lev = np.full(n, -1, dtype=np.intp)
+    _search(g, s, lev, np.empty(n, dtype=np.intp))
+    return lev
+
+
+def _search(g: Graph, s: int, lev: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Write the distance from index s into ``lev`` for every index s reaches,
+    one pass per level, and return those indices.
+
+    ``lev`` is -1 wherever s reaches, and ``slot`` is scratch of n entries;
+    a pass reads and writes only the entries of its own level.
+    """
+    ptr, nbr = g._ptr, g._nbr
     lev[s] = 0
-    slot = np.empty(n, dtype=np.intp)
     frontier = np.array([s])
+    found = [frontier]
     depth = 0
     while len(frontier):
         depth += 1
@@ -644,7 +667,8 @@ def _levels(g: Graph, s: int) -> np.ndarray:
         slot[reached] = at
         frontier = reached[slot[reached] == at]
         lev[frontier] = depth
-    return lev
+        found.append(frontier)
+    return np.concatenate(found)
 
 
 def _distance(g: Graph, s: int, t: int) -> int | float:

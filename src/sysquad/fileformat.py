@@ -48,6 +48,7 @@ from .complexes import (
     SimplicialComplex2,
     SquareComplex,
     _canonical_rows,
+    _first_rows,
 )
 
 _ARITY = {"v": 1, "e": 2, "t": 3, "q": 4, "base": 1}
@@ -82,15 +83,6 @@ def _syntax_error(raws: list[str]) -> ComplexFileError:
     raise AssertionError("no syntax fault found")
 
 
-def _repeats(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows equal to an earlier row."""
-    order = np.lexsort(rows.T)  # stable: equal rows stay in file order
-    ranked = rows[order]
-    mask = np.zeros(len(rows), dtype=bool)
-    mask[order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]] = True
-    return mask
-
-
 def _first_fault(kind, lines, ids, index, order):
     """The index rows of one record type, their canonical forms, and the
     (line number, message) of the first faulty record, or None."""
@@ -106,7 +98,7 @@ def _first_fault(kind, lines, ids, index, order):
         repeated = np.arange(len(rows)) > 0
     else:
         keys = _canonical_rows(rows)
-        repeated = _repeats(keys)
+        repeated = ~_first_rows(keys)
     bad = np.flatnonzero(undeclared | own | repeated)
     if not len(bad):
         return rows, keys, None
@@ -152,7 +144,7 @@ def parse_complex(text: str) -> tuple[SimplicialComplex2 | SquareComplex, int | 
     index = dict(zip(order, range(len(order))))
     if len(order) < len(ids["v"]):
         rows = np.fromiter(map(index.get, ids["v"]), np.intp, len(ids["v"]))
-        r = int(np.argmax(_repeats(rows[:, None])))
+        r = int(np.argmax(~_first_rows(rows)))
         raise ComplexFileError(lines["v"][r], f"duplicate vertex {ids['v'][r]}")
     scans = {kind: _first_fault(kind, lines[kind], ids[kind], index, order)
              for kind in ("e", "t", "q", "base")}

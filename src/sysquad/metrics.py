@@ -22,7 +22,11 @@ _UNPACK_ROWS = 1024
 
 
 def vertex_order(g: Graph) -> tuple[int, ...]:
-    """The sorted vertex ids of ``g``: index i of every array is ``vertex_order(g)[i]``."""
+    """The sorted vertex ids of ``g``: index i of every array is ``vertex_order(g)[i]``.
+
+    Kept for the benchmark worker (``perfbench/worker.py``), its only
+    caller; the package reads ``g._order``.
+    """
     return g._order
 
 
@@ -69,7 +73,8 @@ def _bfs(nbr: np.ndarray) -> np.ndarray:
 def all_pairs(g: Graph, order: tuple[int, ...] | None = None) -> np.ndarray:
     """Full distance matrix of ``g``; rows and columns follow ``vertex_order(g)``.
 
-    ``order``, when given, must be that order.
+    ``order``, when given, must be that order; only the benchmark worker
+    passes it.
 
     With n vertices the dtype is ``np.min_scalar_type(2 * n)`` and an
     unreachable pair holds the sentinel n, larger than every distance

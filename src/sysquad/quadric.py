@@ -21,6 +21,7 @@ from .complexes import (
     SquareComplex,
     _canonical_rows,
     _expand,
+    _first_rows,
     _intersects,
     _isin_sorted,
     _padded,
@@ -77,8 +78,7 @@ def check_replacement_rule_A(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     # (u0, u1, lo, v1, hi), whose outer square is (u0 lo u1 hi)
     found = np.column_stack([*np.divmod(pairs[rank[i]], n), np.minimum(v0, v2), v1,
                              np.maximum(v0, v2)])[same.sum(axis=(1, 2)) == 1]
-    if len(found):
-        rb.set_stat("patterns", len(found))
+    rb.count("patterns", len(found))
     rb.each_violation("rule-a", found[~_has_squares(c, found[:, [0, 2, 1, 4]], n)].tolist(),
                       lambda t: (tuple(order[v] for v in t), "missing-outer-square"))
     return rb.build()
@@ -152,13 +152,11 @@ def check_replacement_rule_B(c: SquareComplex, cap: int = DEFAULT_CERT_CAP) -> C
     hexagons = c._corners[triples].reshape(-1, 12)[:, [0, 2, 3, 1, 7, 6, 11]]
     srt = np.sort(hexagons[:, 1:], axis=1)
     embedded = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-    if not embedded.all():
-        rb.set_stat("degenerate", int((~embedded).sum()))
+    rb.count("degenerate", int((~embedded).sum()))
     # two square triples can glue to the same hexagon: keep its first one
     key = np.column_stack([hexagons[embedded, 0], _canonical_rows(hexagons[embedded, 1:])])
-    key = key[np.sort(np.unique(key, axis=0, return_index=True)[1])]
-    if len(key):
-        rb.set_stat("hexagons", len(key))
+    key = key[_first_rows(key)]
+    rb.count("hexagons", len(key))
     # on the canonical hexagon h, which has the same three antipodal pairs,
     # square k lies on h[k] .. h[k + 3]; option k takes squares k and k + 3
     on = _has_squares(c, key[:, 1 + (np.arange(6)[:, None] + np.arange(4)) % 6], len(order))
@@ -173,8 +171,7 @@ def check_quadrangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> 
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     x, v, w = b._down_pairs()
-    if len(x):
-        rb.set_stat("pairs", len(x))
+    rb.count("pairs", len(x))
     bad = ~_intersects(b._down_ptr, b._down_nbr, v, w)
     order = b.graph._order
     rb.each_violation("quadrangle", np.column_stack([x, v, w])[bad].tolist(), lambda t: (
@@ -390,9 +387,9 @@ def check_interval_isometry(
     if modular is None:
         modular = is_modular(g, D)
     rb = ReportBuilder("interval-isometry", cap)
-    pairs, total = iter(pairs), 0
+    pairs = iter(pairs)
     while block := list(islice(pairs, _PAIR_BLOCK)):
-        total += len(block)
+        rb.count("intervals", len(block))
         try:
             ij = np.fromiter(map(index.__getitem__, chain.from_iterable(block)),
                              dtype=np.intp, count=2 * len(block))
@@ -428,8 +425,6 @@ def check_interval_isometry(
                     (u, v, order[sub[i]], order[sub[j]]),
                     f"d_interval={inner[i, j]} d={S[i, j]}",
                 )
-    if total:
-        rb.set_stat("intervals", total)
     return rb.build()
 
 

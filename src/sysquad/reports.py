@@ -81,8 +81,10 @@ class ReportBuilder:
         self._violations = 0
         self._stats: dict[str, int | str] = {}
 
-    def count(self, key: str) -> None:
-        self._stats[key] = self._stats.get(key, 0) + 1
+    def count(self, key: str, k: int = 1) -> None:
+        """Add ``k`` to a counted stat; a stat appears once it counts something."""
+        if k:
+            self._stats[key] = self._stats.get(key, 0) + k
 
     def set_stat(self, key: str, value: int | str) -> None:
         self._stats[key] = value

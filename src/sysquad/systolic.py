@@ -29,6 +29,14 @@ two-step paths, an edge and its candidate 3-cliques) where that is
 larger, whatever the degrees. Flagness holds the first ``cap`` violations
 in scan order and counts the rest.
 
+Every blocked loop does only block-local work: ``_link_girths``,
+``_cliques3``, ``_flag_blocks`` and rule B's ``_link_triples`` compute
+each whole-array quantity (the degrees, the cumulative costs that
+``_blocks`` cuts, the sorted keys) once before their loops, and a block
+only gathers, expands and binary-searches its own entries. So at any
+block size the searches cost their expanded entries, times the log
+factor of the binary searches.
+
 The three basepointed checks cover the sphere geometry that squaring
 relies on: spheres are triangle-free, two neighbours of a vertex that
 are both one step closer to the basepoint are adjacent, and both ends of
@@ -115,13 +123,14 @@ def _link_girths(links: np.ndarray, n: int) -> np.ndarray:
     first = np.flatnonzero(np.diff(key, prepend=-1))
     root_v = key[first] // n  # root r is (v, s), ascending
     ptr = np.append(first, len(key))  # the link edges out of root r are ptr[r]:ptr[r + 1]
-    rid = np.repeat(np.arange(len(first)), np.diff(ptr))
+    degree = np.diff(ptr)  # each root's link degree, read by every block
+    rid = np.repeat(np.arange(len(first)), degree)
     hop = rid[at[by ^ 1]]  # link edge (v: s -> x) leads to the root (v, x)
     del key, by, at  # the search needs only the roots and hop
     # roots r and y adjacent as r * R + y, ascending
     R = len(first)
     adjacent = np.sort(rid * R + hop)
-    cum = _cumsum(np.diff(ptr)[hop])[ptr]  # the two-step paths out of the roots before r
+    cum = _cumsum(degree[hop])[ptr]  # the two-step paths out of the roots before r
     for lo, hi in _blocks(cum, _BLOCK_ENTRIES):
         e = np.arange(ptr[lo], ptr[hi])
         i, f = _expand(ptr[hop[e]], ptr[hop[e] + 1])  # paths s -> x -> y
@@ -137,7 +146,7 @@ def _link_girths(links: np.ndarray, n: int) -> np.ndarray:
         r, y = np.divmod(reach, R)
         live = girth[root_v[r]] == 6
         r, y = r[live], y[live]
-        for p, q in _blocks(_cumsum(np.diff(ptr)[y]), _BLOCK_ENTRIES):
+        for p, q in _blocks(_cumsum(degree[y]), _BLOCK_ENTRIES):
             j, g = _expand(ptr[y[p:q]], ptr[y[p:q] + 1])  # edges y -> z
             z_far = _isin_sorted(reach, r[p + j] * R + hop[g])
             girth[root_v[r[p + j[z_far]]]] = 5
@@ -267,8 +276,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb.set_stat("triangles", len(c._rows))
 
     tri = c._rows
-    if n:
-        rb.set_stat("links", n)
+    rb.count("links", n)
     # corner v of triangle (v, p, q) makes p and q adjacent in link(v)
     girth = _link_girths(np.concatenate([tri, tri[:, [1, 0, 2]], tri[:, [2, 0, 1]]]), n)
     for v in np.flatnonzero(girth).tolist():
@@ -277,8 +285,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     edges = g._ends
     blocks = _flag_blocks(edges, tri, n)
     cliques, count, rows = _first_violations(blocks, cap)
-    if cliques:
-        rb.set_stat("cliques3", cliques)
+    rb.count("cliques3", cliques)
     for *clique, y in rows.tolist():
         if y < 0:
             rb.violation("flagness", tuple(order[i] for i in clique), "empty-triangle")
@@ -305,8 +312,7 @@ def check_spheres_triangle_free(
     if rb.disconnected(b.basepoint, b.unreached):
         return rb.build()
     rows = b.complex._rows
-    if len(rows):
-        rb.set_stat("triangles", len(rows))
+    rb.count("triangles", len(rows))
     lev = b._lev[rows]
     bad = rows[(lev[:, 0] == lev[:, 1]) & (lev[:, 1] == lev[:, 2])]
     order = b.graph._order
@@ -322,8 +328,7 @@ def check_ball_neighbours(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Check
         return rb.build()
     g = b.graph
     x, v, w = b._down_pairs()
-    if len(x):
-        rb.set_stat("pairs", len(x))
+    rb.count("pairs", len(x))
     bad = ~_isin_sorted(g._keys, v * len(g._order) + w)
     order = g._order
     rb.each_violation("ball-neighbours", np.column_stack([x, v, w])[bad].tolist(), lambda t: (
@@ -338,8 +343,7 @@ def check_triangle_condition(b: BasedComplex, cap: int = DEFAULT_CERT_CAP) -> Ch
         return rb.build()
     ends, lev = b.graph._ends, b._lev
     ends = ends[lev[ends[:, 0]] == lev[ends[:, 1]]]
-    if len(ends):
-        rb.set_stat("equidistant_edges", len(ends))
+    rb.count("equidistant_edges", len(ends))
     bad = ends[~_intersects(b._down_ptr, b._down_nbr, ends[:, 0], ends[:, 1])]
     order = b.graph._order
     rb.each_violation("triangle-condition", bad.tolist(), lambda e: (

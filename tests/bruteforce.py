@@ -347,7 +347,7 @@ def brute_rule_a_violations(c):
                 v1 = shared.pop()
                 v0 = m1[0] if m1[1] == v1 else m1[1]
                 v2 = m2[0] if m2[1] == v1 else m2[1]
-                if not c.has_square((d1[0], v0, d1[1], v2)):
+                if brute_canonical_cycle((d1[0], v0, d1[1], v2)) not in c.squares:
                     viol.add((d1[0], d1[1], min(v0, v2), v1, max(v0, v2)))
     return sorted(viol)
 
@@ -378,19 +378,29 @@ def _walk_cycle(edges):
 def brute_rule_b_violations(c):
     """Rule B misses, by gluing square boundaries into hexagons and walking them.
 
-    Each hub u takes every triple of the squares at u.
+    Each hub u takes the triples of the squares at u whose boundary paths
+    pairwise share an end, a wing of u; the other triples are skipped
+    before their edges are walked. Consecutive squares around a hexagon
+    share the wing between them. If two paths share no end, both ends of
+    the first meet the third path, so the two close into a 4-cycle and
+    the six edges are not one hexagon.
     """
     g = c.graph
     viol = set()
     for u in sorted(g.vertices):
-        # each square at u contributes its boundary path avoiding u
-        paths = []
+        # each square at u contributes its boundary path avoiding u, and its wings
+        paths, wings = [], []
         for s in c.squares_at(u):
             i = s.index(u)
             a, b, a2 = s[i - 3], s[i - 2], s[i - 1]
             paths.append(((min(a, b), max(a, b)), (min(b, a2), max(b, a2))))
-        for triple in combinations(paths, 3):
-            edges = set(chain.from_iterable(triple))
+            wings.append({a, a2})
+        # meets[x]: the later squares at u that share a wing with square x
+        meets = [{y for y in range(x + 1, len(paths)) if not wings[x].isdisjoint(wings[y])}
+                 for x in range(len(paths))]
+        for x, y, z in ((x, y, z) for x in range(len(paths)) for y in sorted(meets[x])
+                        for z in sorted(meets[x] & meets[y])):
+            edges = set(chain(paths[x], paths[y], paths[z]))
             if len(edges) != 6:
                 continue
             hexagon = _walk_cycle(edges)
@@ -403,7 +413,8 @@ def brute_rule_b_violations(c):
                          hexagon[i + 3])
                 half2 = (hexagon[i + 3], hexagon[(i + 4) % 6],
                          hexagon[(i + 5) % 6], hexagon[i])
-                if g.has_edge(p, q) and c.has_square(half1) and c.has_square(half2):
+                if (g.has_edge(p, q) and brute_canonical_cycle(half1) in c.squares
+                        and brute_canonical_cycle(half2) in c.squares):
                     ok = True
                     break
             if not ok:
@@ -589,13 +600,11 @@ def brute_embedded_4cycles(g):
     """All embedded 4-cycles of g in canonical form, sorted, from every
     diagonal pair and two of its common neighbours, each cycle kept from
     its smaller diagonal."""
-    from sysquad import canonical_cycle
-
     cycles = []
     for (u, w), mids in common_neighbour_pairs(g).items():
         for x, y in combinations(mids, 2):
             if (u, w) < (x, y):
-                cycles.append(canonical_cycle((u, x, w, y)))
+                cycles.append(brute_canonical_cycle((u, x, w, y)))
     return sorted(cycles)
 
 
@@ -688,7 +697,7 @@ def brute_verify_systolic(c, cap):
             if x < w:
                 continue  # count each 3-clique once, with u < w < x
             rb.count("cliques3")
-            if not c.has_triangle((u, w, x)):
+            if tuple(sorted((u, w, x))) not in c.triangles:
                 rb.violation("flagness", (u, w, x), "empty-triangle")
             deeper = nbs & frozenset(g.neighbors(x))
             for y in sorted(deeper):
@@ -1015,7 +1024,7 @@ def brute_rule_a_report(c, cap):
             v1 = shared.pop()
             v0 = m1[0] if m1[1] == v1 else m1[1]
             v2 = m2[0] if m2[1] == v1 else m2[1]
-            if not c.has_square((u0, v0, u1, v2)):
+            if brute_canonical_cycle((u0, v0, u1, v2)) not in c.squares:
                 rb.violation("rule-a", (u0, u1, min(v0, v2), v1, max(v0, v2)),
                              "missing-outer-square")
     return rb.build()
@@ -1023,7 +1032,6 @@ def brute_rule_a_report(c, cap):
 
 def brute_rule_b_report(c, cap):
     """The ``rule-b`` report from a scan of every triple of squares at every vertex."""
-    from sysquad import canonical_cycle
     from sysquad.reports import ReportBuilder
 
     rb = ReportBuilder("rule-b", cap)
@@ -1047,7 +1055,7 @@ def brute_rule_b_report(c, cap):
             if len(set(hexagon)) != 6:
                 rb.count("degenerate")
                 continue
-            key = canonical_cycle(hexagon)
+            key = brute_canonical_cycle(hexagon)
             if key in seen:
                 continue
             seen.add(key)
@@ -1057,8 +1065,8 @@ def brute_rule_b_report(c, cap):
                 ((b0, a2), (b0, a1, b1, a2), (a2, b2, a0, b0)),
                 ((a1, b2), (a1, b1, a2, b2), (b2, a0, b0, a1)),
             )
-            if not any(g.has_edge(*chord) and c.has_square(c1) and c.has_square(c2)
-                       for chord, c1, c2 in options):
+            if not any(g.has_edge(*chord) and brute_canonical_cycle(c1) in c.squares
+                       and brute_canonical_cycle(c2) in c.squares for chord, c1, c2 in options):
                 rb.violation("rule-b", (u,) + key, "no-chorded-antipode")
     return rb.build()
 

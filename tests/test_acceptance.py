@@ -29,7 +29,8 @@ from sysquad import (
     squaring,
     verify_systolic,
 )
-from sysquad.metrics import all_pairs, vertex_order
+from sysquad.metrics import all_pairs
+from sysquad.quadric import is_modular
 from sysquad.cli import main as cli_main
 
 from bruteforce import (
@@ -129,12 +130,13 @@ def test_criterion_4_lemma_suite(lemma_disks):
                 assert rep.passed, (p, rep.to_text())
             res = squaring(b, precheck=False)
             sq = res.squared.complex
-            dist = all_pairs(sq.graph, vertex_order(sq.graph))
+            dist = all_pairs(sq.graph)
+            modular = is_modular(sq.graph, dist)
             pairs = [(p, v) for v in sorted(sq.graph.vertices)]
             for rep in (
                 check_quadrangle_condition(res.squared),
-                check_ball_isometry(sq, dist=dist),
-                check_interval_isometry(sq, pairs=pairs, dist=dist),
+                check_ball_isometry(sq, dist=dist, modular=modular),
+                check_interval_isometry(sq, pairs=pairs, dist=dist, modular=modular),
             ):
                 assert rep.passed, (p, rep.to_text())
             basepoints += 1

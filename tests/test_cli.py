@@ -700,22 +700,26 @@ INDEX_VIEWS = {"_components": Graph, "_common_neighbours": Graph, "_corners": Sq
 @pytest.fixture
 def view_builds(monkeypatch):
     """Records each index-view build as (name, object) in ``builds``, and
-    the name of the function that starts each ``_levels`` search in
-    ``searches``. Only ``BasedComplex``'s own search and the component view
-    may start one on a passing run; the quasi-isometry certificates'
-    ``_distance`` starts one per kept certificate."""
+    the name of the function that starts each ``_search``, directly or
+    through ``_levels``, in ``searches``. Only ``BasedComplex``'s own search
+    and the component view may start one on a passing run; the
+    quasi-isometry certificates' ``_distance`` starts one per kept
+    certificate."""
     builds, searches = [], []
     for name, cls in INDEX_VIEWS.items():
         view = vars(cls)[name]
         monkeypatch.setattr(view, "func", lambda obj, f=view.func, name=name: (
             builds.append((name, obj)), f(obj))[1])
-    levels = complexes._levels
+    search = complexes._search
 
-    def counted(g, s):
-        searches.append(sys._getframe(1).f_code.co_name)
-        return levels(g, s)
+    def counted(g, s, lev, slot):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_levels":
+            caller = caller.f_back
+        searches.append(caller.f_code.co_name)
+        return search(g, s, lev, slot)
 
-    monkeypatch.setattr(complexes, "_levels", counted)
+    monkeypatch.setattr(complexes, "_search", counted)
     return builds, searches
 
 

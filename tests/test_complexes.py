@@ -16,19 +16,19 @@ from sysquad import (
     Graph,
     SimplicialComplex2,
     SquareComplex,
-    canonical_cycle,
     distance,
     enumerate_embedded_4cycles,
     squaring,
     triangulated_disk,
     verify_systolic,
 )
-from sysquad.complexes import CellError, _levels
+from sysquad.complexes import CellError, _canonical_rows, _levels
 
 from bruteforce import (
     bfs_dist,
     adjacency,
     brute_based_complex,
+    brute_canonical_cycle,
     brute_cell_store,
     brute_common_neighbours,
     brute_graph,
@@ -111,6 +111,39 @@ def test_components_give_each_vertex_its_root_and_depth(n, p, seed):
         assert g._order[root[i]] == r and depth[i] == bfs_dist(adj, r)[v], v
 
 
+def test_components_scan_the_whole_graph_a_fixed_number_of_times(monkeypatch):
+    # 3,000 indices in 2,610 components: isolated ones, a matching of 300
+    # edges and ten paths of ten; a search or scan per component over all n
+    # entries would make thousands of whole-array calls
+    n = 3000
+    edges = [(2 * k, 2 * k + 1) for k in range(300)]
+    edges += [(v, v + 1) for v in range(1000, 1100) if v % 10]
+    g = Graph(range(n), edges)
+    whole = []
+
+    class CountingNumpy:
+        """numpy, noting each call with an array argument or result of n entries or more."""
+
+        def __getattr__(self, name):
+            f = getattr(np, name)
+            if not callable(f) or isinstance(f, type):
+                return f
+
+            def call(*args, **kwargs):
+                out = f(*args, **kwargs)
+                if any(isinstance(a, np.ndarray) and a.size >= n for a in (*args, out)):
+                    whole.append(name)
+                return out
+            return call
+
+    monkeypatch.setattr(complexes, "np", CountingNumpy())
+    root, depth = g._components
+    assert len(whole) <= 6, whole
+    assert len(set(root.tolist())) == n - 300 - 90
+    # the ten paths are 1001-1010, 1011-1020, ..., 1091-1100
+    assert root[1010] == 1001 and depth[1010] == depth.max() == 9
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=12), st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]),
        st.integers(min_value=0, max_value=10**6),
@@ -142,20 +175,25 @@ def test_is_connected():
 # --------------------------------------------------------------- canonical_cycle
 
 
+def canonical(*cycles):
+    """``_canonical_rows`` of the cycles, as tuples."""
+    return [tuple(row) for row in _canonical_rows(np.array(cycles)).tolist()]
+
+
 def test_canonical_cycle_starts_at_min():
-    assert canonical_cycle((3, 0, 2, 1)) == (0, 2, 1, 3)
+    assert canonical((3, 0, 2, 1)) == [(0, 2, 1, 3)] == [brute_canonical_cycle((3, 0, 2, 1))]
 
 
 def test_canonical_cycle_rotation_and_reflection_invariant():
     base = (0, 2, 1, 3)
     seqs = [base[i:] + base[:i] for i in range(4)]
     seqs += [tuple(reversed(s)) for s in seqs]
-    assert {canonical_cycle(s) for s in seqs} == {base}
+    assert canonical(*seqs) == [base] * 8 == [brute_canonical_cycle(s) for s in seqs]
 
 
 def test_canonical_cycle_hexagon():
     hx = (5, 4, 3, 2, 1, 0)
-    assert canonical_cycle(hx) == (0, 1, 2, 3, 4, 5)
+    assert canonical(hx) == [(0, 1, 2, 3, 4, 5)] == [brute_canonical_cycle(hx)]
 
 
 # -------------------------------------------------------------------- distances
@@ -247,7 +285,7 @@ def test_four_cycles_c4_c6_k23():
 def test_four_cycles_are_canonical_sorted_and_distinct():
     cycles = enumerate_embedded_4cycles(k23_graph())
     assert cycles == sorted(cycles)
-    assert all(c == canonical_cycle(c) for c in cycles)
+    assert all(c == brute_canonical_cycle(c) for c in cycles)
     assert len(set(cycles)) == len(cycles)
 
 
@@ -473,6 +511,13 @@ def test_square_complex_lookup():
     assert c.has_square((0, 3, 2, 1))
     assert not c.has_square((0, 2, 1, 3))
     assert c.squares_at(2) == ((0, 1, 2, 3),)
+    # a wrong length, a repeated vertex, an unknown or unhashable id name no square
+    for cycle in ((0, 1, 2), (0, 1, 2, 3, 0), (0, 1, 0, 3), (0, 1, 2, 7), (0, 1, 2, [3])):
+        assert not c.has_square(cycle), cycle
+    t = SimplicialComplex2(Graph(range(3), [(0, 1), (1, 2), (0, 2)]), [(0, 1, 2)])
+    assert t.has_triangle((2, 0, 1)) and t.has_triangle([1, 2, 0])
+    for tri in ((0, 1), (0, 1, 2, 0), (0, 1, 1), (0, 1, None), (0, 1, [2])):
+        assert not t.has_triangle(tri), tri
 
 
 # ------------------------------------------------------------------- homology

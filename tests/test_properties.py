@@ -1,7 +1,9 @@
 """Property-based agreement between the fast paths and the brute oracles."""
 
 import math
+import random
 import re
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -11,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from sysquad import (
     BasedComplex,
     Graph,
+    SimplicialComplex2,
     SquareComplex,
-    canonical_cycle,
     check_ball_isometry,
     check_flat_intervals,
     check_interval_isometry,
@@ -22,7 +24,8 @@ from sysquad import (
     enumerate_embedded_4cycles,
 )
 from sysquad import metrics, systolic
-from sysquad.metrics import all_pairs, induced_distances, vertex_order
+from sysquad.complexes import _canonical_rows
+from sysquad.metrics import all_pairs, induced_distances
 from sysquad.quadric import _link_triples, is_modular
 
 from bruteforce import (
@@ -116,24 +119,40 @@ def test_networkx_agrees_on_distances_girth_and_4_cycles(params):
     # a third oracle, independent of both the library and bruteforce.py
     g = random_graph(*params)
     h = nx_graph(g)
-    order = vertex_order(g)
-    D = all_pairs(g, order)
+    order = g._order
+    D = all_pairs(g)
     lengths = dict(nx.all_pairs_shortest_path_length(h))
     for i, u in enumerate(order):
         for j, v in enumerate(order):
             assert D[i, j] == lengths[u].get(v, len(order)), (u, v)
     assert girth(g) == nx.girth(h)
-    squares = [canonical_cycle(c) for c in nx.simple_cycles(h, length_bound=4)
+    squares = [brute_canonical_cycle(c) for c in nx.simple_cycles(h, length_bound=4)
                if len(c) == 4]
     assert enumerate_embedded_4cycles(g) == sorted(squares)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.sampled_from([0.0, 0.01, 0.03, 0.06]),
+       st.integers(min_value=0, max_value=10**6))
+def test_components_agree_with_networkx(n, p, seed):
+    # sparse graphs: many components, isolated vertices among them
+    g = random_graph(n, p, seed)
+    h = nx_graph(g)
+    root, depth = g._components
+    pos = dict(zip(g._order, range(n)))
+    for component in nx.connected_components(h):
+        least = min(component)
+        lengths = nx.single_source_shortest_path_length(h, least)
+        for v in component:
+            assert g._order[root[pos[v]]] == least and depth[pos[v]] == lengths[v], v
 
 
 def test_all_pairs_long_path_matches_bfs_levels():
     # 302 vertices need a dtype wider than uint8: distances reach 299 and
     # the two isolated vertices hold the sentinel 302
     g = Graph(range(302), [(v, v + 1) for v in range(299)])
-    order = vertex_order(g)
-    D = all_pairs(g, order)
+    order = g._order
+    D = all_pairs(g)
     assert D.dtype == np.min_scalar_type(2 * 302)
     assert D.max() == 302 and D[0, 299] == 299
     adj = adjacency(g)
@@ -146,10 +165,10 @@ def test_all_pairs_long_path_matches_bfs_levels():
 @given(graph_params, st.integers(min_value=0, max_value=10**6))
 def test_induced_distances_agree_with_networkx(params, seed):
     g = random_graph(*params)
-    order = vertex_order(g)
+    order = g._order
     rng = np.random.default_rng(seed)
     sub = np.flatnonzero(rng.random(len(order)) < 0.6)
-    inner = induced_distances(all_pairs(g, order), sub)
+    inner = induced_distances(all_pairs(g), sub)
     assert inner.dtype == np.min_scalar_type(2 * len(sub))
     h = nx_graph(g).subgraph([order[i] for i in sub])
     lengths = dict(nx.all_pairs_shortest_path_length(h))
@@ -181,14 +200,14 @@ def star(center, n):
 ], ids=["n0", "n1", "path9", "star", "star-isolated", "isolated", "edge9", "edgeless",
         "two-paths"])
 def test_distance_kernel_edge_cases_agree_with_networkx(monkeypatch, g):
-    order = vertex_order(g)
+    order = g._order
     n = len(order)
     lengths = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
     expected = [[lengths[u].get(v, n) for v in order] for u in order]
     for rows in (None, 1, 3):
         if rows is not None:
             monkeypatch.setattr(metrics, "_UNPACK_ROWS", rows)
-        D = all_pairs(g, order)
+        D = all_pairs(g)
         assert D.shape == (n, n) and D.dtype == np.min_scalar_type(2 * n)
         assert D.tolist() == expected, rows
         for sub in (np.arange(n), np.arange(0, n, 2), np.arange(1, n, 2), np.arange(0)):
@@ -232,20 +251,43 @@ def test_distance_is_a_metric(params):
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(list(range(6))))
 def test_canonical_cycle_orbit_invariance(perm):
+    # the twelve rotations and reflections of a hexagon, as one array
     seq = tuple(perm)
-    forms = {canonical_cycle(seq[i:] + seq[:i]) for i in range(6)}
-    forms |= {canonical_cycle(tuple(reversed(seq[i:] + seq[:i]))) for i in range(6)}
-    assert len(forms) == 1
-    canon = forms.pop()
-    assert canon[0] == min(seq)
+    orbit = [seq[i:] + seq[:i] for i in range(6)]
+    orbit += [tuple(reversed(t)) for t in orbit]
+    forms = {tuple(row) for row in _canonical_rows(np.array(orbit)).tolist()}
+    assert forms == {brute_canonical_cycle(seq)}
+    assert forms.pop()[0] == min(seq)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=6))
-def test_canonical_cycle_matches_oracle(seq):
-    # values from 0..3 force repeats at lengths 5 and 6 and often below
-    assert canonical_cycle(seq) == brute_canonical_cycle(seq)
-    assert canonical_cycle(tuple(seq)) == brute_canonical_cycle(seq)
+@given(st.integers(min_value=3, max_value=8).flatmap(lambda k: st.lists(
+    st.lists(st.integers(min_value=0, max_value=2 * k), min_size=k, max_size=k, unique=True),
+    min_size=1, max_size=20)))
+def test_canonical_cycle_matches_oracle(rows):
+    # rows of distinct vertices, widths 3 to 8, canonicalised together
+    got = _canonical_rows(np.array(rows)).tolist()
+    assert [tuple(row) for row in got] == [brute_canonical_cycle(row) for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_params, st.integers(min_value=0, max_value=10**6))
+def test_cell_lookups_agree_with_the_cell_sets(params, seed):
+    # rotations and reflections of every cell, and random cycles that repeat
+    # a vertex, name an unknown id or have the wrong length
+    c = relabelled(random_square_complex(*params), lambda v: 2**64 + 9 - v)
+    g = c.graph
+    t = SimplicialComplex2(g, [x for x in combinations(sorted(g.vertices), 3)
+                               if all(g.has_edge(u, w) for u, w in combinations(x, 2))][::2])
+    rng = random.Random(seed)
+    ids = sorted(g.vertices) + [-1, 2**70]
+    cycles = [s[i:] + s[:i] for s in c.squares for i in (0, 2)] + [s[::-1] for s in c.squares]
+    cycles += [tuple(rng.choice(ids) for _ in range(rng.randint(2, 5))) for _ in range(200)]
+    for cycle in cycles:
+        assert c.has_square(cycle) == (brute_canonical_cycle(cycle) in c.squares), cycle
+        assert t.has_triangle(cycle) == (tuple(sorted(cycle)) in t.triangles), cycle
+    for x in t.triangles:
+        assert t.has_triangle(x[::-1]) and t.has_triangle(list(x[1:] + x[:1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,7 +366,7 @@ def test_interval_store_matches_the_set_walk(square, k23, relabel, seed):
     for c in (random_square_complex(*square), random_k23_complex(*k23)):
         if relabel is not None:
             c = relabelled(c, relabel)
-        order = vertex_order(c.graph)
+        order = c.graph._order
         n = len(order)
         pos = dict(zip(order, range(n)))
         b = BasedComplex(c, order[int(rng.integers(n))])
@@ -489,8 +531,7 @@ modular_params = st.tuples(
 def test_modularity_certificate_is_sound_and_exact(params):
     make, *args = params
     g = make(*args)
-    order = vertex_order(g)
-    passed = is_modular(g, all_pairs(g, order))
+    passed = is_modular(g, all_pairs(g))
     assert passed == brute_is_modular(g)
     if passed:
         assert brute_ball_isometry_violations(g) == []

@@ -20,7 +20,7 @@ from sysquad import (
     distance,
     squaring,
 )
-from sysquad.metrics import all_pairs, vertex_order
+from sysquad.metrics import all_pairs
 from sysquad import complexes, quadric, systolic
 from sysquad.quadric import is_modular
 
@@ -48,8 +48,7 @@ def filled_square():
 
 
 def modular(g):
-    order = vertex_order(g)
-    return is_modular(g, all_pairs(g, order))
+    return is_modular(g, all_pairs(g))
 
 
 # -------------------------------------------------------------------- intervals
@@ -555,8 +554,7 @@ def test_certificate_agrees_with_brute_at_every_block_size(monkeypatch, n, edges
     # common-neighbour rows of multiplicity 1, 2, 3 and 4 in one padded table;
     # the matching and the edgeless graph have no pair with a common neighbour
     g = Graph(range(n), edges)
-    order = vertex_order(g)
-    D = all_pairs(g, order)
+    D = all_pairs(g)
     expected = brute_is_modular(g)
     for pairs_per_block in (None, 1, 2, 3, 7):
         if pairs_per_block is not None:

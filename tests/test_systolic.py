@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -115,12 +116,12 @@ def test_verify_systolic_searches_the_graph_once(monkeypatch):
     disk = triangulated_disk(DiskSpec(radius=2, degrees=6))
     sources = []
 
-    def counted(g, s):
+    def counted(g, s, lev, slot):
         sources.append(g._order[s])
-        return levels(g, s)
+        return search(g, s, lev, slot)
 
-    levels = complexes._levels
-    monkeypatch.setattr(complexes, "_levels", counted)
+    search = complexes._search
+    monkeypatch.setattr(complexes, "_search", counted)
     rep = verify_systolic(disk.complex)
     assert rep.passed and rep.stats["h1_rank_mod2"] == 0
     assert sources == [min(disk.complex.graph.vertices)]
@@ -335,6 +336,32 @@ def test_flagness_holds_few_rows_on_a_complete_graph(monkeypatch):
         assert rep == brute_verify_systolic(c, cap)
         assert rep.violations == 1140 + 4845 + 1  # and the h1 rank
         assert max(held) <= 2 * (cap + 64) + 64
+
+
+def test_link_search_work_is_linear_in_the_link_rows(monkeypatch):
+    # one block per root: the entries that np.diff and _cumsum read stay a
+    # fixed multiple of the link rows, so no block recomputes a whole array
+    # (a degree per root recomputed in every block made the search quadratic)
+    monkeypatch.setattr(systolic, "_BLOCK_ENTRIES", 1)
+    touched = []
+    diff, cumsum = np.diff, systolic._cumsum
+
+    def count_diff(a, *args, **kwargs):
+        touched.append(np.size(a))
+        return diff(a, *args, **kwargs)
+
+    def count_cumsum(a):
+        touched.append(np.size(a))
+        return cumsum(a)
+
+    monkeypatch.setattr(np, "diff", count_diff)
+    monkeypatch.setattr(systolic, "_cumsum", count_cumsum)
+    for radius in (3, 5):
+        tri = triangulated_disk(DiskSpec(radius=radius, degrees=7)).complex._rows
+        links = np.concatenate([tri, tri[:, [1, 0, 2]], tri[:, [2, 0, 1]]])
+        touched.clear()
+        assert not systolic._link_girths(links, int(tri.max()) + 1).any()
+        assert sum(touched) <= 12 * len(links), (radius, len(links), sum(touched))
 
 
 @pytest.mark.parametrize("budget", [1, 5, 40])
