@@ -7,8 +7,10 @@ distances and the mod-2 first-homology rank.
 
 Representation. A complex lives as dense vertex indices: the index of a
 vertex is its rank among the sorted vertex ids, so index order is id order
-and a canonical form over indices is the canonical form over ids. No id,
-however large, is ever cast to a fixed-width integer.
+and a canonical form over indices is the canonical form over ids. The
+structures hold indices, never ids, so an id of any size is kept exactly:
+only the file reader casts ids, and only ids of at most 18 digits, to int64,
+where the cast is exact.
 
 - A ``Graph`` holds its sorted ids (``_order``), its edges as index rows
   u < w sorted lexicographically (``_ends``, with the sorted keys
@@ -31,6 +33,9 @@ the package's one canonical form: the cell stores, ``has_triangle`` and
 ``_first_rows`` marks the first occurrence of each distinct row with one
 stable ``np.lexsort``; the file reader's duplicate records, rule B's
 hexagons and the CLI's interval sample each keep first occurrences with it.
+``_ascending`` tests in one pass whether rows already ascend strictly, as
+every file ``format_complex`` writes lists them; then no row repeats, and
+the reader, ``_sorted_rows`` and ``Graph`` skip their sorts.
 
 The public constructors map ids to indices once and then take the same
 path as the file reader, the disk generator and squaring, which hand their
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,21 +78,47 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """The canonical form of each cycle given as an index row of distinct
     vertices: the lexicographically least of its rotations and reflections.
 
-    A row of three or fewer is sorted. A longer one is rotated to start at
-    its least vertex, then the rest is reversed when the last vertex is
-    the smaller neighbour of the first.
+    A row of three or fewer is sorted, by a sorting network over its
+    columns. A longer one is rotated to start at its least vertex, then the
+    rest is reversed when the last vertex is the smaller neighbour of the
+    first.
     """
     k = rows.shape[1]
     if k <= 3:
-        return np.sort(rows, axis=1)
+        cols = list(rows.T)
+        for i, j in ((), ((0, 1),), ((0, 1), (1, 2), (0, 1)))[k - 1]:
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        return np.stack(cols, axis=1)
     rows = np.take_along_axis(rows, (rows.argmin(axis=1)[:, None] + np.arange(k)) % k, axis=1)
     flip = rows[:, 1] > rows[:, -1]
     rows[flip, 1:] = rows[flip, :0:-1]
     return rows
 
 
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Which rows hold an entry twice."""
+    out = np.zeros(len(rows), dtype=bool)
+    for i, j in combinations(range(rows.shape[1]), 2):
+        out |= rows[:, i] == rows[:, j]
+    return out
+
+
+def _ascending(rows: np.ndarray) -> bool:
+    """Whether the rows ascend strictly, lexicographically, so that no row
+    repeats; a 1-D array is one column."""
+    if rows.ndim == 1:
+        return bool((rows[1:] > rows[:-1]).all())
+    up, same = rows[1:] > rows[:-1], rows[1:] == rows[:-1]
+    ascends = up[:, -1]
+    for j in range(rows.shape[1] - 2, -1, -1):
+        ascends = up[:, j] | (same[:, j] & ascends)
+    return bool(ascends.all())
+
+
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, sorted lexicographically."""
+    if _ascending(rows):
+        return rows
     rows = rows[np.lexsort(rows.T[::-1])]
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -178,7 +209,8 @@ class Graph:
     def _of(cls, order: tuple[int, ...], rows: np.ndarray) -> Graph:
         """The graph on the sorted ids ``order`` with edges given as index rows u < w.
 
-        The rows may come in any order and repeat.
+        The rows may come in any order and repeat; rows that already ascend
+        strictly, as a file's edge records do, skip the sort.
         """
         g = cls.__new__(cls)
         g._set(order, rows)
@@ -186,9 +218,13 @@ class Graph:
 
     def _set(self, order, rows) -> None:
         n = len(order)
-        keys = np.sort(rows[:, 0] * n + rows[:, 1])
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        ends = np.stack(np.divmod(keys, max(n, 1)), axis=1)
+        keys = rows[:, 0] * n + rows[:, 1]
+        if _ascending(keys):
+            ends = rows
+        else:
+            keys = np.sort(keys)
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            ends = np.stack(np.divmod(keys, max(n, 1)), axis=1)
         # slot k is the edge src -> nbr; both directions sorted by source, and
         # within a source the smaller neighbours (from w -> u) come first
         src = np.concatenate([ends[:, 1], ends[:, 0]])
@@ -379,11 +415,13 @@ class _CellComplex:
         key, which no edge has.
         """
         n = len(graph._order)
-        srt = np.sort(rows, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        nxt = np.roll(rows, -1, axis=1)
-        along = np.minimum(rows, nxt) * n + np.maximum(rows, nxt)
-        bad |= ~_isin_sorted(graph._keys, along).all(axis=1)
+        bad = _repeats(rows)
+        # the boundary edges as one row per side: each row's keys mostly
+        # ascend, which keeps the search through the edge keys fast
+        cols = np.ascontiguousarray(rows.T)
+        nxt = np.roll(cols, -1, axis=0)
+        along = np.minimum(cols, nxt) * n + np.maximum(cols, nxt)
+        bad |= ~_isin_sorted(graph._keys, along).all(axis=0)
         if bad.any():
             i = int(np.argmax(bad))
             raise cls._error(graph, i, given(i))

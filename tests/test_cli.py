@@ -279,6 +279,19 @@ def test_verify_parse_error_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"v 0\nv \xff\n", "line 2: invalid UTF-8 byte 0xff"),
+    # CR ends a line too; a multibyte sequence cut short names its first byte
+    (b"v 0\rv 1\r\n\xe2\x82\n", "line 3: invalid UTF-8 byte 0xe2"),
+    (b"\x80v 0\n", "line 1: invalid UTF-8 byte 0x80"),
+])
+def test_verify_non_utf8_input_is_parse_error(tmp_path, capsys, data, message):
+    p = tmp_path / "bytes.complex"
+    p.write_bytes(data)
+    assert run_cli("verify", "--input", str(p)) == 2
+    assert capsys.readouterr().err == f"{p}: {message}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("v 0\nv 1\nv 2\ne 0 1\ne 1 2\nt 2 0 1\n",
      "line 6: triangle (0, 1, 2) misses edge (0, 2)"),

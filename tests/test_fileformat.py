@@ -16,6 +16,7 @@ from sysquad import (
     squaring,
     triangulated_disk,
 )
+from sysquad import fileformat
 from sysquad.cli import main
 
 from bruteforce import brute_parse_complex
@@ -306,3 +307,133 @@ def test_fuzzed_text_parses_or_names_its_line(text):
     assert type(got[0]) is type(want[0])
     assert got == want
     assert parse_complex(format_complex(*got)) == got
+
+
+# ------------------------------------------------------------ the byte path
+
+# Ids as written, at the byte path's edges: 18 digits fit an int64 exactly,
+# 19 do not, and 2**63 - 1 and 2**63 straddle its end; leading zeros give a
+# second text of one id.
+_LAYOUT_LABELS = ("0", "1", "2", "3", "4", "5", "007", "7", "999999999999999999",
+                  "1000000000000000000", "9223372036854775807", "9223372036854775808",
+                  "000000000000000004", "0000000000000000004")
+
+
+@st.composite
+def _layout_texts(draw):
+    """Texts in the layout ``format_complex`` writes: single spaces, LF line
+    ends, one record per line. Six slots get labels; slots 0 to 4 are
+    declared, in order or shuffled, then edges, cells and a base record.
+    Some texts carry faulty records: a repeated line, an undeclared id, a
+    loop, a record of the wrong arity, a ``bas`` or ``b`` keyword; some lose
+    their last LF."""
+    # a quarter of the texts may hold an id of 19 digits, which only the general path reads
+    pool = _LAYOUT_LABELS if draw(st.integers(0, 3)) == 0 else [x for x in _LAYOUT_LABELS if len(x) <= 18]
+    labels = draw(st.lists(st.sampled_from(pool), min_size=6, max_size=6, unique=True))
+    pairs = [(u, w) for u in range(5) for w in range(u + 1, 5)]
+    recs = [("v", [v]) for v in range(5)]
+    edges = draw(st.one_of(st.just(pairs), st.lists(st.sampled_from(pairs), unique=True)))
+    recs += [("e", list(p)) for p in edges]
+    kind = draw(st.sampled_from(["t", "q"]))
+    width = 3 if kind == "t" else 4
+    recs += [(kind, list(c)) for c in draw(st.lists(st.permutations(range(5)).map(
+        lambda p: tuple(sorted(p[:width])) if width == 3 else p[:width]), max_size=4))]
+    if draw(st.booleans()):
+        recs.append(("base", [draw(st.integers(0, 4))]))
+    if draw(st.booleans()):
+        recs = draw(st.permutations(recs))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(recs)))
+        fault = draw(st.one_of(
+            st.sampled_from(recs) if recs else st.nothing(),  # a repeated record
+            st.tuples(st.sampled_from(["e", "t", "q", "base"]), st.just([5, 0, 1, 2])).map(
+                lambda r: (r[0], r[1][:fileformat._ARITY[r[0]]])),  # slot 5 is never declared
+            st.integers(0, 4).map(lambda v: ("e", [v, v])),
+            st.tuples(st.sampled_from(["v", "e", "t", "q", "base"]), st.integers(0, 5)).map(
+                lambda r: (r[0], list(range(r[1])))),
+            st.sampled_from(["base", "bas", "b"]).map(lambda k: (k, [0])),
+        ))
+        recs.insert(at, fault)
+    text = "".join(" ".join([k, *(labels[s] for s in slots)]) + "\n" for k, slots in recs)
+    return text[:-1] if text and draw(st.integers(0, 4)) == 0 else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_layout_texts())
+@example("v 0\nv 000000000000000004\nv 9223372036854775807\n"
+         "e 0 000000000000000004\nbase 9223372036854775807\n")
+@example("v 0\nv 1\nv 2\ne 0 1\ne 1 2\ne 0 2\nt 0 1 2\nbase 0\nbase 0\n")
+def test_layout_text_agrees_with_the_oracle(text):
+    # the byte path reads a sound file as the oracle does and gives up on a
+    # faulty one; parse_complex then reports the oracle's first error
+    read = fileformat._read_layout(text.encode("ascii"))
+    try:
+        want = brute_parse_complex(text)
+    except ComplexFileError as exc:
+        assert read is None
+        with pytest.raises(ComplexFileError) as ei:
+            parse_complex(text)
+        assert (ei.value.lineno, str(ei.value)) == (exc.lineno, str(exc))
+        return
+    got = parse_complex(text)
+    assert (type(got[0]), got) == (type(want[0]), want)
+    if read is not None:
+        assert (type(read[0]), read) == (type(want[0]), want)
+
+
+@pytest.mark.parametrize("text", [
+    "v 0\n",
+    "v 0\nv 1\ne 0 1\n",
+    "v 7\nv 3\ne 7 3\nbase 7\n",  # shuffled ids, edge ends out of order
+    "v 999999999999999999\nv 0\ne 0 999999999999999999\n",
+    "v 5\nv 6\nv 7\ne 5 6\ne 6 7\ne 5 7\nt 5 6 7\n",
+])
+def test_layout_reader_takes_sound_files(text):
+    assert fileformat._read_layout(text.encode("ascii")) == brute_parse_complex(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "v 0", "v 0\n\n", "v  0\n", " v 0\n", "v 0 \n", "v\t0\n", "v 0\r\n", "v 0 # c\n",
+    "v 0\nbas 0\n", "v 0\nb 0\n", "v 0\nbasee 0\n", "v 0\nvbase 0\n",
+    "v 0\nv 1\nv 0\n", "v 0\ne 0 1\n", "v 0\nv 1\ne 0 1\ne 1 0\n", "v 0\ne 0 0\n",
+    "v 0\nbase 0\nbase 0\n", "v 0\nv 1\ne 0\n", "v 0\nv 1\ne 0 1 0\n",
+    "v 1000000000000000000\n", "v 0000000000000000000\n", "v 10\nv 1a\n",
+])
+def test_layout_reader_gives_up_on_other_files(text):
+    assert fileformat._read_layout(text.encode("ascii")) is None
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.frozensets(st.integers(min_value=6, max_value=8), min_size=1),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_written_files_take_the_byte_path(tmp_path_factory, radius, degrees, seed):
+    d = triangulated_disk(DiskSpec(radius=radius, degrees=degrees, seed=seed))
+    sq = squaring(BasedComplex(d.complex, d.center)).squared
+    path = tmp_path_factory.mktemp("layout") / "c.complex"
+    for c, base in ((d.complex, d.center), (sq.complex, sq.basepoint)):
+        text = format_complex(c, base)
+        path.write_text(text, encoding="utf-8")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileformat, "_parse_text", _general_path_refused)
+            got = read_complex(path)
+            assert got == parse_complex(text)
+        want = c if len(c._rows) else SimplicialComplex2(c.graph)
+        assert (type(got[0]), got) == (type(want), (want, base))
+
+
+def _general_path_refused(text):
+    raise AssertionError("the general tokeniser ran on a written file")
+
+
+def test_ids_past_int64_are_written_exactly():
+    big = (10**18 - 1, 10**18, 2**63 - 1, 2**63, 2**70)
+    g = Graph(big, [(big[0], big[1]), (big[1], big[2]), (big[0], big[2]), (big[3], big[4])])
+    c = SimplicialComplex2(g, [big[:3]])
+    text = format_complex(c, 2**70)
+    assert text == "".join(f"v {v}\n" for v in big) + (
+        f"e {big[0]} {big[1]}\ne {big[0]} {big[2]}\ne {big[1]} {big[2]}\ne {big[3]} {big[4]}\n"
+        f"t {big[0]} {big[1]} {big[2]}\nbase {2**70}\n")
+    assert parse_complex(text) == (c, 2**70)

@@ -24,7 +24,7 @@ from sysquad import (
     enumerate_embedded_4cycles,
 )
 from sysquad import metrics, systolic
-from sysquad.complexes import _canonical_rows
+from sysquad.complexes import _ascending, _canonical_rows, _sorted_rows
 from sysquad.metrics import all_pairs, induced_distances
 from sysquad.quadric import _link_triples, is_modular
 
@@ -261,13 +261,29 @@ def test_canonical_cycle_orbit_invariance(perm):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=3, max_value=8).flatmap(lambda k: st.lists(
+@given(st.integers(min_value=2, max_value=8).flatmap(lambda k: st.lists(
     st.lists(st.integers(min_value=0, max_value=2 * k), min_size=k, max_size=k, unique=True),
     min_size=1, max_size=20)))
 def test_canonical_cycle_matches_oracle(rows):
-    # rows of distinct vertices, widths 3 to 8, canonicalised together
+    # rows of distinct vertices, widths 2 (an edge) to 8, canonicalised together
     got = _canonical_rows(np.array(rows)).tolist()
     assert [tuple(row) for row in got] == [brute_canonical_cycle(row) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(min_value=-1, max_value=3), min_size=k, max_size=k), max_size=8)),
+    st.booleans())
+def test_ascending_rows_are_the_sorted_distinct_rows(rows, sort):
+    # sorted input is the shortcut's case, so half the draws are sorted first
+    k = len(rows[0]) if rows else 2
+    rows = sorted(rows) if sort else rows
+    a = np.array(rows, dtype=np.intp).reshape(-1, k)
+    want = sorted(set(map(tuple, rows)))
+    assert _ascending(a) == ([tuple(r) for r in rows] == want)
+    assert [tuple(r) for r in _sorted_rows(a).tolist()] == want
+    if k == 1:
+        assert _ascending(a[:, 0]) == _ascending(a)
 
 
 @settings(max_examples=60, deadline=None)
