@@ -35,7 +35,7 @@ stable ``np.lexsort``; the file reader's duplicate records, rule B's
 hexagons and the CLI's interval sample each keep first occurrences with it.
 ``_ascending`` tests in one pass whether rows already ascend strictly, as
 every file ``format_complex`` writes lists them; then no row repeats, and
-the reader, ``_sorted_rows`` and ``Graph`` skip their sorts.
+the reader, the cell stores and ``Graph`` skip their sorts.
 
 The public constructors map ids to indices once and then take the same
 path as the file reader, the disk generator and squaring, which hand their
@@ -78,17 +78,13 @@ def _canonical_rows(rows: np.ndarray) -> np.ndarray:
     """The canonical form of each cycle given as an index row of distinct
     vertices: the lexicographically least of its rotations and reflections.
 
-    A row of three or fewer is sorted, by a sorting network over its
-    columns. A longer one is rotated to start at its least vertex, then the
-    rest is reversed when the last vertex is the smaller neighbour of the
-    first.
+    A row of three or fewer is sorted. A longer one is rotated to start at
+    its least vertex, then the rest is reversed when the last vertex is
+    the smaller neighbour of the first.
     """
     k = rows.shape[1]
     if k <= 3:
-        cols = list(rows.T)
-        for i, j in ((), ((0, 1),), ((0, 1), (1, 2), (0, 1)))[k - 1]:
-            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
-        return np.stack(cols, axis=1)
+        return np.sort(rows, axis=1)
     rows = np.take_along_axis(rows, (rows.argmin(axis=1)[:, None] + np.arange(k)) % k, axis=1)
     flip = rows[:, 1] > rows[:, -1]
     rows[flip, 1:] = rows[flip, :0:-1]
@@ -117,8 +113,6 @@ def _ascending(rows: np.ndarray) -> bool:
 
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, sorted lexicographically."""
-    if _ascending(rows):
-        return rows
     rows = rows[np.lexsort(rows.T[::-1])]
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
@@ -404,7 +398,7 @@ class _CellComplex:
 
     def _set(self, graph: Graph, canonical: np.ndarray) -> None:
         self._graph = graph
-        self._rows = _sorted_rows(canonical)
+        self._rows = canonical if _ascending(canonical) else _sorted_rows(canonical)
 
     @classmethod
     def _check(cls, graph: Graph, rows: np.ndarray, given) -> None:
@@ -416,12 +410,9 @@ class _CellComplex:
         """
         n = len(graph._order)
         bad = _repeats(rows)
-        # the boundary edges as one row per side: each row's keys mostly
-        # ascend, which keeps the search through the edge keys fast
-        cols = np.ascontiguousarray(rows.T)
-        nxt = np.roll(cols, -1, axis=0)
-        along = np.minimum(cols, nxt) * n + np.maximum(cols, nxt)
-        bad |= ~_isin_sorted(graph._keys, along).all(axis=0)
+        nxt = np.roll(rows, -1, axis=1)
+        along = np.minimum(rows, nxt) * n + np.maximum(rows, nxt)
+        bad |= ~_isin_sorted(graph._keys, along).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             raise cls._error(graph, i, given(i))

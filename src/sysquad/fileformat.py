@@ -121,9 +121,7 @@ def _scan(kind: str, rows: np.ndarray):
     """
     if not len(rows):
         return rows, None
-    undeclared = np.zeros(len(rows), dtype=bool)
-    if rows.min(initial=0) < 0:
-        undeclared = (rows < 0).any(axis=1)
+    undeclared = (rows < 0).any(axis=1)
     own = _repeats(rows)
     bad = undeclared | own
     if kind == "base":
@@ -317,7 +315,7 @@ def format_complex(
 
     Each record type is one ``%`` format over one flat tuple of ids. Ids
     that are not the indices 0..V-1 are gathered by the index rows from an
-    int64 array, or an object array when an id does not fit one.
+    object array, which holds ids of any size.
     """
     g = complex.graph
     if basepoint is not None and not g.has_vertex(basepoint):
@@ -325,10 +323,7 @@ def format_complex(
     order, n = g._order, len(g._order)
     rows = (("e", g._ends), ("tq"[complex._length - 3], complex._rows))
     if n and (order[0] != 0 or order[-1] != n - 1):  # ids that are not the indices
-        try:
-            names = np.array(order, dtype=np.int64)
-        except OverflowError:
-            names = np.array(order, dtype=object)
+        names = np.array(order, dtype=object)
         rows = tuple((kind, names[r]) for kind, r in rows)
     parts = [("v %d\n" * n) % order]
     parts += [(f"{kind}{' %d' * r.shape[1]}\n" * len(r)) % tuple(r.ravel().tolist())
