@@ -46,7 +46,8 @@ the map from ids to indices (``Graph._index``, for inputs that name ids)
 are cached properties (``functools.cached_property``), each built whole
 on first use. So are the four index views, which every check that needs
 one reads: ``Graph._components`` (each index's component root and depth,
-built in O(V + E) work), ``Graph._common_neighbours`` (the pairs with a
+from one search and, on a disconnected graph, O(log V) rounds of array
+passes), ``Graph._common_neighbours`` (the pairs with a
 common neighbour, and those neighbours), ``SquareComplex._corners`` (each
 square seen from each corner) and ``SquareComplex._square_table`` (each
 square keyed by each diagonal). Only the square table reads another view, the corner
@@ -262,28 +263,48 @@ class Graph:
         its distance from that root.
 
         An isolated index is its own root at depth 0, all in one array step.
-        The other components are searched one at a time from their least
-        index, the first one left unreached in index order; the searches
-        share the view's arrays and the next root is found by scanning
-        windows that double in length, so each component costs about its
-        own size and the view does O(V + E) work. It holds two arrays of n
-        entries.
+        One search runs from the least index with an edge, so a connected
+        graph takes that one search. Every index it leaves gets its root
+        from array passes over those indices alone: each root takes the
+        least root across its edges, then pointer jumping points every
+        index at its root, until no root changes. An index points to one of
+        its component no greater than itself, so the roots end as the least
+        index of each component. A tree that takes no smaller root in one
+        round has its neighbours take one no greater than its own, so it
+        merges in that round or the next: the trees at least halve every
+        two rounds, O(log V) rounds in all. One level search from all
+        those roots at once then gives the depths. The view holds two
+        arrays of n entries.
         """
         n = len(self._order)
         root = np.arange(n)
         depth = np.where(np.diff(self._ptr) > 0, -1, 0)
+        if not len(self._src):
+            return root, depth
         slot = np.empty(n, dtype=np.intp)
-        left = np.flatnonzero(depth)  # the indices with an edge, ascending
-        at, width = 0, 1
-        while at < len(left):
-            window = left[at:at + width]
-            new = np.flatnonzero(depth[window] < 0)
-            if not len(new):
-                at, width = at + width, 2 * width
-                continue
-            s = window[new[0]]
-            root[_search(self, s, depth, slot)] = s
-            at, width = at + int(new[0]) + 1, 1
+        s = int(self._src[0])  # the least index with an edge
+        root[_search(self, s, depth, slot)] = s
+        left = np.flatnonzero(depth < 0)  # ascending; every neighbour of one is one
+        if len(left):
+            a, k = _expand(self._ptr[left], self._ptr[left + 1])
+            b = np.searchsorted(left, self._nbr[k])  # edge a -> b, by position in left
+            m = len(left)
+            label = np.arange(m)
+            while True:
+                # the least label across the edges out of each root's tree
+                r, least = np.divmod(np.sort(label[a] * m + label[b]), m)
+                first = np.diff(r, prepend=-1) != 0
+                r, least = r[first], least[first]
+                low = label.copy()
+                low[r] = np.minimum(low[r], least)
+                jump = low[low]
+                while (jump != low).any():
+                    low, jump = jump, jump[jump]
+                if (low == label).all():
+                    break
+                label = low
+            root[left] = left[label]
+            _search(self, left[label == np.arange(m)], depth, slot)
         return root, depth
 
     @cached_property
@@ -674,16 +695,17 @@ def _levels(g: Graph, s: int) -> np.ndarray:
     return lev
 
 
-def _search(g: Graph, s: int, lev: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Write the distance from index s into ``lev`` for every index s reaches,
-    one pass per level, and return those indices.
+def _search(g: Graph, s, lev: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Write the distance from index s, or from the nearest of an array s
+    of indices, into ``lev`` for every index s reaches, one pass per level,
+    and return those indices.
 
     ``lev`` is -1 wherever s reaches, and ``slot`` is scratch of n entries;
     a pass reads and writes only the entries of its own level.
     """
     ptr, nbr = g._ptr, g._nbr
     lev[s] = 0
-    frontier = np.array([s])
+    frontier = np.atleast_1d(s)
     found = [frontier]
     depth = 0
     while len(frontier):
@@ -731,12 +753,19 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def _h1_rank(cells: np.ndarray, edges: np.ndarray, n: int) -> int:
-    """Mod-2 rank of the first homology of a connected complex on the vertex
-    indices 0..n-1: cycle-space rank minus boundary rank.
+def _sides(cells: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
+    """The edge index of each side of each cell: side j of a row joins
+    columns j and j + 1, cyclically. ``keys`` are the sorted edge keys
+    u * n + w, u < w, and every side must be an edge."""
+    nxt = np.roll(cells, -1, axis=1)
+    return np.searchsorted(keys, np.minimum(cells, nxt) * n + np.maximum(cells, nxt))
 
-    ``cells`` holds one row of indices per cell in boundary order, and
-    ``edges`` one row u < w per edge, sorted.
+
+def _h1_rank(sides: np.ndarray, edges: int, n: int) -> int:
+    """Mod-2 rank of the first homology of a connected complex with ``edges``
+    edges on the vertex indices 0..n-1: cycle-space rank minus boundary rank.
+
+    ``sides`` holds the edge index of each side of each cell (``_sides``).
 
     The boundary rank comes from peeling free faces. In rounds, every
     remaining cell with an edge that lies in no other remaining cell is
@@ -752,20 +781,17 @@ def _h1_rank(cells: np.ndarray, edges: np.ndarray, n: int) -> int:
     fundamental group is free of rank h1: then a zero rank also proves the
     complex simply connected.
     """
-    keys = edges[:, 0] * n + edges[:, 1]
-    nxt = np.roll(cells, -1, axis=1)
-    bd = np.searchsorted(keys, np.minimum(cells, nxt) * n + np.maximum(cells, nxt))
-    count = np.bincount(bd.ravel(), minlength=len(keys))  # cells left on each edge
-    left = np.arange(len(cells))
+    count = np.bincount(sides.ravel(), minlength=edges)  # cells left on each edge
+    left = np.arange(len(sides))
     while len(left):
-        free = (count[bd[left]] == 1).any(axis=1)
+        free = (count[sides[left]] == 1).any(axis=1)
         if not free.any():
             break
-        count -= np.bincount(bd[left[free]].ravel(), minlength=len(keys))
+        count -= np.bincount(sides[left[free]].ravel(), minlength=edges)
         left = left[~free]
     # the residue's edges, renumbered densely, as bits of one integer per cell
     column = np.cumsum(count > 0) - 1
-    rows = [sum(1 << e for e in row) for row in column[bd[left]].tolist()]
+    rows = [sum(1 << e for e in row) for row in column[sides[left]].tolist()]
     # E - V + (number of components): one for a connected graph, none for the empty one
-    cycle_rank = len(keys) - n + min(1, n)
-    return cycle_rank - (len(cells) - len(left)) - _gf2_rank(rows)
+    cycle_rank = edges - n + min(1, n)
+    return cycle_rank - (len(sides) - len(left)) - _gf2_rank(rows)

@@ -24,9 +24,20 @@ prescribed degree, so any rule with all degrees >= 6 produces a complex
 whose vertex links have girth >= 6.
 
 The ids are 0, 1, 2, ... in layer order, so they are their own vertex
-indices, and the edges and triangles go to the complex as index rows. By
-construction every triangle's edges are among the edges, so the rows are
-only put in canonical form, a triangle as its sorted vertices.
+indices, and each layer is a range of ids. A layer is built as arrays,
+with one ``rng.choice`` per vertex in layer order, so a seed gives the
+same disk as a vertex-by-vertex build. Window i starts at ring position
+sum(fan[:i] - 1) and the windows tile the ring, each position p lying in
+exactly one window before that window's end: ``owner`` repeats each
+layer vertex fan - 1 times. So the edges are (owner[p], p), (p, p + 1) and
+(v_i, end of window i), and the triangles (owner[p], p, p + 1) and
+(v_i, v_{i + 1}, end of window i), positions mod the ring length. A
+window's end is the next window's start, so the next layer's parent
+counts are 2 there and 1 elsewhere.
+
+The edges and triangles go to the complex as index rows. By construction
+every triangle's edges are among the edges, so the rows are only put in
+canonical form, a triangle as its sorted vertices.
 """
 
 from __future__ import annotations
@@ -90,47 +101,40 @@ def triangulated_disk(spec: DiskSpec) -> Disk:
         c = SimplicialComplex2(Graph([0]), [])
         return Disk(complex=c, center=0, layers=((0,),))
 
-    edges: list[tuple[int, int]] = []
-    triangles: list[tuple[int, int, int]] = []
-
     d0 = rng.choice(choices)
-    first_layer = list(range(1, d0 + 1))
-    for i, v in enumerate(first_layer):
-        w = first_layer[(i + 1) % d0]
-        edges.append((0, v))
-        edges.append((v, w))
-        triangles.append((0, v, w))
-    layers = [[0], first_layer]
-    # number of parents of each current-outer-layer vertex
-    parents = {v: 1 for v in first_layer}
-    next_id = d0 + 1
+    # layer 1 is a whole cycle of d0 children around the center, each with one parent
+    at = np.arange(1, d0 + 1)
+    after = np.roll(at, -1)
+    center = np.zeros(d0, dtype=np.intp)
+    edges = [np.column_stack([center, at]), np.column_stack([at, after])]
+    triangles = [np.column_stack([center, at, after])]
+    bounds = [0, 1, d0 + 1]  # layer k is the ids bounds[k]..bounds[k + 1] - 1
+    parents = np.ones(d0, dtype=np.intp)
 
-    for k in range(1, spec.radius):
-        layer = layers[k]
-        m = len(layer)
-        fan = [rng.choice(choices) - 2 - parents[v] for v in layer]
-        n = sum(fan) - m
-        ring = list(range(next_id, next_id + n))
-        next_id += n
-        new_parents: dict[int, int] = {}
-        pos = 0
-        for i, v in enumerate(layer):
-            window = [ring[(pos + j) % n] for j in range(fan[i])]
-            pos += fan[i] - 1
-            for a in window:
-                edges.append((v, a))
-                new_parents[a] = new_parents.get(a, 0) + 1
-            for a, b in zip(window, window[1:]):
-                edges.append((a, b))
-                triangles.append((v, a, b))
-            triangles.append((v, layer[(i + 1) % m], window[-1]))
-        layers.append(ring)
-        parents = new_parents
+    for _ in range(1, spec.radius):
+        low, next_id = bounds[-2], bounds[-1]
+        m = next_id - low
+        fan = np.array([rng.choice(choices) for _ in range(m)]) - 2 - parents
+        n = int(fan.sum()) - m
+        # ring position p lies in the window of owner[p] before its end;
+        # window i ends at ring id end[i], where window i + 1 starts
+        layer = np.arange(low, next_id)
+        owner = np.repeat(layer, fan - 1)
+        end = np.cumsum(fan - 1) % n + next_id
+        at = np.arange(next_id, next_id + n)
+        after = np.roll(at, -1)
+        edges += [np.column_stack([owner, at]), np.column_stack([layer, end]),
+                  np.column_stack([at, after])]
+        triangles += [np.column_stack([owner, at, after]),
+                      np.column_stack([layer, np.roll(layer, -1), end])]
+        parents = np.ones(n, dtype=np.intp)
+        parents[end - next_id] = 2
+        bounds.append(next_id + n)
 
-    graph = Graph._of(tuple(range(next_id)), np.sort(edges, axis=1))
-    complex = SimplicialComplex2._of(graph, np.sort(triangles, axis=1))
+    graph = Graph._of(tuple(range(bounds[-1])), np.sort(np.concatenate(edges), axis=1))
+    complex = SimplicialComplex2._of(graph, np.sort(np.concatenate(triangles), axis=1))
     return Disk(
         complex=complex,
         center=0,
-        layers=tuple(tuple(layer) for layer in layers),
+        layers=tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])),
     )

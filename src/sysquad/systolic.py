@@ -4,30 +4,46 @@ verify_systolic covers the structural conditions: every vertex link has
 girth >= 6, the complex is flag (each 3-clique spans a triangle, no
 4-clique), and the mod-2 cycle test for simple connectedness passes.
 Link girth and flagness are array passes over the complex's triangle
-and edge index rows:
+and edge index rows. The edge index of each triangle side (``_sides``)
+is found once; the link table and the h1 test (``_h1_rank``) both read
+it.
 
-- Link girth searches two steps out from every vertex s of every link
-  link(v), where corner v of triangle (v, p, q) makes p and q adjacent:
-  two adjacent neighbours of s close a triangle, a vertex reached from
-  two neighbours of s closes a 4-cycle, and two adjacent vertices at
-  distance 2 close a cycle of length 5 or less. A shortest cycle of
-  link(v), when of length 5 or less, is found from each of its vertices
-  (``_link_girths`` proves it), so the least length found over the
-  vertices of link(v) is its girth when below 6, branched links
-  included.
-- Flagness lists each 3-clique once with the shared 3-clique step
+- Link girth, when no edge lies in three or more triangles (every
+  generated disk, every surface), reads the link table
+  (``_table_girths``). Each link vertex then has at most two link
+  neighbours, so each link is disjoint paths and cycles. The table pairs
+  each triangle side with the other triangle on its edge, and a walk
+  from each corner of each triangle crosses from triangle to triangle
+  around that corner: a gather and an equality test per step, and a
+  link cycle of length g <= 5 returns its walk to the start after g
+  steps.
+- Otherwise some link branches, and link girth searches two steps out
+  from every vertex s of every link link(v) (``_link_girths``), where
+  corner v of triangle (v, p, q) makes p and q adjacent: two adjacent
+  neighbours of s close a triangle, a vertex reached from two neighbours
+  of s closes a 4-cycle, and two adjacent vertices at distance 2 close a
+  cycle of length 5 or less. A shortest cycle of link(v), when of length
+  5 or less, is found from each of its vertices (``_link_girths`` proves
+  it), so the least length found over the vertices of link(v) is its
+  girth when below 6. This search is the only path for branched links.
+- Flagness first counts the 3-cliques with the shared 3-clique step
   (``_orient`` and ``_cliques3``): rank the vertices by degree, then
   take an edge a -> b towards the higher rank and an out-neighbour c of
-  b with a -> c an edge. It extends each 3-clique to the 4-cliques
-  through the out-neighbours of c adjacent to a and b. Rule B
+  b with a -> c an edge. Every triangle is a 3-clique, so when there are
+  as many 3-cliques as triangles none is empty. A 4-clique's four faces
+  would then all be triangles, so the other three vertices would close a
+  3-cycle in the link of any one of them: when no link has girth 3 there
+  is no 4-clique either, and nothing is listed. Only otherwise does
+  ``_flag_blocks`` list the rows: each 3-clique, and its extensions to
+  4-cliques through the out-neighbours of c adjacent to a and b. Rule B
   (``quadric``) lists its square-link triangles with the same step.
   Membership is ``np.searchsorted`` on sorted keys.
 
-Both searches go in blocks of about ``_BLOCK_ENTRIES`` expanded entries,
-so their working set is one block, or one item (a link vertex and its
-two-step paths, an edge and its candidate 3-cliques) where that is
-larger, whatever the degrees. Flagness holds the first ``cap`` violations
-in scan order and counts the rest.
+The two searches go in blocks of about ``_BLOCK_ENTRIES`` expanded
+entries, so their working set is one block, or one item (a link vertex
+and its two-step paths, an edge and its candidate 3-cliques) where that
+is larger, whatever the degrees. Flagness holds the first ``cap``
+violations in scan order and counts the rest.
 
 Every blocked loop does only block-local work: ``_link_girths``,
 ``_cliques3``, ``_flag_blocks`` and rule B's ``_link_triples`` compute
@@ -56,6 +72,7 @@ from .complexes import (
     _h1_rank,
     _intersects,
     _isin_sorted,
+    _sides,
     _sorted_rows,
 )
 from .reports import DEFAULT_CERT_CAP, CheckReport, ReportBuilder
@@ -153,6 +170,59 @@ def _link_girths(links: np.ndarray, n: int) -> np.ndarray:
     return np.where(girth < 6, girth, 0)
 
 
+# A dart is a triangle's corner together with one of its two sides there.
+# Dart 6t + 2j + end lies on side j of triangle t = (a, b, c), a < b < c,
+# side 0 = ab, 1 = bc, 2 = ac, at the side's end ``end`` (0 the smaller).
+# By 2j + end: the column of the vertex opposite its side, and the other
+# dart at its corner.
+_THIRD = np.array([2, 2, 0, 0, 1, 1])
+_TURN = np.array([4, 2, 1, 5, 0, 3])
+
+
+def _table_girths(tri: np.ndarray, sides: np.ndarray, on_edge: np.ndarray, n: int) -> np.ndarray:
+    """``_link_girths`` of a complex with no edge in three or more triangles.
+
+    ``tri`` holds the triangles as sorted index rows, ``sides`` the edge
+    index of each side (``_sides``) and ``on_edge`` the triangles on each
+    edge. Every link vertex then has at most two link neighbours, the
+    third vertices of the triangles on its edge, so each link is a union
+    of disjoint paths and cycles, and its girth is its shortest cycle.
+
+    The link table pairs each side with its mate, the other side on its
+    edge: the sum of the (at most two) sides on the edge less its own. A
+    step from a dart turns to the other dart at its corner and crosses to
+    that dart's mate, keeping the corner: at corner v, the dart on side
+    v x of triangle v x y steps to the dart on side v y of the other
+    triangle v y z on that side. So the opposite vertices y, z, ... walk
+    link(v) from x without turning back, and stop at a side with no mate;
+    on a cycle of length g the walk first returns to x after g steps. One
+    walk per corner, of at most five steps of gathers and equality tests,
+    therefore finds every link cycle of length 5 or less from each of its
+    vertices.
+    """
+    girth = np.full(n, 6, dtype=np.intp)  # 6: no cycle of length <= 5 found
+    f = np.arange(sides.size)
+    flat = sides.ravel()
+    # the mate of each side, -1 when its edge holds no other triangle
+    total = np.bincount(flat, weights=f, minlength=len(on_edge)).astype(np.intp)
+    mate = np.where(on_edge[flat] == 2, total[flat] - f, -1)
+    # step[d] for every dart d; the sentinel dart 6T steps to itself and
+    # has no opposite vertex
+    end = 6 * len(tri)
+    turn = (6 * np.arange(len(tri))[:, None] + _TURN).ravel()
+    over = mate[turn >> 1]
+    step = np.append(np.where(over < 0, end, 2 * over + (turn & 1)), end)
+    third = np.append(tri[:, _THIRD].ravel(), -1)
+    # one walk per corner: darts 0, 1 and 3, at a, b and c, start from b, a and b
+    d = step[(6 * np.arange(len(tri))[:, None] + [0, 1, 3]).ravel()]
+    start, corner = tri[:, [1, 0, 1]].ravel(), tri.ravel()
+    for g in (3, 4, 5):
+        d = step[d]
+        back = corner[third[d] == start]  # the walk is back at its start after g steps
+        girth[back] = np.minimum(girth[back], g)
+    return np.where(girth < 6, girth, 0)
+
+
 def _orient(ends: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank the vertices by (degree, index) and point each edge to its end of higher rank.
 
@@ -189,20 +259,21 @@ def _cliques3(keys: np.ndarray, out: np.ndarray, n: int):
             yield e[keep], w[f[keep]]
 
 
-def _flag_blocks(ends: np.ndarray, tri: np.ndarray, n: int):
+def _flag_blocks(oriented, tri: np.ndarray, n: int):
     """The flagness scan, one block at a time.
 
-    ``ends`` and ``tri`` hold one row of vertex indices per edge and per
-    triangle. The 3-cliques come from ``_cliques3``; a 4-clique
-    a < b < c < d in rank comes once, from the 3-clique (a, b, c) and an
-    out-neighbour d of c adjacent to a and b. The 3-cliques of a block go
-    in blocks of about ``_BLOCK_ENTRIES`` candidate 4-cliques.
+    ``oriented`` is what ``_orient`` gives for the edges, and ``tri`` holds
+    one row of vertex indices per triangle. The 3-cliques come from
+    ``_cliques3``; a 4-clique a < b < c < d in rank comes once, from the
+    3-clique (a, b, c) and an out-neighbour d of c adjacent to a and b.
+    The 3-cliques of a block go in blocks of about ``_BLOCK_ENTRIES``
+    candidate 4-cliques.
 
     Each block yields the number of 3-cliques it lists and one row
     (u, w, x, y) of indices per violation, u < w < x < y; an empty
     triangle is (u, w, x, -1).
     """
-    by, ekeys, out = _orient(ends, n)
+    by, ekeys, out = oriented
     u, w = np.divmod(ekeys, n)
     rank = np.empty(n, dtype=np.intp)
     rank[by] = np.arange(n)
@@ -275,16 +346,24 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb.set_stat("edges", len(g._ends))
     rb.set_stat("triangles", len(c._rows))
 
-    tri = c._rows
+    tri, edges = c._rows, g._ends
+    sides = _sides(tri, g._keys, n)
+    on_edge = np.bincount(sides.ravel(), minlength=len(edges))  # the triangles on each edge
     rb.count("links", n)
-    # corner v of triangle (v, p, q) makes p and q adjacent in link(v)
-    girth = _link_girths(np.concatenate([tri, tri[:, [1, 0, 2]], tri[:, [2, 0, 1]]]), n)
+    if on_edge.max(initial=0) <= 2:
+        girth = _table_girths(tri, sides, on_edge, n)
+    else:  # a branched link: corner v of triangle (v, p, q) makes p and q adjacent in link(v)
+        girth = _link_girths(np.concatenate([tri, tri[:, [1, 0, 2]], tri[:, [2, 0, 1]]]), n)
     for v in np.flatnonzero(girth).tolist():
         rb.violation("link-girth", (order[v],), f"girth={girth[v]}")
 
-    edges = g._ends
-    blocks = _flag_blocks(edges, tri, n)
-    cliques, count, rows = _first_violations(blocks, cap)
+    oriented = _orient(edges, n)
+    cliques = sum(len(x) for _, x in _cliques3(oriented[1], oriented[2], n))
+    count, rows = 0, np.empty((0, 4), dtype=np.intp)
+    # as many 3-cliques as triangles: each is filled; and a 4-clique would
+    # fill the three faces at each corner, a 3-cycle in that corner's link
+    if cliques != len(tri) or (girth == 3).any():
+        cliques, count, rows = _first_violations(_flag_blocks(oriented, tri, n), cap)
     rb.count("cliques3", cliques)
     for *clique, y in rows.tolist():
         if y < 0:
@@ -294,7 +373,7 @@ def verify_systolic(c: SimplicialComplex2, cap: int = DEFAULT_CERT_CAP) -> Check
     rb.uncertified(count - len(rows))
 
     if connected:
-        rank = _h1_rank(tri, edges, n)  # the component view found c connected
+        rank = _h1_rank(sides, len(edges), n)  # the component view found c connected
         rb.set_stat("h1_rank_mod2", rank)
         if rank != 0:
             rb.violation("h1", (), f"rank={rank}")

@@ -11,7 +11,7 @@ import pytest
 
 import sysquad as sq
 from sysquad import propa
-from sysquad.complexes import _h1_rank
+from sysquad.complexes import _h1_rank, _sides
 
 from bruteforce import brute_profile
 
@@ -106,7 +106,8 @@ def k55_two_thirds():
 def h1_rank(c):
     """The mod-2 first-homology rank that ``verify_systolic`` computes, of a connected complex."""
     g = c.graph
-    return _h1_rank(c._rows, g._ends, len(g._order))
+    n = len(g._order)
+    return _h1_rank(_sides(c._rows, g._keys, n), len(g._ends), n)
 
 
 def interval(b, v):

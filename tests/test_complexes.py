@@ -1,6 +1,7 @@
 """Core graph and complex machinery against hand examples and oracles."""
 
 import math
+import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -142,6 +143,73 @@ def test_components_scan_the_whole_graph_a_fixed_number_of_times(monkeypatch):
     assert len(set(root.tolist())) == n - 300 - 90
     # the ten paths are 1001-1010, 1011-1020, ..., 1091-1100
     assert root[1010] == 1001 and depth[1010] == depth.max() == 9
+
+
+def assert_components_match_bfs(g):
+    """Each vertex's root is the least vertex it reaches, its depth the BFS distance from there."""
+    root, depth = g._components
+    adj = adjacency(g)
+    for i, v in enumerate(g._order):
+        r = min(bfs_dist(adj, v))
+        assert g._order[root[i]] == r and depth[i] == bfs_dist(adj, r)[v], v
+
+
+@st.composite
+def forests_and_unions(draw):
+    """A random forest, or a union of random graphs, on shuffled vertices.
+
+    A forest vertex joins an earlier one or starts a tree; a union puts
+    random graphs of 1 to 8 vertices side by side. The shuffle puts the
+    least vertex of a component anywhere in it.
+    """
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 60))
+        start = draw(st.sampled_from([0.05, 0.2, 0.5]))
+        edges = [(v, rng.randrange(v)) for v in range(1, n) if rng.random() > start]
+    else:
+        n, edges = 0, []
+        for _ in range(draw(st.integers(1, 8))):
+            part = random_graph(draw(st.integers(1, 8)), draw(st.sampled_from([0.2, 0.5, 0.9])),
+                                rng.randrange(10**6))
+            edges += [(n + a, n + b) for a, b in part.edges]
+            n += len(part.vertices)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Graph(range(n), [(ids[a], ids[b]) for a, b in edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(forests_and_unions())
+def test_components_match_bfs_on_forests_and_unions(g):
+    assert_components_match_bfs(g)
+
+
+def test_components_of_many_edges_take_a_bounded_number_of_passes(monkeypatch):
+    # 8,000 disjoint edges on 32,000 vertices: one search from index 0, then
+    # a fixed number of array passes over the indices it leaves and one
+    # search from all their roots at once, not a search per component
+    g = Graph(range(32000), [(4 * k + 1, 4 * k + 3) for k in range(8000)])
+    calls, searches = [], []
+
+    class CountingNumpy:
+        """numpy, noting each call."""
+
+        def __getattr__(self, name):
+            f = getattr(np, name)
+            if not callable(f) or isinstance(f, type):
+                return f
+            return lambda *args, **kwargs: (calls.append(name), f(*args, **kwargs))[1]
+
+    search = complexes._search
+    monkeypatch.setattr(complexes, "_search", lambda g, s, lev, slot: (
+        searches.append(np.size(s)), search(g, s, lev, slot))[1])
+    monkeypatch.setattr(complexes, "np", CountingNumpy())
+    root, depth = g._components
+    assert searches == [1, 7999]
+    assert len(calls) <= 80, len(calls)
+    assert root[3] == 1 and depth[3] == 1 and root[31999] == 31997 and depth[31999] == 1
+    assert root[0] == 0 and depth[0] == 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -22,6 +22,9 @@ ORACLE_GRID = tuple(
 ) + (DiskSpec(radius=6, degrees=6),)
 # the benchmark's two disks: flat6 and hyper7
 BENCH_SPECS = (DiskSpec(radius=12, degrees=6), DiskSpec(radius=5, degrees=7))
+# rings of thousands of entries, where the last window wraps to the first
+LARGE_SPECS = (DiskSpec(radius=7, degrees=7),) + tuple(
+    DiskSpec(radius=6, degrees=frozenset({6, 9}), seed=s) for s in range(5))
 
 
 def test_radius_zero_is_a_point():
@@ -92,7 +95,7 @@ def test_interior_links_are_cycles_of_the_requested_degree():
 
 
 def test_matches_arc_by_arc_oracle():
-    for spec in ORACLE_GRID + LEMMA_SPECS + BENCH_SPECS:
+    for spec in ORACLE_GRID + LEMMA_SPECS + BENCH_SPECS + LARGE_SPECS:
         got, want = triangulated_disk(spec), brute_triangulated_disk(spec)
         assert format_complex(got.complex) == format_complex(want.complex), f"{spec}"
         assert got.center == want.center, f"{spec}"

@@ -186,6 +186,95 @@ def mixed_violations():
     return relabel(c, lambda v: 100 - 3 * v)
 
 
+def strip(n):
+    """The triangles (i, i + 1, i + 2) mod n: a Möbius strip for odd n, whose
+    boundary (i, i + 2) is one cycle, and an annulus for even n. Each edge
+    lies in one or two triangles.
+    strip(5) spans K5, so it also has five empty triangles and five 4-cliques."""
+    return complex_of([(i, (i + 1) % n, (i + 2) % n) for i in range(n)])
+
+
+def holed_annulus():
+    """An annulus between the empty triangle 0 1 2 and the hexagon 3..8:
+    inner vertex i sees the outer vertices 3 + 2i, 4 + 2i and 5 + 2i (mod 6)."""
+    def o(k):
+        return 3 + k % 6
+    return complex_of([t for i in range(3) for t in (
+        (i, o(2 * i), o(2 * i + 1)), (i, o(2 * i + 1), o(2 * i + 2)), (i, (i + 1) % 3, o(2 * i + 2)))])
+
+
+def pinched_wheels():
+    """A 6-wheel (hub 0, rim 1..6) and a 5-wheel (hub 7, rim 1 8 9 10 11)
+    sharing the rim vertex 1, whose link is two disjoint paths."""
+    tris = []
+    for hub, rim in ((0, [1, 2, 3, 4, 5, 6]), (7, [1, 8, 9, 10, 11])):
+        tris += [(hub, a, b) for a, b in zip(rim, rim[1:] + rim[:1])]
+    return complex_of(tris)
+
+
+def square_book():
+    """Three square pages 1 x 2, x = 3, 4, 5, coned from 0 and sharing the
+    spine 1 0 2: edges 0 1 and 0 2 lie in three triangles, and the link of 0,
+    K_{2,3}, branches and has girth 4."""
+    return cone([(a, b) for a in (1, 2) for b in (3, 4, 5)])
+
+
+def link_paths(monkeypatch):
+    """The link-girth path and the flagness listing each verify_systolic call takes, in order."""
+    calls = []
+    for name in ("_table_girths", "_link_girths", "_flag_blocks"):
+        f = getattr(systolic, name)
+        monkeypatch.setattr(systolic, name, lambda *args, f=f, name=name: (
+            calls.append(name), f(*args))[1])
+    return calls
+
+
+@pytest.mark.parametrize("make, path, kinds", [
+    (lambda: strip(5), "_table_girths",
+     {"flagness :: 4-clique", "flagness :: empty-triangle", "h1 :: rank=1"}),
+    (lambda: strip(7), "_table_girths", {"h1 :: rank=1"}),
+    (holed_annulus, "_table_girths", {"flagness :: empty-triangle", "h1 :: rank=1"}),
+    (pinched_wheels, "_table_girths", {"link-girth 7 :: girth=5"}),
+    (square_book, "_link_girths", {"link-girth 0 :: girth=4"}),
+])
+def test_surfaces_and_books_agree_with_oracle(monkeypatch, make, path, kinds):
+    # each takes the link-girth path named, and shows the violations named
+    # (by kind, with the vertices of link-girth certificates)
+    c = make()
+    calls = link_paths(monkeypatch)
+    for cap in (0, 1, 25):
+        calls.clear()
+        rep = verify_systolic(c, cap)
+        assert rep == brute_verify_systolic(c, cap)
+        assert calls[0] == path
+    assert {str(x) if x.kind == "link-girth" else f"{x.kind} :: {x.info}"
+            for x in rep.counterexamples} == kinds
+
+
+def test_generated_disk_takes_the_link_table_and_lists_no_rows(monkeypatch):
+    # as many 3-cliques as triangles and no link of girth 3: no violation to list
+    calls = link_paths(monkeypatch)
+    rep = verify_systolic(triangulated_disk(DiskSpec(radius=4, degrees=frozenset({6, 7}))).complex)
+    assert rep.passed and rep.stats["cliques3"] == rep.stats["triangles"]
+    assert calls == ["_table_girths"]
+
+
+def test_branched_link_takes_the_link_search(monkeypatch):
+    # every spoke of the cone over K_{3,3} lies in three triangles
+    calls = link_paths(monkeypatch)
+    rep = verify_systolic(cone(k_nn(3)))
+    assert [str(x) for x in rep.counterexamples] == ["link-girth 0 :: girth=4"]
+    assert calls == ["_link_girths"]
+
+
+def test_violations_are_still_listed(monkeypatch):
+    calls = link_paths(monkeypatch)
+    rep = verify_systolic(mixed_violations())
+    assert calls == ["_link_girths", "_flag_blocks"]
+    assert {x.info for x in rep.counterexamples if x.kind == "flagness"} == {
+        "empty-triangle", "4-clique"}
+
+
 @st.composite
 def triangle_complexes(draw):
     """Random 2-complexes with non-contiguous vertex ids.
@@ -193,13 +282,23 @@ def triangle_complexes(draw):
     Up to two parts (none: the empty complex; two: disconnected input).
     A part is a random graph with a random share of its 3-cliques filled,
     none to all (edges in three or more triangles, links with no
-    triangles, empty triangles, 4-cliques), or a bouquet: a hub whose link
+    triangles, empty triangles, 4-cliques); a bouquet: a hub whose link
     is disjoint cycles of lengths 3 to 7, with extra triangles on one
-    spoke so that the link branches there.
+    spoke so that the link branches there; or a strip of n triangles
+    (i, i + 1, i + 2) mod n, some left out, where no edge lies in three
+    triangles (n = 4: the tetrahedron; n = 5: K5; n = 6: an annulus with
+    two empty triangles; odd n: a Möbius strip).
     """
     edges, tris, size = set(), [], 0
     for _ in range(draw(st.integers(0, 2))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["graph", "bouquet", "strip"]))
+        if kind == "strip":
+            n = draw(st.integers(4, 9))
+            ts = [tuple(sorted((i, (i + 1) % n, (i + 2) % n))) for i in range(n)]
+            ts = [t for t, keep in zip(ts, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+                  if keep]
+            es = {(i, (i + d) % n) for i in range(n) for d in (1, 2)}
+        elif kind == "graph":
             n = draw(st.integers(1, 9))
             p = draw(st.sampled_from([0.3, 0.6, 0.9]))
             q = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
